@@ -17,12 +17,17 @@ FINISH in the same turn executes sequentially.
 Specialist consultations are stateless one-shot completions: each one gets a
 fresh history of [specialist system prompt, request + full serialized network
 state], grounding its reasoning in verified conditions.
+
+There is one loop, `run_react`. The monolithic baseline runs it with the
+specialists off and the state in the user message; the single-pass baselines
+(direct LLM and the no-ReAct ablation, `run_single_pass`) run it the same way
+capped at one turn.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -474,72 +479,20 @@ def run_single_pass(
     session: ChatSession,
     system_prompt: str,
     temperature: float = 0.0,
-    inject_state: bool = True,
 ) -> AgentTranscript:
-    """One completion, no loop: the model must provision and finish in a
-    single turn (direct-LLM baseline and the no-ReAct ablation)."""
-    if not intent_text.strip():
-        raise ValueError("intent text must be non-empty")
-    user_text = intent_text
-    if inject_state:
-        user_text = f"{intent_text}\n\nCURRENT NETWORK STATE:\n{serialize_state(state)}"
-    history = [
-        ChatMessage(role="system", content=system_prompt),
-        ChatMessage(role="user", content=user_text),
-    ]
-    entries: list[TranscriptEntry] = []
-
-    def finish(outcome: Outcome, final, error: str | None = None) -> AgentTranscript:
-        usage = session.total_usage()
-        return AgentTranscript(
-            intent_text=intent_text, entries=tuple(entries), outcome=outcome,
-            final_configuration=final, iterations=len(entries),
-            prompt_tokens=usage.prompt_tokens,
-            completion_tokens=usage.completion_tokens, error=error,
-        )
-
-    try:
-        result = session.complete(history, temperature=temperature)
-    except (GatewayError, ScriptError) as exc:
-        return finish(Outcome.ERROR, None, error=str(exc))
-    observations: list[str] = []
-    provisioned: SliceConfiguration | None = None
-    finished = False
-    try:
-        actions = parse_action(result.text)
-    except ActionParseError as exc:
-        actions = (AgentAction(kind=ActionKind.NONE),)
-        observations.append(f"Action parse error: {exc}")
-    working_state = state
-    for action in actions:
-        if action.kind is ActionKind.PROVISION_SLICE:
-            try:
-                band, sector_id, node_id = parse_slice_configs(
-                    action.ran_config or "", action.core_config or ""
-                )
-                config = SliceConfiguration(
-                    sector_id=sector_id, band=band, node_id=node_id,
-                    slice_id=action.slice_id,
-                )
-                working_state = apply_provisioning(working_state, config)
-            except (ActionParseError, ProvisioningError) as exc:
-                observations.append(f"Provisioning failed: {exc}")
-            else:
-                provisioned = config
-        elif action.kind is ActionKind.FINISH and provisioned is not None:
-            finished = True
-    entries.append(TranscriptEntry(
-        iteration=1, role=ORCHESTRATOR, response_text=result.text,
-        actions=tuple(actions), specialist_exchanges=(),
-        observation="\n".join(observations) or None,
-        prompt_tokens=result.prompt_tokens, completion_tokens=result.completion_tokens,
-    ))
-    if finished:
-        return finish(Outcome.FINISHED, provisioned)
-    return finish(
-        Outcome.ERROR, None,
-        error="single-pass turn did not provision and finish",
+    """The ReAct loop capped at one turn with no specialists and the state in
+    the user message: the model must provision and finish in that turn
+    (direct-LLM baseline and the no-ReAct ablation)."""
+    transcript = run_react(
+        intent_text, state, session, {}, k_max=1, temperature=temperature,
+        specialists_enabled=False, inject_state=True, system_prompt=system_prompt,
     )
+    if transcript.outcome is Outcome.ITERATION_LIMIT:
+        return replace(
+            transcript, outcome=Outcome.ERROR,
+            error="single-pass turn did not provision and finish",
+        )
+    return transcript
 
 
 def render_trace(transcript: AgentTranscript) -> str:

@@ -25,12 +25,13 @@ from .harness import (
     compare_table,
     emit_report,
     load_scenarios,
+    report_to_dict,
     run_ablation,
     run_benchmark,
     run_compare,
 )
 from .intent import classify_intent
-from .model import StateError, load_state
+from .model import StateError, config_to_dict, load_state
 from .oracle import rule_based_provision, solve
 from .scoring import Thresholds, check_constraints, compute_utility, round_half_up
 
@@ -61,7 +62,14 @@ _CONFIG_KEYS = {
 def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CliError(f"cannot read run-config file {args.config}: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise CliError(f"run-config file {args.config} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise CliError(f"run-config file {args.config} must hold a JSON object")
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise CliError(f"run-config file has unknown key(s): {sorted(unknown)}")
@@ -73,7 +81,10 @@ def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _resolve(args: argparse.Namespace):
+def _resolve(args: argparse.Namespace) -> HarnessConfig:
+    repeats = args.repeats if args.repeats is not None else 3
+    if isinstance(repeats, bool) or not isinstance(repeats, int) or repeats < 1:
+        raise CliError(f"--repeats must be a positive integer, got {repeats!r}")
     state_path = args.state or bundled.default_state_path()
     try:
         state = load_state(Path(state_path).read_text(encoding="utf-8"))
@@ -81,52 +92,51 @@ def _resolve(args: argparse.Namespace):
         raise CliError(f"state file not found: {state_path}")
     except StateError as exc:
         raise CliError(f"invalid state file {state_path}: {exc}")
-    prompts_dir = args.prompts or bundled.default_prompts_dir()
-    prompts = load_prompts(prompts_dir)
-    thresholds = Thresholds(
-        l_max=args.l_max if args.l_max is not None else 100.0,
-        kappa_max=args.kappa_max if args.kappa_max is not None else 85.0,
-    )
-    config = HarnessConfig(
+    return HarnessConfig(
         state=state,
-        prompts=prompts,
+        prompts=load_prompts(args.prompts or bundled.default_prompts_dir()),
         lexicon=bundled.default_lexicon(),
         strict_lexicon=bundled.strict_lexicon(),
         generic_prompts=load_prompts(bundled.generic_prompts_dir(), require_markers=False),
-        thresholds=thresholds,
-        repeats=args.repeats if args.repeats is not None else 3,
-        k_max=10,
+        thresholds=Thresholds(
+            l_max=args.l_max if args.l_max is not None else 100.0,
+            kappa_max=args.kappa_max if args.kappa_max is not None else 85.0,
+        ),
+        repeats=repeats,
         jobs=args.jobs if args.jobs is not None else 1,
     )
-    return state, prompts, thresholds, config
 
 
 def _provider_for(backend_spec: str | None, default_scripted: bool):
-    """Build a backend provider from a --backend spec."""
+    """Build what a --backend spec names: a ScriptedBackend for a flat
+    script, a SuiteFixture, or a LiveBackendProvider."""
     if backend_spec is None:
         backend_spec = (
             f"scripted:{bundled.default_suite_fixture_path()}" if default_scripted else "live"
         )
     if backend_spec == "live":
-        return LiveBackendProvider(LiveBackend()), "live"
+        return LiveBackendProvider(LiveBackend())
     if backend_spec.startswith("scripted:"):
         fixture_path = Path(backend_spec.split(":", 1)[1])
         if not fixture_path.is_file():
             raise CliError(f"fixture not found: {fixture_path}")
         doc = json.loads(fixture_path.read_text(encoding="utf-8"))
         if isinstance(doc, list):
-            return load_script(fixture_path), f"scripted:{fixture_path}"
-        return SuiteFixture.from_file(fixture_path), f"scripted:{fixture_path}"
+            return ScriptedBackend(load_script(fixture_path), backend_id=f"scripted:{fixture_path}")
+        return SuiteFixture.from_file(fixture_path)
     raise CliError(f"--backend must be 'live' or 'scripted:<fixture>', got {backend_spec!r}")
 
 
-def _write_out(args: argparse.Namespace, text: str) -> None:
+def _write_out(args: argparse.Namespace, doc: dict | list) -> None:
+    """Write the machine-format document of a command to --out, if given."""
     if args.out:
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         Path(args.out).write_text(text, encoding="utf-8")
 
 
 def cmd_run_intent(args: argparse.Namespace) -> int:
-    state, prompts, thresholds, config = _resolve(args)
+    config = _resolve(args)
+    state, thresholds = config.state, config.thresholds
     system = args.system or "multi_agent"
     intent_text = args.intent
     if intent_text is None or intent_text == "-":
@@ -140,7 +150,7 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
         head = ranking[0]
         print(_ranking_table(ranking[: args.top or 5]))
         _print_decision(head.config, head.breakdown.utility, head.constraints.feasible)
-        _write_out(args, _ranking_machine(ranking))
+        _write_out(args, _ranking_doc(ranking))
         return 0
     if system == "rule_based":
         result = rule_based_provision(intent_text, state, thresholds)
@@ -149,15 +159,13 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
         _print_decision(result.config, breakdown.utility, result.ranking[0].feasible)
         return 0
 
-    provider, backend_id = _provider_for(args.backend, default_scripted=False)
-    if isinstance(provider, list):  # flat script fixture
-        backend = ScriptedBackend(provider, backend_id=backend_id)
-    elif isinstance(provider, SuiteFixture):
+    backend = _provider_for(args.backend, default_scripted=False)
+    if isinstance(backend, SuiteFixture):
         raise CliError("run-intent expects a flat script fixture, not a suite fixture")
-    else:
-        backend = provider.backend_for("run_intent", system)
+    if isinstance(backend, LiveBackendProvider):
+        backend = backend.backend_for("run_intent", system)
     session = ChatSession(backend)
-    transcript = run_react(intent_text, state, session, prompts, k_max=config.k_max)
+    transcript = run_react(intent_text, state, session, config.prompts)
     print(render_trace(transcript), end="")
     if transcript.final_configuration is None:
         print(f"no configuration provisioned (outcome: {transcript.outcome.value})")
@@ -166,14 +174,9 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
     breakdown = compute_utility(config_final, profile, state)
     report = check_constraints(config_final, profile, state, thresholds)
     _print_decision(config_final, breakdown.utility, report.feasible)
-    _write_out(args, json.dumps({
+    _write_out(args, {
         "intent": intent_text,
-        "configuration": {
-            "sector": config_final.sector_id,
-            "band": config_final.band.value,
-            "node": config_final.node_id,
-            "slice_id": config_final.slice_id,
-        },
+        "configuration": config_to_dict(config_final),
         "utility": breakdown.utility,
         "sub_scores": {
             "latency": breakdown.s_latency,
@@ -183,7 +186,7 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
         "feasible": report.feasible,
         "iterations": transcript.iterations,
         "total_tokens": transcript.total_tokens,
-    }, indent=2, sort_keys=True) + "\n")
+    })
     return 0
 
 
@@ -206,28 +209,22 @@ def _ranking_table(ranking) -> str:
     return "\n".join(lines)
 
 
-def _ranking_machine(ranking) -> str:
-    return json.dumps(
-        [
-            {
-                "rank": item.rank,
-                "sector": item.config.sector_id,
-                "band": item.config.band.value,
-                "node": item.config.node_id,
-                "utility": item.breakdown.utility,
-                "feasible": item.feasible,
-            }
-            for item in ranking
-        ],
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
+def _ranking_doc(ranking) -> list[dict]:
+    return [
+        {
+            "rank": item.rank,
+            **config_to_dict(item.config),
+            "utility": item.breakdown.utility,
+            "feasible": item.feasible,
+        }
+        for item in ranking
+    ]
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    state, _, thresholds, config = _resolve(args)
-    profile = classify_intent(args.intent, state, config.lexicon)
-    ranking = solve(state, profile, thresholds)
+    config = _resolve(args)
+    profile = classify_intent(args.intent, config.state, config.lexicon)
+    ranking = solve(config.state, profile, config.thresholds)
     print(
         f"profile: class={profile.traffic_class.value} beta={profile.bandwidth_category.value} "
         f"tau_req={profile.tau_req_ms:g}ms target={profile.target_sector or '-'}"
@@ -235,50 +232,44 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(_ranking_table(ranking[: args.top or 10]))
     if not ranking[0].feasible:
         print("note: no feasible candidate; ranking shows best infeasible fallbacks")
-    _write_out(args, _ranking_machine(ranking))
+    _write_out(args, _ranking_doc(ranking))
     return 0
 
 
+def _suite_setup(args: argparse.Namespace):
+    """Shared prologue of the suite commands: (config, scenarios, provider)."""
+    config = _resolve(args)
+    scenarios = load_scenarios(args.scenarios or bundled.default_scenarios_path(), config.state)
+    provider = _provider_for(args.backend, default_scripted=True)
+    if isinstance(provider, ScriptedBackend):
+        raise CliError(f"{args.command} expects a suite fixture, not a flat script")
+    return config, scenarios, provider
+
+
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    state, prompts, thresholds, config = _resolve(args)
-    scenarios = load_scenarios(args.scenarios or bundled.default_scenarios_path(), state)
-    provider, _ = _provider_for(args.backend, default_scripted=True)
-    if isinstance(provider, list):
-        raise CliError("benchmark expects a suite fixture, not a flat script")
+    config, scenarios, provider = _suite_setup(args)
     report = run_benchmark(scenarios, args.system or "multi_agent", provider, config)
     print(emit_report(report, "table"), end="")
-    _write_out(args, emit_report(report, "machine"))
+    _write_out(args, report_to_dict(report))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    state, prompts, thresholds, config = _resolve(args)
-    scenarios = load_scenarios(args.scenarios or bundled.default_scenarios_path(), state)
-    provider, _ = _provider_for(args.backend, default_scripted=True)
-    if isinstance(provider, list):
-        raise CliError("compare expects a suite fixture, not a flat script")
+    config, scenarios, provider = _suite_setup(args)
     reports = run_compare(scenarios, provider, config)
     print(compare_table(reports), end="")
-    if args.out:
-        machine = {system: json.loads(emit_report(r, "machine")) for system, r in reports.items()}
-        Path(args.out).write_text(json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_out(args, {system: report_to_dict(r) for system, r in reports.items()})
     return 0
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    state, prompts, thresholds, config = _resolve(args)
-    scenarios = load_scenarios(args.scenarios or bundled.default_scenarios_path(), state)
-    provider, _ = _provider_for(args.backend, default_scripted=True)
-    if isinstance(provider, list):
-        raise CliError("ablate expects a suite fixture, not a flat script")
+    config, scenarios, provider = _suite_setup(args)
     reports = {
         variant: run_ablation(variant, scenarios, provider, config)
         for variant in ABLATION_VARIANTS
     }
     print(ablation_table(reports), end="")
-    if args.out:
-        machine = {variant: json.loads(emit_report(r, "machine")) for variant, r in reports.items()}
-        Path(args.out).write_text(json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_out(args, {variant: report_to_dict(r) for variant, r in reports.items()})
     return 0
 
 

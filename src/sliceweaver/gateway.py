@@ -254,10 +254,6 @@ class ChatSession:
         self.backend = backend
         self.calls: list[CompletionResult] = []
 
-    @property
-    def deterministic(self) -> bool:
-        return bool(getattr(self.backend, "deterministic", False))
-
     def complete(self, messages: list[ChatMessage], temperature: float = 0.0) -> CompletionResult:
         if not messages:
             raise ValueError("history must be non-empty")

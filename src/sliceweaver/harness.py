@@ -24,7 +24,6 @@ from pathlib import Path
 
 from .agents import (
     ORCHESTRATOR,
-    AgentTranscript,
     Outcome,
     merge_prompts_monolithic,
     run_react,
@@ -32,7 +31,7 @@ from .agents import (
 )
 from .gateway import ChatSession
 from .intent import IntentProfile, Lexicon, TrafficClass, classify_intent
-from .model import Band, NetworkState, SliceConfiguration
+from .model import Band, NetworkState, SliceConfiguration, config_to_dict
 from .oracle import rule_based_provision, solve
 from .scoring import DEFAULT_THRESHOLDS, Thresholds, compute_utility, round_half_up
 
@@ -108,6 +107,18 @@ class EvaluationRecord:
 
 
 @dataclass(frozen=True)
+class RunOutcome:
+    """What one execution of a system produced, before scoring."""
+
+    produced: SliceConfiguration | None = None
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
+    wall_seconds: float = 0.0
+    iterations: int = 0
+    error: str | None = None
+
+
+@dataclass(frozen=True)
 class ColumnStats:
     mean: float
     std: float
@@ -131,7 +142,6 @@ class HarnessConfig:
     generic_prompts: dict[str, str] | None = None
     thresholds: Thresholds = DEFAULT_THRESHOLDS
     repeats: int = 3
-    k_max: int = 10
     jobs: int = 1
 
 
@@ -206,27 +216,6 @@ def referee_profile(scenario: Scenario, config: HarnessConfig) -> IntentProfile:
     return classify_intent(scenario.intent_text, config.state, config.lexicon)
 
 
-def _transcript_outcome(
-    transcript: AgentTranscript,
-) -> tuple[SliceConfiguration | None, int, int, float, int, str | None]:
-    produced = (
-        transcript.final_configuration
-        if transcript.outcome is Outcome.FINISHED
-        else None
-    )
-    error = transcript.error
-    if transcript.outcome is Outcome.ITERATION_LIMIT:
-        error = "iteration limit exceeded"
-    return (
-        produced,
-        transcript.prompt_tokens,
-        transcript.completion_tokens,
-        0.0,  # wall seconds filled from session usage by the caller
-        transcript.iterations,
-        error,
-    )
-
-
 def _execute_once(
     scenario: Scenario,
     system: str,
@@ -235,19 +224,19 @@ def _execute_once(
     script_key: str | None = None,
     prompt_set: dict[str, str] | None = None,
     single_pass: bool = False,
-) -> tuple[SliceConfiguration | None, int, int, float, int, str | None]:
-    """Run one system once; returns (produced, ptok, ctok, wall, iters, err)."""
+) -> RunOutcome:
+    """Run one system once."""
     prompts = prompt_set or config.prompts
     if system == "oracle":
         profile = referee_profile(scenario, config)
         ranking = solve(config.state, profile, config.thresholds)
-        return ranking[0].config, 0, 0, 0.0, 0, None
+        return RunOutcome(produced=ranking[0].config)
     if system == "rule_based":
         result = rule_based_provision(
             scenario.intent_text, config.state, config.thresholds,
             lexicon=config.strict_lexicon,
         )
-        return result.config, 0, 0, 0.0, 0, None
+        return RunOutcome(produced=result.config)
     backend = provider.backend_for(scenario.id, script_key or system)
     session = ChatSession(backend)
     if system == "direct_llm":
@@ -262,15 +251,22 @@ def _execute_once(
     elif system == "monolithic":
         transcript = run_react(
             scenario.intent_text, config.state, session, prompts,
-            k_max=config.k_max, specialists_enabled=False, inject_state=True,
+            specialists_enabled=False, inject_state=True,
             system_prompt=merge_prompts_monolithic(prompts),
         )
     else:  # multi_agent
-        transcript = run_react(
-            scenario.intent_text, config.state, session, prompts, k_max=config.k_max
-        )
-    produced, ptok, ctok, _, iters, err = _transcript_outcome(transcript)
-    return produced, ptok, ctok, session.total_usage().wall_seconds, iters, err
+        transcript = run_react(scenario.intent_text, config.state, session, prompts)
+    error = transcript.error
+    if transcript.outcome is Outcome.ITERATION_LIMIT:
+        error = "iteration limit exceeded"
+    return RunOutcome(
+        produced=transcript.final_configuration,
+        prompt_tokens=transcript.prompt_tokens,
+        completion_tokens=transcript.completion_tokens,
+        wall_seconds=session.total_usage().wall_seconds,
+        iterations=transcript.iterations,
+        error=error,
+    )
 
 
 def run_scenario(
@@ -295,7 +291,7 @@ def run_scenario(
     )
     runs = 1 if deterministic else config.repeats
 
-    outcomes = []
+    outcomes: list[RunOutcome] = []
     for _ in range(runs):
         try:
             outcomes.append(
@@ -306,13 +302,12 @@ def run_scenario(
                 )
             )
         except Exception as exc:  # failures become zero-accuracy rows
-            outcomes.append((None, 0, 0, 0.0, 0, f"{type(exc).__name__}: {exc}"))
+            outcomes.append(RunOutcome(error=f"{type(exc).__name__}: {exc}"))
 
     records: list[EvaluationRecord] = []
     for run_index in range(1, config.repeats + 1):
-        produced, ptok, ctok, wall, iters, err = outcomes[
-            min(run_index - 1, len(outcomes) - 1)
-        ]
+        outcome = outcomes[min(run_index - 1, len(outcomes) - 1)]
+        produced = outcome.produced
         accuracy = semantic_accuracy(produced, scenario.golden)
         if produced is not None:
             utility = compute_utility(produced, profile, config.state).utility
@@ -330,11 +325,11 @@ def run_scenario(
                 hybrid_success=(
                     accuracy >= HYBRID_ACCURACY_MIN and utility >= HYBRID_UTILITY_MIN
                 ),
-                prompt_tokens=ptok,
-                completion_tokens=ctok,
-                wall_seconds=wall,
-                iterations=iters,
-                error=err,
+                prompt_tokens=outcome.prompt_tokens,
+                completion_tokens=outcome.completion_tokens,
+                wall_seconds=outcome.wall_seconds,
+                iterations=outcome.iterations,
+                error=outcome.error,
             )
         )
     return records
@@ -433,20 +428,12 @@ def run_ablation(
 
 
 def record_to_dict(record: EvaluationRecord) -> dict:
-    produced = None
-    if record.produced is not None:
-        produced = {
-            "sector": record.produced.sector_id,
-            "band": record.produced.band.value,
-            "node": record.produced.node_id,
-            **({"slice_id": record.produced.slice_id} if record.produced.slice_id else {}),
-        }
     return {
         "scenario_id": record.scenario_id,
         "category": record.category,
         "system": record.system,
         "run_index": record.run_index,
-        "produced": produced,
+        "produced": None if record.produced is None else config_to_dict(record.produced),
         "semantic_accuracy": record.semantic_accuracy,
         "utility": record.utility,
         "hybrid_success": record.hybrid_success,
@@ -485,9 +472,9 @@ def record_from_dict(doc: dict) -> EvaluationRecord:
     )
 
 
-def report_to_machine(report: BenchmarkReport) -> str:
-    """Lossless machine format; byte-stable for deterministic runs."""
-    doc = {
+def report_to_dict(report: BenchmarkReport) -> dict:
+    """The machine-format document of one report."""
+    return {
         "format": "sliceweaver.benchmark.v1",
         "system": report.system,
         "records": [record_to_dict(r) for r in report.records],
@@ -496,7 +483,11 @@ def report_to_machine(report: BenchmarkReport) -> str:
             for name, stats in report.summary.items()
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def report_to_machine(report: BenchmarkReport) -> str:
+    """Lossless machine format; byte-stable for deterministic runs."""
+    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def report_from_machine(text: str) -> BenchmarkReport:

@@ -337,6 +337,15 @@ def load_state(document: str) -> NetworkState:
     return state
 
 
+def config_to_dict(config: SliceConfiguration) -> dict:
+    """Wire form of a configuration: sector, band and node, plus `slice_id`
+    when it is set."""
+    doc = {"sector": config.sector_id, "band": config.band.value, "node": config.node_id}
+    if config.slice_id:
+        doc["slice_id"] = config.slice_id
+    return doc
+
+
 def state_to_dict(state: NetworkState) -> dict:
     doc: dict = {
         "sectors": {
@@ -364,13 +373,7 @@ def state_to_dict(state: NetworkState) -> dict:
     }
     if state.provisioned_slices:
         doc["provisioned_slices"] = [
-            {
-                "sector": config.sector_id,
-                "band": config.band.value,
-                "node": config.node_id,
-                **({"slice_id": config.slice_id} if config.slice_id else {}),
-            }
-            for config in state.provisioned_slices
+            config_to_dict(config) for config in state.provisioned_slices
         ]
     return doc
 

@@ -29,11 +29,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from .intent import BandwidthCategory, IntentProfile, weights_for
 from .model import Band, NetworkState, ProvisioningError, SliceConfiguration, latency
 
-#: Sector load above this level triggers a congestion warning (advisory only;
-#: the hard l_max default stays permissive because heavily loaded sectors can
-#: still be the right choice).
-LOAD_WARNING_PERCENT = 80.0
-
 
 @dataclass(frozen=True)
 class Thresholds:

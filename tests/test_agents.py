@@ -383,10 +383,29 @@ def test_single_pass_requires_same_turn_provision_and_finish(state, prompts):
     assert transcript.outcome is Outcome.FINISHED
     assert transcript.iterations == 1
 
-    undecided = scripted_session("THOUGHT: I need to consult someone first.")
-    transcript = run_single_pass("plaza", state, undecided, prompts["orchestrator"])
-    assert transcript.outcome is Outcome.ERROR
-    assert transcript.final_configuration is None
+    not_done = "single-pass turn did not provision and finish"
+    failing_turns = [
+        ("THOUGHT: I need to consult someone first.", not_done),
+        ("ACTION: CALL_AGENT | agent_name=ran_specialist | request=which band?", not_done),
+        ("ACTION: FINISH | summary=nothing provisioned", not_done),
+        ("ACTION: PROVISION_SLICE | slice_id=sp2 | ran_config=mid-band@atlantis | "
+         "core_config=UPF@metro_agg_hub\nACTION: FINISH | summary=unknown sector", not_done),
+        ("ACTION: PROVISION_SLICE | ran_config\nACTION: FINISH | summary=malformed", not_done),
+        (None, "script 'scripted' exhausted after 0 exchanges"),
+    ]
+    for response, error in failing_turns:
+        if response is None:
+            session = scripted_session()
+        else:
+            session = scripted_session(response, tokens=[(120, 30)])
+        transcript = run_single_pass("plaza", state, session, prompts["orchestrator"])
+        assert transcript.outcome is Outcome.ERROR, response
+        assert transcript.error == error, response
+        assert transcript.iterations == (0 if response is None else 1), response
+        assert transcript.final_configuration is None, response
+        usage = session.total_usage()
+        assert transcript.prompt_tokens == usage.prompt_tokens, response
+        assert transcript.completion_tokens == usage.completion_tokens, response
 
 
 def test_monolithic_mode_handles_call_agent_gracefully(state, prompts):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 from sliceweaver import data as bundled
 from sliceweaver.cli import main
@@ -17,6 +20,16 @@ FACTORY_INTENT = (
     "Requires ultra-low latency (<5ms) for real-time control and high reliability for "
     "safety-critical operations."
 )
+
+
+# sha256 of the hermetic `compare --out` and `ablate --out` reports. Any change
+# to these bytes, even one that every run repeats, is a change in behaviour.
+COMPARE_REPORT_SHA256 = "3e44715d2e61c7bc00280b5cc8ab3c63a674fd43c0ee97827b3744096a7e962a"
+ABLATE_REPORT_SHA256 = "ab20f8d8a8229b5fbb89b265967db38ce90dfb6dc20a37269324149ffafc7b68"
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def trace_backend() -> str:
@@ -142,13 +155,18 @@ def test_compare_command(capsys, tmp_path):
     assert {l.split()[0] for l in lines} == {"multi_agent", "monolithic", "rule_based", "direct_llm"}
     doc = json.loads(out_file.read_text())
     assert set(doc) == {"multi_agent", "monolithic", "rule_based", "direct_llm"}
+    assert sha256_of(out_file) == COMPARE_REPORT_SHA256
 
 
-def test_ablate_command(capsys):
-    code, out, _ = run_cli(capsys, "ablate")
+def test_ablate_command(capsys, tmp_path):
+    out_file = tmp_path / "ablate.json"
+    code, out, _ = run_cli(capsys, "ablate", "--out", str(out_file))
     assert code == 0
     assert "Remove ReAct" in out
     assert "dSem" in out and "dUtil" in out
+    doc = json.loads(out_file.read_text())
+    assert set(doc) == {"full", "no_prompts", "no_specialists", "no_react"}
+    assert sha256_of(out_file) == ABLATE_REPORT_SHA256
 
 
 def test_validate_state(capsys, tmp_path):
@@ -206,3 +224,28 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     code, _, err = run_cli(capsys, "benchmark", "--config", str(config))
     assert code == 2
     assert "warp" in err
+
+
+@pytest.mark.parametrize(
+    "flags, config_text, needle",
+    [
+        (["--repeats", "0"], None, "--repeats"),
+        (["--repeats", "-1"], None, "--repeats"),
+        (["--config", "/nonexistent/run.json"], None, "/nonexistent/run.json"),
+        ([], '{"repeats": 2', "not valid JSON"),
+        ([], '["repeats", 2]', "must hold a JSON object"),
+        ([], '{"repeats": "two"}', "--repeats"),
+    ],
+    ids=["repeats-zero", "repeats-negative", "config-missing", "config-malformed",
+         "config-not-object", "config-repeats-string"],
+)
+def test_bad_flags_and_config_files_exit_2(capsys, tmp_path, flags, config_text, needle):
+    if config_text is not None:
+        config = tmp_path / "run.json"
+        config.write_text(config_text)
+        flags = ["--config", str(config)]
+    code, out, err = run_cli(capsys, "benchmark", *flags)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert needle in err
+    assert out == ""
