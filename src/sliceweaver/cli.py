@@ -20,7 +20,7 @@ from .harness import (
     ABLATION_VARIANTS,
     SYSTEMS,
     HarnessConfig,
-    LiveBackendProvider,
+    HarnessError,
     ablation_table,
     compare_table,
     emit_report,
@@ -59,6 +59,25 @@ _CONFIG_KEYS = {
 }
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert and check one run-config value as its flag would be."""
+    flag = action.option_strings[0]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CliError(
+            f"run-config {key!r} must be a string or a number for {flag}, got {value!r}"
+        )
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        raise CliError(f"run-config {key!r} is not a valid {flag} value: {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise CliError(
+            f"run-config {key!r} must be one of {', '.join(action.choices)} for {flag}, "
+            f"got {value!r}"
+        )
+    return converted
+
+
 def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
@@ -74,17 +93,20 @@ def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
     if unknown:
         raise CliError(f"run-config file has unknown key(s): {sorted(unknown)}")
     for key, value in doc.items():
-        if getattr(args, key, None) is None:
-            if key in ("state", "prompts", "scenarios", "out"):
-                value = Path(value)
-            setattr(args, key, value)
+        # A key whose flag this command does not have is ignored.
+        action = args.flags.get(key)
+        if action is not None:
+            value = _config_value(action, key, value)
+            if getattr(args, key) is None:
+                setattr(args, key, value)
     return args
 
 
 def _resolve(args: argparse.Namespace) -> HarnessConfig:
-    repeats = args.repeats if args.repeats is not None else 3
-    if isinstance(repeats, bool) or not isinstance(repeats, int) or repeats < 1:
-        raise CliError(f"--repeats must be a positive integer, got {repeats!r}")
+    for key in ("repeats", "jobs", "top"):
+        value = getattr(args, key, None)
+        if value is not None and value < 1:
+            raise CliError(f"--{key} must be a positive integer, got {value}")
     state_path = args.state or bundled.default_state_path()
     try:
         state = load_state(Path(state_path).read_text(encoding="utf-8"))
@@ -102,25 +124,28 @@ def _resolve(args: argparse.Namespace) -> HarnessConfig:
             l_max=args.l_max if args.l_max is not None else 100.0,
             kappa_max=args.kappa_max if args.kappa_max is not None else 85.0,
         ),
-        repeats=repeats,
+        repeats=args.repeats if args.repeats is not None else 3,
         jobs=args.jobs if args.jobs is not None else 1,
     )
 
 
 def _provider_for(backend_spec: str | None, default_scripted: bool):
     """Build what a --backend spec names: a ScriptedBackend for a flat
-    script, a SuiteFixture, or a LiveBackendProvider."""
+    script, a SuiteFixture, or a LiveBackend."""
     if backend_spec is None:
         backend_spec = (
             f"scripted:{bundled.default_suite_fixture_path()}" if default_scripted else "live"
         )
     if backend_spec == "live":
-        return LiveBackendProvider(LiveBackend())
+        return LiveBackend()
     if backend_spec.startswith("scripted:"):
         fixture_path = Path(backend_spec.split(":", 1)[1])
         if not fixture_path.is_file():
             raise CliError(f"fixture not found: {fixture_path}")
-        doc = json.loads(fixture_path.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(fixture_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # malformed JSON or text
+            raise CliError(f"fixture {fixture_path} is not valid JSON: {exc}") from None
         if isinstance(doc, list):
             return ScriptedBackend(load_script(fixture_path), backend_id=f"scripted:{fixture_path}")
         return SuiteFixture.from_file(fixture_path)
@@ -162,8 +187,6 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
     backend = _provider_for(args.backend, default_scripted=False)
     if isinstance(backend, SuiteFixture):
         raise CliError("run-intent expects a flat script fixture, not a suite fixture")
-    if isinstance(backend, LiveBackendProvider):
-        backend = backend.backend_for("run_intent", system)
     session = ChatSession(backend)
     transcript = run_react(intent_text, state, session, config.prompts)
     print(render_trace(transcript), end="")
@@ -343,6 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_validate_prompts)
 
+    # Run-config values are checked against the flags of their command.
+    for command in sub.choices.values():
+        command.set_defaults(flags={action.dest: action for action in command._actions})
     return parser
 
 
@@ -352,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _merge_config_file(args)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GatewayError as exc:

@@ -224,19 +224,29 @@ class LiveBackend:
         assert last_error is not None
         raise last_error
 
+    def backend_for(self, scenario_id: str, script: str) -> "LiveBackend":
+        """Every (scenario, system) pair talks to the same live endpoint."""
+        return self
+
     def _parse_response(self, response: requests.Response, elapsed: float) -> CompletionResult:
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
+        if not isinstance(text, str):
+            raise ProviderError(f"malformed provider response: content is {text!r}")
         usage = body.get("usage") or {}
-        prompt_tokens = int(usage.get("prompt_tokens", 0))
-        completion_tokens = int(usage.get("completion_tokens", 0))
+        if not isinstance(usage, dict):
+            raise ProviderError(f"malformed provider response: usage is {usage!r}")
+        tokens = {key: usage.get(key, 0) for key in ("prompt_tokens", "completion_tokens")}
+        for key, value in tokens.items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ProviderError(f"malformed provider response: {key} is {value!r}")
         return CompletionResult(
             text=text,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
+            prompt_tokens=tokens["prompt_tokens"],
+            completion_tokens=tokens["completion_tokens"],
             latency_s=elapsed,
             backend_id=self.backend_id,
         )

@@ -1,7 +1,12 @@
 """Benchmark evaluation harness.
 
-Loads scenario suites, runs a system (multi-agent, monolithic, rule-based,
-direct-LLM, or the oracle) against each scenario, scores the produced
+Every system under evaluation is one row of `SYSTEM_TABLE`: the four
+compared baselines, the oracle and the four ablation variants. A row names
+the `system` its records carry, the suite-fixture script it replays (none for
+the oracle and rule-based referee systems) and the function that runs one
+scenario; everything that dispatches on a system name reads the row.
+
+The harness runs a row against each scenario of a suite, scores the produced
 configuration for semantic accuracy against the golden standard and for
 engineering utility, applies the hybrid success criterion (accuracy >= 0.5
 and utility >= 0.7), and emits reports: a human-readable table and a lossless
@@ -17,8 +22,9 @@ from __future__ import annotations
 
 import json
 import statistics
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
 
@@ -31,24 +37,16 @@ from .agents import (
 )
 from .gateway import ChatSession
 from .intent import IntentProfile, Lexicon, TrafficClass, classify_intent
-from .model import Band, NetworkState, SliceConfiguration, config_to_dict
+from .model import Band, NetworkState, SliceConfiguration, UnknownIdError, config_to_dict
 from .oracle import rule_based_provision, solve
 from .scoring import DEFAULT_THRESHOLDS, Thresholds, compute_utility, round_half_up
 
-SYSTEMS = ("multi_agent", "monolithic", "rule_based", "direct_llm", "oracle")
 COMPARE_SYSTEMS = ("multi_agent", "monolithic", "rule_based", "direct_llm")
+SYSTEMS = COMPARE_SYSTEMS + ("oracle",)
 ABLATION_VARIANTS = ("full", "no_prompts", "no_specialists", "no_react")
 
 HYBRID_ACCURACY_MIN = 0.5
 HYBRID_UTILITY_MIN = 0.7
-
-# Fixture script key used by each ablation variant.
-_VARIANT_SCRIPT_KEYS = {
-    "full": "multi_agent",
-    "no_prompts": "no_prompts",
-    "no_specialists": "monolithic",
-    "no_react": "no_react",
-}
 
 DIRECT_LLM_PROMPT = """You are a 6G network slice configuration assistant.
 The user message contains a slice intent followed by the current network
@@ -139,50 +137,39 @@ class HarnessConfig:
     prompts: dict[str, str]
     lexicon: Lexicon
     strict_lexicon: Lexicon
-    generic_prompts: dict[str, str] | None = None
+    generic_prompts: dict[str, str]
     thresholds: Thresholds = DEFAULT_THRESHOLDS
     repeats: int = 3
     jobs: int = 1
 
 
-class LiveBackendProvider:
-    """Serves one shared live backend for every (scenario, system) pair."""
-
-    deterministic = False
-
-    def __init__(self, backend):
-        self._backend = backend
-
-    def backend_for(self, scenario_id: str, system_key: str):
-        return self._backend
-
-
 def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a scenario suite and check it against `state`; every defect of
+    the file raises HarnessError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise HarnessError(f"cannot read scenario suite {path}: {exc.strerror}") from None
+    except ValueError as exc:  # malformed JSON or text
+        raise HarnessError(f"scenario suite {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, list) or not doc:
         raise HarnessError(f"{path}: scenario suite must be a non-empty JSON list")
     scenarios: list[Scenario] = []
     seen: set[str] = set()
-    for entry in doc:
-        golden_entry = entry["golden"]
-        golden = SliceConfiguration(
-            sector_id=golden_entry["sector"],
-            band=Band(golden_entry["band"]),
-            node_id=golden_entry["node"],
-        )
-        # Golden standards must be valid against the bundled topology.
-        state.sector(golden.sector_id)
-        state.node(golden.node_id)
-        if not state.sector(golden.sector_id).spectrum.available(golden.band):
-            raise HarnessError(
-                f"scenario {entry['id']!r}: golden band {golden.band.value!r} has no "
-                f"spectrum at {golden.sector_id!r}"
+    for index, entry in enumerate(doc):
+        try:
+            if not isinstance(entry["id"], str) or not isinstance(entry["intent_text"], str):
+                raise TypeError("'id' and 'intent_text' must be strings")
+            golden_entry = entry["golden"]
+            golden = SliceConfiguration(
+                sector_id=golden_entry["sector"],
+                band=Band(golden_entry["band"]),
+                node_id=golden_entry["node"],
             )
-        if entry["id"] in seen:
-            raise HarnessError(f"duplicate scenario id {entry['id']!r}")
-        seen.add(entry["id"])
-        scenarios.append(
-            Scenario(
+            # Golden standards must be valid against the bundled topology.
+            sector = state.sector(golden.sector_id)
+            state.node(golden.node_id)
+            scenario = Scenario(
                 id=entry["id"],
                 category=TrafficClass(entry["category"]),
                 intent_text=entry["intent_text"],
@@ -191,7 +178,19 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
                 notes=entry.get("notes", ""),
                 provenance=entry.get("provenance", "authored"),
             )
-        )
+        except KeyError as exc:
+            raise HarnessError(f"{path}: scenario entry {index} has no {exc} field") from None
+        except (TypeError, ValueError, UnknownIdError) as exc:
+            raise HarnessError(f"{path}: scenario entry {index}: {exc}") from None
+        if not sector.spectrum.available(golden.band):
+            raise HarnessError(
+                f"scenario {scenario.id!r}: golden band {golden.band.value!r} has no "
+                f"spectrum at {golden.sector_id!r}"
+            )
+        if scenario.id in seen:
+            raise HarnessError(f"duplicate scenario id {scenario.id!r}")
+        seen.add(scenario.id)
+        scenarios.append(scenario)
     return scenarios
 
 
@@ -216,46 +215,85 @@ def referee_profile(scenario: Scenario, config: HarnessConfig) -> IntentProfile:
     return classify_intent(scenario.intent_text, config.state, config.lexicon)
 
 
+# The run functions of the rows call the agent runtime and the oracle through
+# this module's globals, so a tracer that patches `harness.run_react` and the
+# like sees every call.
+
+def _run_oracle(scenario: Scenario, config: HarnessConfig, session: None):
+    profile = referee_profile(scenario, config)
+    return solve(config.state, profile, config.thresholds)[0].config
+
+
+def _run_rule_based(scenario: Scenario, config: HarnessConfig, session: None):
+    return rule_based_provision(
+        scenario.intent_text, config.state, config.thresholds,
+        lexicon=config.strict_lexicon,
+    ).config
+
+
+def _run_multi_agent(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+    return run_react(scenario.intent_text, config.state, session, config.prompts)
+
+
+def _run_generic_prompts(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+    return run_react(scenario.intent_text, config.state, session, config.generic_prompts)
+
+
+def _run_monolithic(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+    return run_react(
+        scenario.intent_text, config.state, session, config.prompts,
+        specialists_enabled=False, inject_state=True,
+        system_prompt=merge_prompts_monolithic(config.prompts),
+    )
+
+
+def _run_direct_llm(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+    return run_single_pass(scenario.intent_text, config.state, session, DIRECT_LLM_PROMPT)
+
+
+def _run_single_pass(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+    return run_single_pass(
+        scenario.intent_text, config.state, session,
+        config.prompts[ORCHESTRATOR] + SINGLE_PASS_SUFFIX,
+    )
+
+
+@dataclass(frozen=True)
+class System:
+    """One row of the system table.
+
+    `records_as` is the `system` field of its records; `script` is the
+    suite-fixture key it replays, None for the referee systems that use no
+    LLM; `run(scenario, config, session)` returns an agent transcript, or a
+    configuration when `script` is None (the session is then None)."""
+
+    records_as: str
+    script: str | None
+    run: Callable
+
+
+SYSTEM_TABLE = {
+    "multi_agent": System("multi_agent", "multi_agent", _run_multi_agent),
+    "monolithic": System("monolithic", "monolithic", _run_monolithic),
+    "rule_based": System("rule_based", None, _run_rule_based),
+    "direct_llm": System("direct_llm", "direct_llm", _run_direct_llm),
+    "oracle": System("oracle", None, _run_oracle),
+    # Ablation variants record as the system they modify.
+    "full": System("multi_agent", "multi_agent", _run_multi_agent),
+    "no_prompts": System("multi_agent", "no_prompts", _run_generic_prompts),
+    "no_specialists": System("monolithic", "monolithic", _run_monolithic),
+    "no_react": System("multi_agent", "no_react", _run_single_pass),
+}
+
+
 def _execute_once(
-    scenario: Scenario,
-    system: str,
-    provider,
-    config: HarnessConfig,
-    script_key: str | None = None,
-    prompt_set: dict[str, str] | None = None,
-    single_pass: bool = False,
+    scenario: Scenario, system: System, provider, config: HarnessConfig
 ) -> RunOutcome:
-    """Run one system once."""
-    prompts = prompt_set or config.prompts
-    if system == "oracle":
-        profile = referee_profile(scenario, config)
-        ranking = solve(config.state, profile, config.thresholds)
-        return RunOutcome(produced=ranking[0].config)
-    if system == "rule_based":
-        result = rule_based_provision(
-            scenario.intent_text, config.state, config.thresholds,
-            lexicon=config.strict_lexicon,
-        )
-        return RunOutcome(produced=result.config)
-    backend = provider.backend_for(scenario.id, script_key or system)
-    session = ChatSession(backend)
-    if system == "direct_llm":
-        transcript = run_single_pass(
-            scenario.intent_text, config.state, session, DIRECT_LLM_PROMPT
-        )
-    elif single_pass:
-        transcript = run_single_pass(
-            scenario.intent_text, config.state, session,
-            prompts[ORCHESTRATOR] + SINGLE_PASS_SUFFIX,
-        )
-    elif system == "monolithic":
-        transcript = run_react(
-            scenario.intent_text, config.state, session, prompts,
-            specialists_enabled=False, inject_state=True,
-            system_prompt=merge_prompts_monolithic(prompts),
-        )
-    else:  # multi_agent
-        transcript = run_react(scenario.intent_text, config.state, session, prompts)
+    """Run one row once."""
+    if system.script is None:
+        return RunOutcome(produced=system.run(scenario, config, None))
+    session = ChatSession(provider.backend_for(scenario.id, system.script))
+    transcript = system.run(scenario, config, session)
     error = transcript.error
     if transcript.outcome is Outcome.ITERATION_LIMIT:
         error = "iteration limit exceeded"
@@ -270,37 +308,24 @@ def _execute_once(
 
 
 def run_scenario(
-    scenario: Scenario,
-    system: str,
-    provider,
-    config: HarnessConfig,
-    script_key: str | None = None,
-    prompt_set: dict[str, str] | None = None,
-    single_pass: bool = False,
+    scenario: Scenario, system: str, provider, config: HarnessConfig
 ) -> list[EvaluationRecord]:
     """Evaluate one scenario `config.repeats` times.
 
-    Deterministic paths (oracle, rule-based, any scripted backend) execute
+    Deterministic paths (the referee systems, any scripted backend) execute
     once and replicate the record; live LLM systems run independent sessions.
     """
-    if system not in SYSTEMS and script_key is None:
+    row = SYSTEM_TABLE.get(system)
+    if row is None:
         raise HarnessError(f"unknown system {system!r}")
     profile = referee_profile(scenario, config)
-    deterministic = system in ("oracle", "rule_based") or bool(
-        getattr(provider, "deterministic", False)
-    )
+    deterministic = row.script is None or provider.deterministic
     runs = 1 if deterministic else config.repeats
 
     outcomes: list[RunOutcome] = []
     for _ in range(runs):
         try:
-            outcomes.append(
-                _execute_once(
-                    scenario, system, provider, config,
-                    script_key=script_key, prompt_set=prompt_set,
-                    single_pass=single_pass,
-                )
-            )
+            outcomes.append(_execute_once(scenario, row, provider, config))
         except Exception as exc:  # failures become zero-accuracy rows
             outcomes.append(RunOutcome(error=f"{type(exc).__name__}: {exc}"))
 
@@ -317,7 +342,7 @@ def run_scenario(
             EvaluationRecord(
                 scenario_id=scenario.id,
                 category=scenario.category.value,
-                system=system,
+                system=row.records_as,
                 run_index=run_index,
                 produced=produced,
                 semantic_accuracy=accuracy,
@@ -355,23 +380,14 @@ def _summarise(records: tuple[EvaluationRecord, ...]) -> dict[str, ColumnStats]:
 
 
 def run_benchmark(
-    scenarios: list[Scenario],
-    system: str,
-    provider,
-    config: HarnessConfig,
-    script_key: str | None = None,
-    prompt_set: dict[str, str] | None = None,
-    single_pass: bool = False,
+    scenarios: list[Scenario], system: str, provider, config: HarnessConfig
 ) -> BenchmarkReport:
-    """Run one system over a whole suite and aggregate."""
+    """Run one row of the system table over a whole suite and aggregate."""
     if not scenarios:
         raise HarnessError("scenario suite is empty")
 
     def one(scenario: Scenario) -> list[EvaluationRecord]:
-        return run_scenario(
-            scenario, system, provider, config,
-            script_key=script_key, prompt_set=prompt_set, single_pass=single_pass,
-        )
+        return run_scenario(scenario, system, provider, config)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -405,26 +421,7 @@ def run_ablation(
     """Run one architectural ablation variant over the suite."""
     if variant not in ABLATION_VARIANTS:
         raise HarnessError(f"unknown ablation variant {variant!r}")
-    script_key = _VARIANT_SCRIPT_KEYS[variant]
-    if variant == "full":
-        report = run_benchmark(scenarios, "multi_agent", provider, config)
-    elif variant == "no_prompts":
-        if config.generic_prompts is None:
-            raise HarnessError("no_prompts ablation needs the generic prompt set")
-        report = run_benchmark(
-            scenarios, "multi_agent", provider, config,
-            script_key=script_key, prompt_set=config.generic_prompts,
-        )
-    elif variant == "no_specialists":
-        report = run_benchmark(
-            scenarios, "monolithic", provider, config, script_key=script_key
-        )
-    else:  # no_react
-        report = run_benchmark(
-            scenarios, "multi_agent", provider, config,
-            script_key=script_key, single_pass=True,
-        )
-    return replace(report, system=variant)
+    return run_benchmark(scenarios, variant, provider, config)
 
 
 def record_to_dict(record: EvaluationRecord) -> dict:
@@ -567,7 +564,7 @@ def compare_table(reports: dict[str, BenchmarkReport]) -> str:
         summary = report.summary
         tokens = (
             f"{round_half_up(summary['tokens'].mean, 0):>8.0f}"
-            if system not in ("rule_based", "oracle")
+            if SYSTEM_TABLE[system].script is not None
             else f"{'N/A':>8s}"
         )
         lines.append(

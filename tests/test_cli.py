@@ -226,25 +226,67 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "warp" in err
 
 
+NO_GOLDEN_SUITE = json.dumps([
+    {"id": "x", "category": "URLLC", "intent_text": "t", "declared_beta": "high"}
+])
+UNKNOWN_SECTOR_SUITE = json.dumps([
+    {"id": "x", "category": "URLLC", "intent_text": "t", "declared_beta": "high",
+     "golden": {"sector": "atlantis", "band": "mmwave", "node": "mec_stadium_1"}}
+])
+
+
+# Each case writes `file_text`, if given, to a file whose path replaces
+# "{file}" in the flags.
 @pytest.mark.parametrize(
-    "flags, config_text, needle",
+    "command, flags, file_text, needle",
     [
-        (["--repeats", "0"], None, "--repeats"),
-        (["--repeats", "-1"], None, "--repeats"),
-        (["--config", "/nonexistent/run.json"], None, "/nonexistent/run.json"),
-        ([], '{"repeats": 2', "not valid JSON"),
-        ([], '["repeats", 2]', "must hold a JSON object"),
-        ([], '{"repeats": "two"}', "--repeats"),
+        pytest.param("benchmark", ["--repeats", "0"], None, "--repeats", id="repeats-zero"),
+        pytest.param("benchmark", ["--repeats", "-1"], None, "--repeats", id="repeats-negative"),
+        pytest.param("benchmark", ["--config", "/nonexistent/run.json"], None,
+                     "/nonexistent/run.json", id="config-missing"),
+        pytest.param("benchmark", ["--config", "{file}"], '{"repeats": 2', "not valid JSON",
+                     id="config-malformed"),
+        pytest.param("benchmark", ["--config", "{file}"], '["repeats", 2]',
+                     "must hold a JSON object", id="config-not-object"),
+        pytest.param("benchmark", ["--config", "{file}"], '{"repeats": "two"}', "--repeats",
+                     id="config-repeats-string"),
+        pytest.param("benchmark", ["--jobs", "0"], None, "--jobs", id="jobs-zero"),
+        pytest.param("benchmark", ["--config", "{file}"], '{"jobs": "two"}', "--jobs",
+                     id="config-jobs-string"),
+        pytest.param("benchmark", ["--config", "{file}"], '{"jobs": null}', "--jobs",
+                     id="config-jobs-null"),
+        pytest.param("benchmark", ["--config", "{file}"], '{"system": "quantum"}', "--system",
+                     id="config-system-unknown"),
+        pytest.param("benchmark", ["--config", "{file}"], '{"system": "no_react"}', "--system",
+                     id="config-system-ablation-variant"),
+        pytest.param("oracle", ["--intent", "x", "--config", "{file}"], '{"l_max": "abc"}',
+                     "--l-max", id="oracle-config-l-max-string"),
+        pytest.param("oracle", ["--intent", "x", "--config", "{file}"], '{"top": "x"}', "--top",
+                     id="oracle-config-top-string"),
+        pytest.param("oracle", ["--intent", "x", "--top", "-1"], None, "--top",
+                     id="oracle-top-negative"),
+        pytest.param("run-intent", ["x", "--system", "oracle", "--top", "0"], None, "--top",
+                     id="run-intent-top-zero"),
+        pytest.param("benchmark", ["--backend", "scripted:{file}"], "[1", "not valid JSON",
+                     id="fixture-malformed"),
+        pytest.param("run-intent", ["x", "--backend", "scripted:{file}"], "[1", "not valid JSON",
+                     id="run-intent-fixture-malformed"),
+        pytest.param("benchmark", ["--scenarios", "/nonexistent/suite.json"], None,
+                     "/nonexistent/suite.json", id="scenarios-missing"),
+        pytest.param("benchmark", ["--scenarios", "{file}"], "{}", "non-empty JSON list",
+                     id="scenarios-not-list"),
+        pytest.param("benchmark", ["--scenarios", "{file}"], NO_GOLDEN_SUITE, "'golden'",
+                     id="scenarios-no-golden"),
+        pytest.param("compare", ["--scenarios", "{file}"], UNKNOWN_SECTOR_SUITE, "atlantis",
+                     id="scenarios-unknown-sector"),
     ],
-    ids=["repeats-zero", "repeats-negative", "config-missing", "config-malformed",
-         "config-not-object", "config-repeats-string"],
 )
-def test_bad_flags_and_config_files_exit_2(capsys, tmp_path, flags, config_text, needle):
-    if config_text is not None:
-        config = tmp_path / "run.json"
-        config.write_text(config_text)
-        flags = ["--config", str(config)]
-    code, out, err = run_cli(capsys, "benchmark", *flags)
+def test_bad_flags_and_config_files_exit_2(capsys, tmp_path, command, flags, file_text, needle):
+    if file_text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(file_text)
+        flags = [flag.replace("{file}", str(path)) for flag in flags]
+    code, out, err = run_cli(capsys, command, *flags)
     assert code == 2
     assert err.startswith("error: ")
     assert needle in err

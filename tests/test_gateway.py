@@ -190,6 +190,9 @@ def test_live_backend_request_shape_and_usage():
     assert request["json"]["temperature"] == 0.0  # deterministic default
     assert request["json"]["messages"][0] == {"role": "system", "content": "sys"}
     assert request["headers"]["Authorization"] == "Bearer k"
+    # The harness asks every (scenario, system) pair for a backend; live
+    # mode serves them all from this one.
+    assert backend.backend_for("esports_stadium", "multi_agent") is backend
 
 
 def test_live_backend_temperature_override():
@@ -235,6 +238,24 @@ def test_live_backend_malformed_payload():
     backend, _ = live_backend([FakeResponse(body={"choices": []})])
     with pytest.raises(ProviderError):
         ChatSession(backend).complete(messages("ping"))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param({**ok_body(), "choices": [{"message": {"content": None}}]}, id="content-null"),
+        pytest.param({**ok_body(), "usage": {"prompt_tokens": None}}, id="prompt-tokens-null"),
+        pytest.param({**ok_body(), "usage": [1, 2]}, id="usage-list"),
+        pytest.param({**ok_body(), "usage": {"prompt_tokens": "12abc"}}, id="prompt-tokens-string"),
+    ],
+)
+def test_live_backend_rejects_mistyped_payload(body):
+    backend, fake = live_backend([FakeResponse(body=body)])
+    session = ChatSession(backend)
+    with pytest.raises(ProviderError):
+        session.complete(messages("ping"))
+    assert len(fake.requests) == 1  # not retried
+    assert session.calls == []
 
 
 def test_live_backend_drives_the_full_reasoning_loop(state, prompts):

@@ -313,4 +313,6 @@ def test_unknown_system_and_variant_rejected(scenarios, suite_fixture, harness_c
     with pytest.raises(HarnessError):
         run_scenario(scenarios[0], "quantum", suite_fixture, harness_config)
     with pytest.raises(HarnessError):
+        run_benchmark(scenarios, "quantum", suite_fixture, harness_config)
+    with pytest.raises(HarnessError):
         run_ablation("no_everything", scenarios, suite_fixture, harness_config)
