@@ -39,7 +39,7 @@ scenarios = load_scenarios(default_scenarios_path(), state)
 fixture = SuiteFixture.from_file(default_suite_fixture_path())
 
 report = run_benchmark(scenarios, "multi_agent", fixture, config)
-print(emit_report(report, "table"))
+print(emit_report(report))
 
 print("Baseline comparison:")
 print(compare_table(run_compare(scenarios, fixture, config)))

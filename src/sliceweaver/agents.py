@@ -18,10 +18,13 @@ Specialist consultations are stateless one-shot completions: each one gets a
 fresh history of [specialist system prompt, request + full serialized network
 state], grounding its reasoning in verified conditions.
 
-There is one loop, `run_react`. The monolithic baseline runs it with the
-specialists off and the state in the user message; the single-pass baselines
-(direct LLM and the no-ReAct ablation, `run_single_pass`) run it the same way
-capped at one turn.
+There is one loop, `run_react`, with one switch: its `system_prompt`. Without
+one the orchestrator prompt leads and specialists are consulted. With one the
+orchestrator decides alone: the serialized state goes into the user message
+and a CALL_AGENT is answered with an observation that no specialists exist.
+The monolithic baseline runs the loop that way; the single-pass baselines
+(direct LLM and the no-ReAct ablation, `run_single_pass`) do the same capped
+at one turn.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .gateway import ChatMessage, ChatSession, GatewayError, ScriptError
+from .gateway import ChatMessage, ChatSession, GatewayError
 from .model import (
     Band,
     NetworkState,
@@ -260,10 +263,13 @@ def load_prompts(directory: str | Path, require_markers: bool = True) -> dict[st
             f"prompt directory {directory} is missing: "
             + ", ".join(f"{role}.md" for role in missing)
         )
-    prompts = {
-        role: (directory / f"{role}.md").read_text(encoding="utf-8")
-        for role in PROMPT_ROLES
-    }
+    try:
+        prompts = {
+            role: (directory / f"{role}.md").read_text(encoding="utf-8")
+            for role in PROMPT_ROLES
+        }
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PromptError(f"cannot read prompt directory {directory}: {exc}") from None
     if require_markers:
         for role, markers in REQUIRED_PROMPT_MARKERS.items():
             for marker in markers:
@@ -311,7 +317,6 @@ def consult_specialist(
     state: NetworkState,
     session: ChatSession,
     prompts: dict[str, str],
-    temperature: float = 0.0,
 ) -> str:
     """One-shot specialist completion; returns its reply text."""
     if role not in SPECIALISTS:
@@ -320,7 +325,7 @@ def consult_specialist(
         ChatMessage(role="system", content=prompts[role]),
         ChatMessage(role="user", content=build_specialist_message(request, state)),
     ]
-    return session.complete(history, temperature=temperature).text
+    return session.complete(history).text
 
 
 def _entry_usage(session: ChatSession, start_index: int) -> tuple[int, int]:
@@ -337,9 +342,6 @@ def run_react(
     session: ChatSession,
     prompts: dict[str, str],
     k_max: int = DEFAULT_K_MAX,
-    temperature: float = 0.0,
-    specialists_enabled: bool = True,
-    inject_state: bool = False,
     system_prompt: str | None = None,
 ) -> AgentTranscript:
     """Run the orchestrator reasoning loop for one intent.
@@ -349,15 +351,20 @@ def run_react(
     returns the most recently provisioned configuration). A turn with no
     ACTION line gets a nudge observation. The loop never exceeds k_max
     completions for the orchestrator role.
+
+    A `system_prompt` makes the orchestrator decide alone: it replaces the
+    orchestrator prompt, the serialized state follows the intent in the user
+    message, and a CALL_AGENT is told that no specialists are available.
     """
     if not intent_text.strip():
         raise ValueError("intent text must be non-empty")
-    system_text = system_prompt if system_prompt is not None else prompts[ORCHESTRATOR]
-    user_text = intent_text
-    if inject_state:
+    alone = system_prompt is not None
+    if alone:
         user_text = f"{intent_text}\n\nCURRENT NETWORK STATE:\n{serialize_state(state)}"
+    else:
+        system_prompt, user_text = prompts[ORCHESTRATOR], intent_text
     history = [
-        ChatMessage(role="system", content=system_text),
+        ChatMessage(role="system", content=system_prompt),
         ChatMessage(role="user", content=user_text),
     ]
     working_state = state
@@ -380,13 +387,14 @@ def run_react(
     for iteration in range(1, k_max + 1):
         call_start = len(session.calls)
         try:
-            result = session.complete(history, temperature=temperature)
-        except (GatewayError, ScriptError) as exc:
+            result = session.complete(history)
+        except GatewayError as exc:
             return finish(Outcome.ERROR, None, error=str(exc))
         history.append(ChatMessage(role="assistant", content=result.text))
         exchanges: list[SpecialistExchange] = []
         observations: list[str] = []
         finished = False
+        error: str | None = None
         try:
             actions = parse_action(result.text)
         except ActionParseError as exc:
@@ -397,7 +405,7 @@ def run_react(
                 if not observations:
                     observations.append(NUDGE_OBSERVATION)
             elif action.kind is ActionKind.CALL_AGENT:
-                if not specialists_enabled:
+                if alone:
                     observations.append(
                         f"unknown agent {action.agent_name!r}: no specialist agents "
                         "are available in this configuration"
@@ -411,19 +419,11 @@ def run_react(
                     try:
                         reply = consult_specialist(
                             action.agent_name, action.request or "", working_state,
-                            session, prompts, temperature=temperature,
+                            session, prompts,
                         )
-                    except (GatewayError, ScriptError) as exc:
-                        prompt_tokens, completion_tokens = _entry_usage(session, call_start)
-                        entries.append(TranscriptEntry(
-                            iteration=iteration, role=ORCHESTRATOR,
-                            response_text=result.text, actions=tuple(actions),
-                            specialist_exchanges=tuple(exchanges),
-                            observation="; ".join(observations) or None,
-                            prompt_tokens=prompt_tokens,
-                            completion_tokens=completion_tokens,
-                        ))
-                        return finish(Outcome.ERROR, None, error=str(exc))
+                    except GatewayError as exc:
+                        error = str(exc)
+                        break
                     exchanges.append(SpecialistExchange(
                         agent_name=action.agent_name,
                         request=action.request or "",
@@ -456,7 +456,7 @@ def run_react(
                         "FINISH without a provisioned configuration; emit "
                         "PROVISION_SLICE first"
                     )
-        observation_text = "\n".join(observations) if observations else None
+        observation_text = "\n".join(observations) or None
         prompt_tokens, completion_tokens = _entry_usage(session, call_start)
         entries.append(TranscriptEntry(
             iteration=iteration, role=ORCHESTRATOR, response_text=result.text,
@@ -464,12 +464,11 @@ def run_react(
             observation=observation_text,
             prompt_tokens=prompt_tokens, completion_tokens=completion_tokens,
         ))
+        if error is not None:
+            return finish(Outcome.ERROR, None, error=error)
         if finished:
             return finish(Outcome.FINISHED, last_provisioned)
-        if observation_text:
-            history.append(ChatMessage(role="user", content=f"Observation: {observation_text}"))
-        else:
-            history.append(ChatMessage(role="user", content=f"Observation: {NUDGE_OBSERVATION}"))
+        history.append(ChatMessage(role="user", content=f"Observation: {observation_text}"))
     return finish(Outcome.ITERATION_LIMIT, None)
 
 
@@ -478,14 +477,12 @@ def run_single_pass(
     state: NetworkState,
     session: ChatSession,
     system_prompt: str,
-    temperature: float = 0.0,
 ) -> AgentTranscript:
     """The ReAct loop capped at one turn with no specialists and the state in
     the user message: the model must provision and finish in that turn
     (direct-LLM baseline and the no-ReAct ablation)."""
     transcript = run_react(
-        intent_text, state, session, {}, k_max=1, temperature=temperature,
-        specialists_enabled=False, inject_state=True, system_prompt=system_prompt,
+        intent_text, state, session, {}, k_max=1, system_prompt=system_prompt
     )
     if transcript.outcome is Outcome.ITERATION_LIMIT:
         return replace(

@@ -14,8 +14,16 @@ import sys
 from pathlib import Path
 
 from . import data as bundled
-from .agents import load_prompts, render_trace, run_react
-from .gateway import ChatSession, GatewayError, LiveBackend, ScriptedBackend, SuiteFixture, load_script
+from .agents import PromptError, load_prompts, render_trace, run_react
+from .gateway import (
+    ChatSession,
+    GatewayError,
+    LiveBackend,
+    ScriptedBackend,
+    ScriptError,
+    SuiteFixture,
+    script_from_doc,
+)
 from .harness import (
     ABLATION_VARIANTS,
     SYSTEMS,
@@ -31,7 +39,7 @@ from .harness import (
     run_compare,
 )
 from .intent import classify_intent
-from .model import StateError, config_to_dict, load_state
+from .model import NetworkState, StateError, config_to_dict, load_state
 from .oracle import rule_based_provision, solve
 from .scoring import Thresholds, check_constraints, compute_utility, round_half_up
 
@@ -85,7 +93,7 @@ def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read run-config file {args.config}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text
         raise CliError(f"run-config file {args.config} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise CliError(f"run-config file {args.config} must hold a JSON object")
@@ -102,6 +110,18 @@ def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _read_state(state_path: Path) -> NetworkState:
+    """Load a state file; a file that cannot be read as UTF-8 text raises
+    CliError, a bad document StateError."""
+    try:
+        text = state_path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise CliError(f"state file not found: {state_path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read state file {state_path}: {exc}") from None
+    return load_state(text)
+
+
 def _resolve(args: argparse.Namespace) -> HarnessConfig:
     for key in ("repeats", "jobs", "top"):
         value = getattr(args, key, None)
@@ -109,9 +129,7 @@ def _resolve(args: argparse.Namespace) -> HarnessConfig:
             raise CliError(f"--{key} must be a positive integer, got {value}")
     state_path = args.state or bundled.default_state_path()
     try:
-        state = load_state(Path(state_path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"state file not found: {state_path}")
+        state = _read_state(state_path)
     except StateError as exc:
         raise CliError(f"invalid state file {state_path}: {exc}")
     return HarnessConfig(
@@ -146,9 +164,13 @@ def _provider_for(backend_spec: str | None, default_scripted: bool):
             doc = json.loads(fixture_path.read_text(encoding="utf-8"))
         except ValueError as exc:  # malformed JSON or text
             raise CliError(f"fixture {fixture_path} is not valid JSON: {exc}") from None
-        if isinstance(doc, list):
-            return ScriptedBackend(load_script(fixture_path), backend_id=f"scripted:{fixture_path}")
-        return SuiteFixture.from_file(fixture_path)
+        try:
+            if isinstance(doc, list):
+                script = script_from_doc(doc, str(fixture_path))
+                return ScriptedBackend(script, backend_id=f"scripted:{fixture_path}")
+            return SuiteFixture.from_doc(doc, str(fixture_path))
+        except ScriptError as exc:
+            raise CliError(f"bad fixture: {exc}") from None
     raise CliError(f"--backend must be 'live' or 'scripted:<fixture>', got {backend_spec!r}")
 
 
@@ -272,7 +294,7 @@ def _suite_setup(args: argparse.Namespace):
 def cmd_benchmark(args: argparse.Namespace) -> int:
     config, scenarios, provider = _suite_setup(args)
     report = run_benchmark(scenarios, args.system or "multi_agent", provider, config)
-    print(emit_report(report, "table"), end="")
+    print(emit_report(report), end="")
     _write_out(args, report_to_dict(report))
     return 0
 
@@ -297,11 +319,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_state(args: argparse.Namespace) -> int:
-    state_path = args.state or bundled.default_state_path()
     try:
-        state = load_state(Path(state_path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"state file not found: {state_path}")
+        state = _read_state(args.state or bundled.default_state_path())
     except StateError as exc:
         print(f"INVALID: {exc}")
         return 1
@@ -316,7 +335,7 @@ def cmd_validate_prompts(args: argparse.Namespace) -> int:
     prompts_dir = args.prompts or bundled.default_prompts_dir()
     try:
         prompts = load_prompts(prompts_dir, require_markers=not args.allow_missing_markers)
-    except Exception as exc:
+    except PromptError as exc:
         print(f"INVALID: {exc}")
         return 1
     for role, text in prompts.items():
@@ -378,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _merge_config_file(args)
         return args.func(args)
-    except (CliError, HarnessError) as exc:
+    except (CliError, HarnessError, PromptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GatewayError as exc:

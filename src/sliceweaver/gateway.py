@@ -118,7 +118,7 @@ class ScriptedBackend:
         with self._lock:
             return len(self._exchanges) - self._index
 
-    def complete(self, messages: list[ChatMessage], temperature: float = 0.0) -> CompletionResult:
+    def complete(self, messages: list[ChatMessage]) -> CompletionResult:
         with self._lock:
             if self._index >= len(self._exchanges):
                 raise ScriptError(
@@ -167,6 +167,9 @@ class LiveBackend:
 
     MAX_ATTEMPTS = 3
     BACKOFF_START_S = 0.5
+    # A 429 or 503 may name its own wait in whole seconds (Retry-After); it
+    # replaces the backoff, up to this cap.
+    RETRY_AFTER_MAX_S = 30.0
     RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
     def __init__(
@@ -188,20 +191,23 @@ class LiveBackend:
                 f"{ENV_MODEL} (and usually {ENV_API_KEY})"
             )
 
-    def complete(self, messages: list[ChatMessage], temperature: float = 0.0) -> CompletionResult:
+    def complete(self, messages: list[ChatMessage]) -> CompletionResult:
         payload = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
-            "temperature": temperature,
+            "temperature": 0.0,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         url = f"{self.base_url}/chat/completions"
         last_error: Exception | None = None
+        retry_after: float | None = None  # the last response's own wait
         for attempt in range(self.MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.BACKOFF_START_S * (2 ** (attempt - 1)))
+                backoff = self.BACKOFF_START_S * (2 ** (attempt - 1))
+                time.sleep(backoff if retry_after is None else retry_after)
+                retry_after = None
             start = time.perf_counter()
             try:
                 response = self._session.post(
@@ -215,6 +221,7 @@ class LiveBackend:
                 last_error = TransportError(
                     f"provider returned {response.status_code}; retryable"
                 )
+                retry_after = self._retry_after(response)
                 continue
             if response.status_code != 200:
                 raise ProviderError(
@@ -223,6 +230,16 @@ class LiveBackend:
             return self._parse_response(response, elapsed)
         assert last_error is not None
         raise last_error
+
+    def _retry_after(self, response: requests.Response) -> float | None:
+        """The capped Retry-After wait of a 429 or 503 in seconds, or None
+        when the header is missing or not a whole number of seconds."""
+        if response.status_code not in (429, 503):
+            return None
+        value = response.headers.get("Retry-After", "").strip()
+        if not (value.isascii() and value.isdigit()):
+            return None
+        return min(float(value), self.RETRY_AFTER_MAX_S)
 
     def backend_for(self, scenario_id: str, script: str) -> "LiveBackend":
         """Every (scenario, system) pair talks to the same live endpoint."""
@@ -264,12 +281,12 @@ class ChatSession:
         self.backend = backend
         self.calls: list[CompletionResult] = []
 
-    def complete(self, messages: list[ChatMessage], temperature: float = 0.0) -> CompletionResult:
+    def complete(self, messages: list[ChatMessage]) -> CompletionResult:
         if not messages:
             raise ValueError("history must be non-empty")
         if messages[0].role != "system":
             raise ValueError("history must start with a system message")
-        result = self.backend.complete(messages, temperature=temperature)
+        result = self.backend.complete(messages)
         self.calls.append(result)
         return result
 
@@ -289,6 +306,18 @@ def exchange_from_dict(entry: dict) -> ScriptedExchange:
     unknown = set(entry) - known
     if unknown:
         raise ScriptError(f"script entry has unknown field(s) {sorted(unknown)}")
+    if not isinstance(entry["response"], str):
+        raise ScriptError(f"script entry 'response' must be a string: {entry['response']!r}")
+    for key in ("prompt_tokens", "completion_tokens"):
+        value = entry.get(key)
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, int) or value < 0
+        ):
+            raise ScriptError(f"script entry {key!r} must be a non-negative integer: {value!r}")
+    for key in ("expect_contains", "expect_sha256"):
+        value = entry.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ScriptError(f"script entry {key!r} must be a string: {value!r}")
     return ScriptedExchange(
         response=entry["response"],
         prompt_tokens=entry.get("prompt_tokens"),
@@ -298,12 +327,17 @@ def exchange_from_dict(entry: dict) -> ScriptedExchange:
     )
 
 
+def script_from_doc(doc, name: str) -> list[ScriptedExchange]:
+    """The exchanges of a parsed script; a document of the wrong shape
+    raises ScriptError."""
+    if not isinstance(doc, list):
+        raise ScriptError(f"{name}: script must be a JSON list")
+    return [exchange_from_dict(entry) for entry in doc]
+
+
 def load_script(path: str | Path) -> list[ScriptedExchange]:
     """Load a flat, ordered exchange list from a fixture file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, list):
-        raise ScriptError(f"{path}: flat script fixture must be a JSON list")
-    return [exchange_from_dict(entry) for entry in doc]
+    return script_from_doc(json.loads(Path(path).read_text(encoding="utf-8")), str(path))
 
 
 class SuiteFixture:
@@ -316,21 +350,23 @@ class SuiteFixture:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SuiteFixture":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict) or "scenarios" not in doc:
-            raise ScriptError(f"{path}: suite fixture must be an object with 'scenarios'")
+        return cls.from_doc(json.loads(Path(path).read_text(encoding="utf-8")), str(path))
+
+    @classmethod
+    def from_doc(cls, doc, name: str) -> "SuiteFixture":
+        """Build a fixture from its parsed JSON document; a document of the
+        wrong shape raises ScriptError."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), dict):
+            raise ScriptError(f"{name}: suite fixture must be an object with 'scenarios' object")
         scripts: dict[str, dict[str, list[ScriptedExchange]]] = {}
         for scenario_id, systems in doc["scenarios"].items():
             if not isinstance(systems, dict):
-                raise ScriptError(f"{path}: scenario {scenario_id!r} must map systems to scripts")
+                raise ScriptError(f"{name}: scenario {scenario_id!r} must map systems to scripts")
             scripts[scenario_id] = {
-                system: [exchange_from_dict(e) for e in exchanges]
+                system: script_from_doc(exchanges, f"{name} {scenario_id!r} / {system!r}")
                 for system, exchanges in systems.items()
             }
-        return cls(scripts, name=str(path))
-
-    def systems_for(self, scenario_id: str) -> list[str]:
-        return sorted(self._scripts.get(scenario_id, {}))
+        return cls(scripts, name=name)
 
     def backend_for(self, scenario_id: str, system: str) -> ScriptedBackend:
         try:

@@ -9,8 +9,8 @@ scenario; everything that dispatches on a system name reads the row.
 The harness runs a row against each scenario of a suite, scores the produced
 configuration for semantic accuracy against the golden standard and for
 engineering utility, applies the hybrid success criterion (accuracy >= 0.5
-and utility >= 0.7), and emits reports: a human-readable table and a lossless
-machine format.
+and utility >= 0.7), and emits reports: a human-readable table
+(`emit_report`) and a machine-format document (`report_to_dict`).
 
 Scoring always uses the deterministic referee profile derived from the
 scenario's intent text with the full lexicon, regardless of how the system
@@ -242,7 +242,6 @@ def _run_generic_prompts(scenario: Scenario, config: HarnessConfig, session: Cha
 def _run_monolithic(scenario: Scenario, config: HarnessConfig, session: ChatSession):
     return run_react(
         scenario.intent_text, config.state, session, config.prompts,
-        specialists_enabled=False, inject_state=True,
         system_prompt=merge_prompts_monolithic(config.prompts),
     )
 
@@ -442,33 +441,6 @@ def record_to_dict(record: EvaluationRecord) -> dict:
     }
 
 
-def record_from_dict(doc: dict) -> EvaluationRecord:
-    produced = None
-    if doc.get("produced") is not None:
-        entry = doc["produced"]
-        produced = SliceConfiguration(
-            sector_id=entry["sector"],
-            band=Band(entry["band"]),
-            node_id=entry["node"],
-            slice_id=entry.get("slice_id"),
-        )
-    return EvaluationRecord(
-        scenario_id=doc["scenario_id"],
-        category=doc["category"],
-        system=doc["system"],
-        run_index=doc["run_index"],
-        produced=produced,
-        semantic_accuracy=doc["semantic_accuracy"],
-        utility=doc["utility"],
-        hybrid_success=doc["hybrid_success"],
-        prompt_tokens=doc["prompt_tokens"],
-        completion_tokens=doc["completion_tokens"],
-        wall_seconds=doc["wall_seconds"],
-        iterations=doc["iterations"],
-        error=doc.get("error"),
-    )
-
-
 def report_to_dict(report: BenchmarkReport) -> dict:
     """The machine-format document of one report."""
     return {
@@ -482,24 +454,6 @@ def report_to_dict(report: BenchmarkReport) -> dict:
     }
 
 
-def report_to_machine(report: BenchmarkReport) -> str:
-    """Lossless machine format; byte-stable for deterministic runs."""
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-
-
-def report_from_machine(text: str) -> BenchmarkReport:
-    doc = json.loads(text)
-    records = tuple(record_from_dict(entry) for entry in doc["records"])
-    return BenchmarkReport(
-        system=doc["system"],
-        records=records,
-        summary={
-            name: ColumnStats(mean=entry["mean"], std=entry["std"])
-            for name, entry in doc["summary"].items()
-        },
-    )
-
-
 def _fmt_mean_std(stats: ColumnStats, places: int = 3) -> str:
     return (
         f"{round_half_up(stats.mean, places):.{places}f} "
@@ -507,7 +461,7 @@ def _fmt_mean_std(stats: ColumnStats, places: int = 3) -> str:
     )
 
 
-def report_to_table(report: BenchmarkReport) -> str:
+def emit_report(report: BenchmarkReport) -> str:
     """Human-readable per-scenario table with a mean +/- std footer.
 
     One row per scenario (means across repeats); accuracy at 1 decimal,
@@ -546,14 +500,6 @@ def report_to_table(report: BenchmarkReport) -> str:
     )
     lines.append("Std is the population standard deviation (divide by N).")
     return "\n".join(lines) + "\n"
-
-
-def emit_report(report: BenchmarkReport, fmt: str = "table") -> str:
-    if fmt == "table":
-        return report_to_table(report)
-    if fmt == "machine":
-        return report_to_machine(report)
-    raise HarnessError(f"unknown report format {fmt!r}")
 
 
 def compare_table(reports: dict[str, BenchmarkReport]) -> str:

@@ -108,10 +108,6 @@ class IntentProfile:
         if self.tau_req_ms <= 0:
             raise ValueError(f"tau_req_ms must be > 0, got {self.tau_req_ms}")
 
-    @property
-    def weights(self) -> tuple[float, float, float]:
-        return weights_for(self.traffic_class)
-
 
 @lru_cache(maxsize=512)
 def _keyword_pattern(keyword: str) -> re.Pattern:

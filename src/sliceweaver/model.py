@@ -305,8 +305,6 @@ def load_state(document: str) -> NetworkState:
     """Parse and validate a state document (see the JSON schema in README)."""
     try:
         doc = json.loads(document, object_pairs_hook=_reject_duplicate_keys)
-    except StateValidationError:
-        raise
     except json.JSONDecodeError as exc:
         raise StateParseError(f"malformed state document: {exc}") from exc
     if not isinstance(doc, dict):

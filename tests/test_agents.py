@@ -414,9 +414,7 @@ def test_monolithic_mode_handles_call_agent_gracefully(state, prompts):
         "ACTION: PROVISION_SLICE | slice_id=m1 | ran_config=mid-band@city_plaza | core_config=UPF@metro_agg_hub\nACTION: FINISH | summary=alone",
     )
     transcript = run_react(
-        "plaza", state, session, prompts,
-        specialists_enabled=False, inject_state=True,
-        system_prompt=merge_prompts_monolithic(prompts),
+        "plaza", state, session, prompts, system_prompt=merge_prompts_monolithic(prompts)
     )
     assert transcript.outcome is Outcome.FINISHED
     assert "no specialist agents" in transcript.entries[0].observation

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
+from sliceweaver.agents import PROMPT_ROLES
 from sliceweaver.cli import main
 
 
@@ -235,8 +240,12 @@ UNKNOWN_SECTOR_SUITE = json.dumps([
 ])
 
 
-# Each case writes `file_text`, if given, to a file whose path replaces
-# "{file}" in the flags.
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+# Each case writes `file_text` (str or bytes), if given, to a file whose path
+# replaces "{file}" in the flags, and as each role prompt of a directory whose
+# path replaces "{dir}".
 @pytest.mark.parametrize(
     "command, flags, file_text, needle",
     [
@@ -279,15 +288,99 @@ UNKNOWN_SECTOR_SUITE = json.dumps([
                      id="scenarios-no-golden"),
         pytest.param("compare", ["--scenarios", "{file}"], UNKNOWN_SECTOR_SUITE, "atlantis",
                      id="scenarios-unknown-sector"),
+        pytest.param("benchmark", ["--state", "{dir}"], None, "Is a directory",
+                     id="state-directory"),
+        pytest.param("validate-state", ["--state", "{dir}"], None, "Is a directory",
+                     id="validate-state-directory"),
+        pytest.param("benchmark", ["--state", "{file}"], NOT_UTF8, "can't decode",
+                     id="state-not-utf8"),
+        pytest.param("validate-state", ["--state", "{file}"], NOT_UTF8, "can't decode",
+                     id="validate-state-not-utf8"),
+        *(
+            pytest.param(command, [*args, "--prompts", "/nonexistent"], None, "/nonexistent",
+                         id=f"{command}-prompts-missing")
+            for command, args in [
+                ("benchmark", []), ("compare", []), ("ablate", []),
+                ("oracle", ["--intent", "x"]), ("run-intent", ["x"]),
+            ]
+        ),
+        pytest.param("benchmark", ["--prompts", "{dir}"], "no markers here",
+                     "missing required marker", id="prompts-missing-marker"),
+        pytest.param("run-intent", ["x", "--prompts", "{dir}"], "no markers here",
+                     "missing required marker", id="run-intent-prompts-missing-marker"),
+        pytest.param("benchmark", ["--prompts", "{dir}"], NOT_UTF8, "can't decode",
+                     id="prompts-not-utf8"),
+        pytest.param("benchmark", ["--config", "{file}"], NOT_UTF8, "not valid JSON",
+                     id="config-not-utf8"),
+        pytest.param("benchmark", ["--backend", "scripted:{file}"], "{}", "'scenarios'",
+                     id="fixture-empty-object"),
+        pytest.param("benchmark", ["--backend", "scripted:{file}"], '"str"', "'scenarios'",
+                     id="fixture-string"),
+        pytest.param("benchmark", ["--backend", "scripted:{file}"], '{"scenarios": []}',
+                     "'scenarios'", id="fixture-scenarios-list"),
+        pytest.param("benchmark", ["--backend", "scripted:{file}"],
+                     '{"scenarios": {"a": {"multi_agent": 5}}}', "must be a JSON list",
+                     id="fixture-script-not-list"),
+        pytest.param("benchmark", ["--backend", "scripted:{file}"],
+                     '{"scenarios": {"a": {"multi_agent": [{"response": "x", '
+                     '"prompt_tokens": -1}]}}}', "'prompt_tokens'",
+                     id="fixture-negative-tokens"),
+        pytest.param("run-intent", ["x", "--backend", "scripted:{file}"], '[{"response": 5}]',
+                     "'response' must be a string", id="run-intent-fixture-response-number"),
+        pytest.param("run-intent", ["x", "--backend", "scripted:{file}"], "[1]",
+                     "'response'", id="run-intent-fixture-entry-number"),
+        pytest.param("run-intent", ["x", "--backend", "scripted:{file}"],
+                     '[{"response": "x", "expect_contains": 3}]', "'expect_contains'",
+                     id="run-intent-fixture-matcher-number"),
+        pytest.param("run-intent", ["x", "--backend", "scripted:{file}"], NOT_UTF8,
+                     "not valid JSON", id="run-intent-fixture-not-utf8"),
     ],
 )
 def test_bad_flags_and_config_files_exit_2(capsys, tmp_path, command, flags, file_text, needle):
+    path, directory = tmp_path / "input.json", tmp_path / "prompts"
+    directory.mkdir()
     if file_text is not None:
-        path = tmp_path / "input.json"
-        path.write_text(file_text)
-        flags = [flag.replace("{file}", str(path)) for flag in flags]
+        data = file_text.encode() if isinstance(file_text, str) else file_text
+        path.write_bytes(data)
+        for role in PROMPT_ROLES:
+            (directory / f"{role}.md").write_bytes(data)
+    flags = [flag.replace("{file}", str(path)).replace("{dir}", str(directory)) for flag in flags]
     code, out, err = run_cli(capsys, command, *flags)
     assert code == 2
     assert err.startswith("error: ")
     assert needle in err
     assert out == ""
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=12), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+FILE_CONTENTS = st.binary(max_size=80) | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        pytest.param("benchmark", ["--state", "{file}"], id="benchmark-state"),
+        pytest.param("benchmark", ["--config", "{file}"], id="benchmark-config"),
+        pytest.param("benchmark", ["--scenarios", "{file}"], id="benchmark-scenarios"),
+        pytest.param("benchmark", ["--backend", "scripted:{file}"], id="benchmark-fixture"),
+        pytest.param("run-intent", ["x", "--backend", "scripted:{file}"], id="run-intent-fixture"),
+    ],
+)
+@settings(max_examples=25, deadline=None)
+@given(content=FILE_CONTENTS)
+def test_arbitrary_input_files_end_with_a_documented_exit_code(
+    tmp_path_factory, command, flags, content
+):
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_bytes(content)
+    argv = [command, *(flag.replace("{file}", str(path)) for flag in flags)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 1, 2, 3}

@@ -120,7 +120,6 @@ def test_suite_fixture_lookup_and_missing_key():
     fixture = SuiteFixture.from_file(bundled.default_suite_fixture_path())
     backend = fixture.backend_for("esports_stadium", "multi_agent")
     assert backend.remaining() == 5
-    assert "multi_agent" in fixture.systems_for("esports_stadium")
     with pytest.raises(ScriptError):
         fixture.backend_for("esports_stadium", "no_such_system")
     with pytest.raises(ScriptError):
@@ -128,10 +127,11 @@ def test_suite_fixture_lookup_and_missing_key():
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, body=None, text=""):
+    def __init__(self, status_code=200, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text or json.dumps(body or {})
+        self.headers = headers or {}
 
     def json(self):
         if self._body is None:
@@ -195,12 +195,6 @@ def test_live_backend_request_shape_and_usage():
     assert backend.backend_for("esports_stadium", "multi_agent") is backend
 
 
-def test_live_backend_temperature_override():
-    backend, fake = live_backend([FakeResponse(body=ok_body())])
-    ChatSession(backend).complete(messages("ping"), temperature=0.7)
-    assert fake.requests[0]["json"]["temperature"] == 0.7
-
-
 def test_live_backend_retries_on_transport_and_5xx_then_succeeds():
     backend, fake = live_backend([
         requests.ConnectionError("boom"),
@@ -225,6 +219,50 @@ def test_live_backend_retries_429_and_gives_up():
     with pytest.raises(TransportError):
         ChatSession(backend).complete(messages("ping"))
     assert len(fake.requests) == 3  # bounded attempts
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, wait",
+    [
+        pytest.param(429, "2", 2.0, id="429-seconds"),
+        pytest.param(503, " 7 ", 7.0, id="503-seconds"),
+        pytest.param(429, "0", 0.0, id="zero"),
+        pytest.param(429, "3600", LiveBackend.RETRY_AFTER_MAX_S, id="capped"),
+        pytest.param(429, None, 0.5, id="missing-keeps-backoff"),
+        pytest.param(429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, id="http-date-keeps-backoff"),
+        pytest.param(429, "1.5", 0.5, id="fraction-keeps-backoff"),
+        pytest.param(429, "-1", 0.5, id="negative-keeps-backoff"),
+        pytest.param(502, "2", 0.5, id="502-ignores-header"),
+    ],
+)
+def test_live_backend_honours_retry_after(monkeypatch, status, retry_after, wait):
+    waits = []
+    monkeypatch.setattr("sliceweaver.gateway.time.sleep", waits.append)
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    backend, fake = live_backend([
+        FakeResponse(status_code=status, body={}, headers=headers),
+        FakeResponse(body=ok_body()),
+    ])
+    backend.BACKOFF_START_S = 0.5
+    assert ChatSession(backend).complete(messages("ping")).text == "fine"
+    assert waits == [wait]
+    assert len(fake.requests) == 2
+
+
+def test_live_backend_retry_after_applies_to_the_next_attempt_only(monkeypatch):
+    waits = []
+    monkeypatch.setattr("sliceweaver.gateway.time.sleep", waits.append)
+    backend, fake = live_backend([
+        FakeResponse(status_code=429, body={}, headers={"Retry-After": "4"}),
+        FakeResponse(status_code=503, body={}),
+        FakeResponse(status_code=429, body={}, headers={"Retry-After": "4"}),
+    ])
+    backend.BACKOFF_START_S = 0.5
+    with pytest.raises(TransportError):
+        ChatSession(backend).complete(messages("ping"))
+    # The second wait is the backoff of attempt 3; the last header is unused.
+    assert waits == [4.0, 1.0]
+    assert len(fake.requests) == 3
 
 
 def test_live_backend_client_errors_do_not_retry():

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import json
+import dataclasses
 from math import fsum
 
 import pytest
@@ -11,14 +11,14 @@ from sliceweaver.harness import (
     ABLATION_VARIANTS,
     COMPARE_SYSTEMS,
     BenchmarkReport,
+    EvaluationRecord,
     HarnessError,
     _summarise,
     ablation_table,
     compare_table,
     emit_report,
     referee_profile,
-    report_from_machine,
-    report_to_machine,
+    report_to_dict,
     run_ablation,
     run_benchmark,
     run_compare,
@@ -26,7 +26,7 @@ from sliceweaver.harness import (
     semantic_accuracy,
 )
 from sliceweaver.intent import TrafficClass, classify_intent
-from sliceweaver.model import Band, SliceConfiguration
+from sliceweaver.model import Band, SliceConfiguration, config_to_dict
 from sliceweaver.oracle import solve
 from sliceweaver.scoring import compute_utility, round_half_up
 
@@ -180,8 +180,6 @@ def test_benchmark_rejects_empty_suite(harness_config):
 
 
 def test_benchmark_parallel_jobs_match_serial(scenarios, harness_config):
-    import dataclasses
-
     serial = run_benchmark(scenarios, "oracle", None, harness_config)
     parallel_config = dataclasses.replace(harness_config, jobs=4)
     parallel = run_benchmark(scenarios, "oracle", None, parallel_config)
@@ -192,15 +190,22 @@ def test_benchmark_parallel_jobs_match_serial(scenarios, harness_config):
 
 def test_machine_report_round_trips(scenarios, suite_fixture, harness_config):
     report = run_benchmark(scenarios, "multi_agent", suite_fixture, harness_config)
-    text = report_to_machine(report)
-    loaded = report_from_machine(text)
-    assert loaded.records == report.records
-    assert loaded.system == report.system
+    doc = report_to_dict(report)
+    assert doc["system"] == report.system
+    assert len(doc["records"]) == len(report.records)
+    fields = [field.name for field in dataclasses.fields(EvaluationRecord)]
+    for entry, record in zip(doc["records"], report.records):
+        assert sorted(entry) == sorted(fields)
+        for name in fields:
+            value = getattr(record, name)
+            if name == "produced":
+                value = None if value is None else config_to_dict(value)
+            assert entry[name] == value, name
 
 
 def test_machine_report_summary_matches_recomputation(scenarios, suite_fixture, harness_config):
     report = run_benchmark(scenarios, "multi_agent", suite_fixture, harness_config)
-    doc = json.loads(report_to_machine(report))
+    doc = report_to_dict(report)
     accuracies = [entry["semantic_accuracy"] for entry in doc["records"]]
     recomputed = fsum(accuracies) / len(accuracies)
     assert recomputed == pytest.approx(doc["summary"]["semantic_accuracy"]["mean"], abs=1e-12)
@@ -209,7 +214,7 @@ def test_machine_report_summary_matches_recomputation(scenarios, suite_fixture, 
 
 def test_table_report_shape(scenarios, suite_fixture, harness_config):
     report = run_benchmark(scenarios, "multi_agent", suite_fixture, harness_config)
-    table = emit_report(report, "table")
+    table = emit_report(report)
     lines = table.splitlines()
     assert any(
         line.startswith("industrial_automation") and "URLLC" in line and "1.0" in line and "0.94" in line
@@ -223,16 +228,10 @@ def test_table_report_shape(scenarios, suite_fixture, harness_config):
 
 def test_table_report_empty_records_is_header_only():
     empty = BenchmarkReport(system="oracle", records=(), summary=_summarise(()))
-    table = emit_report(empty, "table")
+    table = emit_report(empty)
     lines = [line for line in table.splitlines() if line]
     assert any("Scenario" in line for line in lines)
     assert not any("URLLC" in line for line in lines)
-
-
-def test_emit_report_rejects_unknown_format(scenarios, harness_config):
-    report = run_benchmark(scenarios, "oracle", None, harness_config)
-    with pytest.raises(HarnessError):
-        emit_report(report, "yaml")
 
 
 # --- compare and ablation ----------------------------------------------------
