@@ -175,10 +175,17 @@ def _provider_for(backend_spec: str | None, default_scripted: bool):
 
 
 def _write_out(args: argparse.Namespace, doc: dict | list) -> None:
-    """Write the machine-format document of a command to --out, if given."""
+    """Write the machine-format document of a command to --out, if given.
+
+    The suite and oracle commands write it before printing their tables, so
+    an --out that cannot be written fails them with nothing on stdout.
+    """
     if args.out:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write --out {args.out}: {exc}") from None
 
 
 def cmd_run_intent(args: argparse.Namespace) -> int:
@@ -195,9 +202,9 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
     if system == "oracle":
         ranking = solve(state, profile, thresholds)
         head = ranking[0]
+        _write_out(args, _ranking_doc(ranking))
         print(_ranking_table(ranking[: args.top or 5]))
         _print_decision(head.config, head.breakdown.utility, head.constraints.feasible)
-        _write_out(args, _ranking_doc(ranking))
         return 0
     if system == "rule_based":
         result = rule_based_provision(intent_text, state, thresholds)
@@ -270,6 +277,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     config = _resolve(args)
     profile = classify_intent(args.intent, config.state, config.lexicon)
     ranking = solve(config.state, profile, config.thresholds)
+    _write_out(args, _ranking_doc(ranking))
     print(
         f"profile: class={profile.traffic_class.value} beta={profile.bandwidth_category.value} "
         f"tau_req={profile.tau_req_ms:g}ms target={profile.target_sector or '-'}"
@@ -277,7 +285,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(_ranking_table(ranking[: args.top or 10]))
     if not ranking[0].feasible:
         print("note: no feasible candidate; ranking shows best infeasible fallbacks")
-    _write_out(args, _ranking_doc(ranking))
     return 0
 
 
@@ -294,16 +301,16 @@ def _suite_setup(args: argparse.Namespace):
 def cmd_benchmark(args: argparse.Namespace) -> int:
     config, scenarios, provider = _suite_setup(args)
     report = run_benchmark(scenarios, args.system or "multi_agent", provider, config)
-    print(emit_report(report), end="")
     _write_out(args, report_to_dict(report))
+    print(emit_report(report), end="")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config, scenarios, provider = _suite_setup(args)
     reports = run_compare(scenarios, provider, config)
-    print(compare_table(reports), end="")
     _write_out(args, {system: report_to_dict(r) for system, r in reports.items()})
+    print(compare_table(reports), end="")
     return 0
 
 
@@ -313,8 +320,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         variant: run_ablation(variant, scenarios, provider, config)
         for variant in ABLATION_VARIANTS
     }
-    print(ablation_table(reports), end="")
     _write_out(args, {variant: report_to_dict(r) for variant, r in reports.items()})
+    print(ablation_table(reports), end="")
     return 0
 
 

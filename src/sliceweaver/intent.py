@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 from .model import NetworkState
@@ -109,7 +109,10 @@ class IntentProfile:
             raise ValueError(f"tau_req_ms must be > 0, got {self.tau_req_ms}")
 
 
-@lru_cache(maxsize=512)
+# Unbounded: its keys are the lexicon keywords and sector ids of the inputs a
+# process loads, and a bound below a topology's sector count would evict each
+# pattern before its next use, so every classify would recompile them all.
+@cache
 def _keyword_pattern(keyword: str) -> re.Pattern:
     # Word-bounded, separator-tolerant ("mid band" ~ "mid-band"), optional
     # trailing plural so "sensors" matches "sensor" but "metering" does not

@@ -10,24 +10,34 @@ Ranking order: feasible first, then utility descending, then lower latency,
 then lower sector load, then lexicographic (sector, band, node) with bands
 ordered mmwave < mid_band < low_band. The comparator is total, so rankings
 are deterministic and independent of enumeration order.
+
+`solve` is factored: utility and feasibility split into parts that depend on
+the sector, the node, the (sector, node) latency or the band alone, so each
+part is computed once where it changes, and candidates with equal parts
+share one frozen ScoreBreakdown or ConstraintReport. `enumerate_candidates`
+scored candidate by candidate with `compute_utility` and `check_constraints`
+stays the reference it must equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intent import IntentProfile, Lexicon, classify_intent
-from .model import Band, NetworkState, SliceConfiguration, latency
+from .intent import IntentProfile, Lexicon, classify_intent, weights_for
+from .model import Band, NetworkState, SliceConfiguration
 from .scoring import (
     DEFAULT_THRESHOLDS,
     ConstraintReport,
     ScoreBreakdown,
     Thresholds,
-    check_constraints,
-    compute_utility,
+    score_congestion,
+    score_latency,
+    score_resource,
+    weighted_utility,
 )
 
-BAND_RANK_ORDER: dict[Band, int] = {Band.MMWAVE: 0, Band.MID_BAND: 1, Band.LOW_BAND: 2}
+# The band tie-break order of the ranking; a band's rank is its index here.
+RANKED_BANDS: tuple[Band, ...] = (Band.MMWAVE, Band.MID_BAND, Band.LOW_BAND)
 
 
 class OracleError(Exception):
@@ -91,35 +101,91 @@ def solve(
     When no candidate is feasible the head is the best-ranked infeasible one,
     flagged through its ConstraintReport rather than raised, so callers can
     still score least-bad fallbacks.
+
+    One factored scan over the candidates of `enumerate_candidates`, equal
+    row for row to scoring each with `compute_utility` and
+    `check_constraints`: the congestion score and the load check are taken
+    once per sector, the latency score and check once per (sector, node),
+    the compute check once per node and the resource score once per band.
+    Candidates with equal sub-scores share one (frozen) ScoreBreakdown, and
+    equal checks one ConstraintReport, so at most 8 reports are built. Each
+    candidate becomes one sort-key tuple; the configuration and ranked
+    objects are built after the sort.
     """
-    candidates = enumerate_candidates(state, profile)
-    if not candidates:
+    if profile.target_sector is not None:
+        state.sector(profile.target_sector)  # UnknownIdError for an unknown id
+        sector_ids = [profile.target_sector]
+    else:
+        sector_ids = sorted(state.sectors)
+    node_ids = sorted(state.nodes)
+    nodes = [state.nodes[node_id] for node_id in node_ids]
+    weights = weights_for(profile.traffic_class)
+    s_resource = [score_resource(band, profile.bandwidth_category) for band in RANKED_BANDS]
+    compute_ok = [node.compute_load_percent <= thresholds.kappa_max for node in nodes]
+    breakdowns: dict[tuple[float, float, float], ScoreBreakdown] = {}
+    reports: dict[tuple[bool, bool, bool], ConstraintReport] = {}
+    rows = []
+    for sector_id in sector_ids:
+        sector = state.sectors[sector_id]
+        band_ranks = [
+            band_rank for band_rank, band in enumerate(RANKED_BANDS)
+            if sector.spectrum.available(band)
+        ]
+        if not band_ranks:
+            continue
+        load = sector.load_percent
+        s_con = score_congestion(load)
+        load_ok = load <= thresholds.l_max
+        # S_latency -> [(band rank, -utility, breakdown)] for this sector.
+        scored: dict[float, list[tuple[int, float, ScoreBreakdown]]] = {}
+        for node_id, node, node_compute_ok in zip(node_ids, nodes, compute_ok):
+            tau = node.latency_to_sector[sector_id]
+            s_lat = score_latency(tau)
+            latency_ok = tau <= profile.tau_req_ms
+            report = reports.get((load_ok, node_compute_ok, latency_ok))
+            if report is None:
+                report = reports[load_ok, node_compute_ok, latency_ok] = ConstraintReport(
+                    load_ok=load_ok,
+                    band_ok=True,
+                    compute_ok=node_compute_ok,
+                    latency_ok=latency_ok,
+                    l_max=thresholds.l_max,
+                    kappa_max=thresholds.kappa_max,
+                    tau_req_ms=profile.tau_req_ms,
+                )
+            infeasible = 0 if report.feasible else 1
+            per_band = scored.get(s_lat)
+            if per_band is None:
+                per_band = scored[s_lat] = []
+                for band_rank in band_ranks:
+                    s_res = s_resource[band_rank]
+                    breakdown = breakdowns.get((s_lat, s_res, s_con))
+                    if breakdown is None:
+                        breakdown = breakdowns[s_lat, s_res, s_con] = ScoreBreakdown(
+                            s_latency=s_lat,
+                            s_resource=s_res,
+                            s_congestion=s_con,
+                            weights=weights,
+                            utility=weighted_utility(weights, s_lat, s_res, s_con),
+                        )
+                    per_band.append((band_rank, -breakdown.utility, breakdown))
+            for band_rank, neg_utility, breakdown in per_band:
+                # The first seven fields are the ranking key and unique per
+                # candidate, so the sort never compares the objects after them.
+                rows.append((infeasible, neg_utility, tau, load, sector_id, band_rank, node_id,
+                             breakdown, report))
+    if not rows:
         raise OracleError("empty candidate set: no sector has an available band")
-    scored = [
-        (
-            config,
-            compute_utility(config, profile, state),
-            check_constraints(config, profile, state, thresholds),
-        )
-        for config in candidates
-    ]
-
-    def sort_key(item: tuple[SliceConfiguration, ScoreBreakdown, ConstraintReport]):
-        config, breakdown, constraints = item
-        return (
-            0 if constraints.feasible else 1,
-            -breakdown.utility,
-            latency(state, config.sector_id, config.node_id),
-            state.sector(config.sector_id).load_percent,
-            config.sector_id,
-            BAND_RANK_ORDER[config.band],
-            config.node_id,
-        )
-
-    scored.sort(key=sort_key)
+    rows.sort()
     return [
-        RankedConfiguration(config=c, breakdown=b, constraints=r, rank=i + 1)
-        for i, (c, b, r) in enumerate(scored)
+        RankedConfiguration(
+            SliceConfiguration(sector_id, RANKED_BANDS[band_rank], node_id),
+            breakdown,
+            report,
+            rank,
+        )
+        for rank, (_, _, _, _, sector_id, band_rank, node_id, breakdown, report)
+        in enumerate(rows, 1)
     ]
 
 

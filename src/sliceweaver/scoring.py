@@ -102,6 +102,17 @@ def score_congestion(load_percent: float) -> float:
     return 1.0 - load_percent / 100.0
 
 
+def weighted_utility(
+    weights: tuple[float, float, float], s_lat: float, s_res: float, s_con: float
+) -> float:
+    """U = w_l * S_latency + w_r * S_resource + w_c * S_congestion.
+
+    The one place the sum is written, so every caller gets the same float.
+    """
+    w_l, w_r, w_c = weights
+    return w_l * s_lat + w_r * s_res + w_c * s_con
+
+
 def compute_utility(
     config: SliceConfiguration,
     profile: IntentProfile,
@@ -119,7 +130,7 @@ def compute_utility(
             f"band {config.band.value!r} has no available spectrum at sector "
             f"{config.sector_id!r}"
         )
-    w_l, w_r, w_c = weights_for(profile.traffic_class)
+    weights = weights_for(profile.traffic_class)
     s_lat = score_latency(latency(state, config.sector_id, config.node_id))
     s_res = score_resource(config.band, profile.bandwidth_category)
     s_con = score_congestion(sector.load_percent)
@@ -127,8 +138,8 @@ def compute_utility(
         s_latency=s_lat,
         s_resource=s_res,
         s_congestion=s_con,
-        weights=(w_l, w_r, w_c),
-        utility=w_l * s_lat + w_r * s_res + w_c * s_con,
+        weights=weights,
+        utility=weighted_utility(weights, s_lat, s_res, s_con),
     )
 
 

@@ -334,6 +334,10 @@ NOT_UTF8 = b"\xff\xfe{}"
                      id="run-intent-fixture-matcher-number"),
         pytest.param("run-intent", ["x", "--backend", "scripted:{file}"], NOT_UTF8,
                      "not valid JSON", id="run-intent-fixture-not-utf8"),
+        pytest.param("benchmark", ["--system", "oracle", "--out", "{dir}"], None,
+                     "Is a directory", id="benchmark-out-directory"),
+        pytest.param("oracle", ["--intent", "x", "--out", "{dir}"], None, "Is a directory",
+                     id="oracle-out-directory"),
     ],
 )
 def test_bad_flags_and_config_files_exit_2(capsys, tmp_path, command, flags, file_text, needle):

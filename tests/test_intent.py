@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sliceweaver.intent import (
     BandwidthCategory,
     TrafficClass,
+    _keyword_pattern,
     classify_bandwidth,
     classify_intent,
     classify_traffic,
@@ -18,7 +19,14 @@ from sliceweaver.intent import (
     keyword_hits,
     weights_for,
 )
-from sliceweaver.model import latency
+from sliceweaver.model import (
+    CoreNode,
+    NetworkState,
+    NodeTier,
+    RanSector,
+    SpectrumBands,
+    latency,
+)
 
 
 @pytest.mark.parametrize(
@@ -167,3 +175,22 @@ def test_small_explicit_bounds_always_classify_urllc(prefix, bound, lexicon):
     text = f"{prefix} with latency <{bound}ms"
     assert classify_traffic(text, lexicon) is TrafficClass.URLLC
     assert extract_tau_req(text, classify_traffic(text, lexicon)) == bound
+
+
+def test_classify_reuses_its_patterns_past_512_sectors(lexicon):
+    # 600 sector ids plus the lexicon keywords need more than 512 patterns;
+    # once warm, a classify must compile none of them again.
+    sector_ids = [f"cell_{i:03d}" for i in range(600)]
+    sectors = {
+        sid: RanSector(id=sid, active_users=1, load_percent=10.0,
+                       spectrum=SpectrumBands(0.0, 50.0, 0.0))
+        for sid in sector_ids
+    }
+    node = CoreNode(id="upf", tier=NodeTier.EDGE, compute_load_percent=10.0,
+                    latency_to_sector=dict.fromkeys(sector_ids, 5.0))
+    big = NetworkState(sectors=sectors, nodes={"upf": node})
+    text = "smart metering telemetry at cell_599"
+    assert classify_intent(text, big, lexicon).target_sector == "cell_599"
+    misses = _keyword_pattern.cache_info().misses
+    assert classify_intent(text, big, lexicon).target_sector == "cell_599"
+    assert _keyword_pattern.cache_info().misses == misses

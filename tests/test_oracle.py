@@ -3,16 +3,27 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sliceweaver.intent import BandwidthCategory, TrafficClass, classify_intent
-from sliceweaver.model import Band, load_state
+from sliceweaver.intent import BandwidthCategory, IntentProfile, TrafficClass, classify_intent
+from sliceweaver.model import (
+    Band,
+    CoreNode,
+    NetworkState,
+    NodeTier,
+    RanSector,
+    SpectrumBands,
+    UnknownIdError,
+    load_state,
+)
 from sliceweaver.oracle import (
     OracleError,
     enumerate_candidates,
     rule_based_provision,
     solve,
 )
-from sliceweaver.scoring import compute_utility
+from sliceweaver.scoring import Thresholds, check_constraints, compute_utility
 
 
 def test_enumeration_count_full_topology(state, lexicon):
@@ -178,3 +189,92 @@ def test_rule_based_empty_intent_defaults_to_embb(state, strict_lexicon):
     assert result.profile.bandwidth_category is BandwidthCategory.MEDIUM
     assert state.sector(result.config.sector_id).spectrum.available(result.config.band)
     assert any("no lexicon keyword matched" in line for line in result.rationale)
+
+
+def test_solve_rejects_unknown_target_sector(state):
+    profile = IntentProfile(
+        raw_text="x", traffic_class=TrafficClass.EMBB,
+        bandwidth_category=BandwidthCategory.MEDIUM, tau_req_ms=50, target_sector="atlantis",
+    )
+    with pytest.raises(UnknownIdError):
+        solve(state, profile)
+
+
+# The documented ranking: feasible first, utility descending, lower latency,
+# lower sector load, then (sector, band, node) with mmwave < mid_band < low_band.
+DOCUMENTED_BAND_ORDER = {Band.MMWAVE: 0, Band.MID_BAND: 1, Band.LOW_BAND: 2}
+
+
+def reference_ranking(state, profile, thresholds):
+    """Score every candidate with the reference functions and sort on the
+    documented key: (config, breakdown, constraints, rank) per row."""
+    scored = []
+    for config in enumerate_candidates(state, profile):
+        breakdown = compute_utility(config, profile, state)
+        constraints = check_constraints(config, profile, state, thresholds)
+        key = (
+            0 if constraints.feasible else 1,
+            -breakdown.utility,
+            state.nodes[config.node_id].latency_to_sector[config.sector_id],
+            state.sectors[config.sector_id].load_percent,
+            config.sector_id,
+            DOCUMENTED_BAND_ORDER[config.band],
+            config.node_id,
+        )
+        scored.append((key, config, breakdown, constraints))
+    scored.sort(key=lambda item: item[0])
+    return [(c, b, r, rank) for rank, (_, c, b, r) in enumerate(scored, 1)]
+
+
+# Values on both sides of the non-default thresholds below (l_max 60,
+# kappa_max 50) and of the defaults (100, 85), repeated so ties occur.
+LOADS = st.sampled_from([0.0, 12.5, 49.5, 50.0, 50.5, 60.0, 60.5, 85.0, 85.5, 100.0])
+TAUS_REQ = (1.0, 5.0, 10.0, 30.0, 45.0, 1000.0)
+
+
+@st.composite
+def topologies_and_profiles(draw):
+    tau_req = draw(st.sampled_from(TAUS_REQ))
+    # Latencies on the score breakpoints (10, 30) and on tau_req exactly.
+    latencies = st.sampled_from([0.5, 9.99, 10.0, 10.01, 29.99, 30.0, 31.0, tau_req])
+    sector_ids = draw(st.lists(
+        st.text(alphabet="ab_", min_size=1, max_size=3), min_size=1, max_size=6, unique=True))
+    node_ids = draw(st.lists(
+        st.text(alphabet="nm1", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    mhz = st.sampled_from([0.0, 0.0, 20.0, 100.0])
+    sectors = {
+        sid: RanSector(
+            id=sid, active_users=10, load_percent=draw(LOADS),
+            spectrum=SpectrumBands(draw(mhz), draw(mhz), draw(mhz)),
+        )
+        for sid in sector_ids
+    }
+    nodes = {
+        nid: CoreNode(
+            id=nid, tier=NodeTier.EDGE, compute_load_percent=draw(LOADS),
+            latency_to_sector={sid: draw(latencies) for sid in sector_ids},
+        )
+        for nid in node_ids
+    }
+    profile = IntentProfile(
+        raw_text="generated",
+        traffic_class=draw(st.sampled_from(TrafficClass)),
+        bandwidth_category=draw(st.sampled_from(BandwidthCategory)),
+        tau_req_ms=tau_req,
+        target_sector=draw(st.none() | st.sampled_from(sector_ids)),
+    )
+    thresholds = draw(st.sampled_from([Thresholds(), Thresholds(l_max=60.0, kappa_max=50.0)]))
+    return NetworkState(sectors=sectors, nodes=nodes), profile, thresholds
+
+
+@settings(max_examples=200, deadline=None)
+@given(topologies_and_profiles())
+def test_solve_equals_the_reference_ranking_row_for_row(case):
+    state, profile, thresholds = case
+    expected = reference_ranking(state, profile, thresholds)
+    if not expected:
+        with pytest.raises(OracleError):
+            solve(state, profile, thresholds)
+        return
+    ranking = solve(state, profile, thresholds)
+    assert [(r.config, r.breakdown, r.constraints, r.rank) for r in ranking] == expected
