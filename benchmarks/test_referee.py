@@ -2,8 +2,8 @@
 
 Not part of the default test run (pyproject's testpaths is `tests`). Run:
 
-    PYTHONPATH=src python -m pytest benchmarks --benchmark-timer time.process_time \
-        --benchmark-json benchmarks/BENCH_referee.json
+    PYTHONPATH=src python -m pytest benchmarks/test_referee.py \
+        --benchmark-timer time.process_time --benchmark-json benchmarks/BENCH_referee.json
 
 CPU time, because on a shared machine wall time also counts the time the
 process waits for a processor.

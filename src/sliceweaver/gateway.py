@@ -8,6 +8,8 @@ byte-reproducible.
 
 A ChatSession wraps a backend and records per-call token usage; one ReAct
 session owns exactly one ChatSession.
+
+`requests` is imported only by LiveBackend, so hermetic runs never load it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 ENV_BASE_URL = "IBN_LLM_BASE_URL"
 ENV_MODEL = "IBN_LLM_MODEL"
@@ -160,7 +164,11 @@ class ScriptedBackend:
 
 
 class LiveBackend:
-    """OpenAI-compatible chat-completions client with bounded retries."""
+    """OpenAI-compatible chat-completions client with bounded retries.
+
+    Each calling thread gets its own `requests.Session`, made on its first
+    call; an injected `session` is used by every thread instead.
+    """
 
     deterministic = False
     backend_id = "live"
@@ -184,7 +192,8 @@ class LiveBackend:
         self.model = model or os.environ.get(ENV_MODEL, "")
         self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
         self.timeout_s = timeout_s
-        self._session = session or requests.Session()
+        self._session = session
+        self._local = threading.local()
         if not self.base_url or not self.model:
             raise GatewayError(
                 f"live backend needs a base URL and model: set {ENV_BASE_URL} and "
@@ -192,6 +201,11 @@ class LiveBackend:
             )
 
     def complete(self, messages: list[ChatMessage]) -> CompletionResult:
+        import requests
+
+        http = self._session or getattr(self._local, "session", None)
+        if http is None:
+            http = self._local.session = requests.Session()
         payload = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
@@ -210,7 +224,7 @@ class LiveBackend:
                 retry_after = None
             start = time.perf_counter()
             try:
-                response = self._session.post(
+                response = http.post(
                     url, json=payload, headers=headers, timeout=self.timeout_s
                 )
             except requests.RequestException as exc:

@@ -2,15 +2,21 @@
 slice configurations, plus validated JSON loading, canonical serialization,
 and provisioning bookkeeping.
 
-States are immutable values; every operation returns a new state. This makes
-them safe to share across concurrent evaluation workers.
+States are immutable values: the sector map, the node map and each node's
+latency row are read-only mappings, and every operation returns a new state.
+This makes them safe to share across concurrent evaluation workers, and it
+lets a state encode its canonical text once, on the first `serialize_state`
+call, and keep it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 
 class StateError(Exception):
@@ -51,6 +57,14 @@ BAND_JSON_KEYS: dict[Band, str] = {
     Band.MID_BAND: "mid_band",
     Band.LOW_BAND: "low_band",
 }
+
+
+def _read_only(mapping: Mapping) -> MappingProxyType:
+    """A read-only copy of `mapping`; one that is already read-only is kept."""
+    if isinstance(mapping, MappingProxyType):
+        return mapping
+    return MappingProxyType(dict(mapping))
+
 
 # "core" and "regional" both mean the regional tier on load.
 _TIER_ALIASES = {
@@ -114,10 +128,11 @@ class CoreNode:
     id: str
     tier: NodeTier
     compute_load_percent: float
-    latency_to_sector: dict[str, float]
+    latency_to_sector: Mapping[str, float]
     context: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "latency_to_sector", _read_only(self.latency_to_sector))
         if not self.id:
             raise StateValidationError("node id must be non-empty")
         if not 0 <= self.compute_load_percent <= 100:
@@ -149,11 +164,14 @@ class SliceConfiguration:
 class NetworkState:
     """The complete environment: sector map, node map, and slice ledger."""
 
-    sectors: dict[str, RanSector]
-    nodes: dict[str, CoreNode]
+    sectors: Mapping[str, RanSector]
+    nodes: Mapping[str, CoreNode]
     provisioned_slices: tuple[SliceConfiguration, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sectors", _read_only(self.sectors))
+        object.__setattr__(self, "nodes", _read_only(self.nodes))
+        object.__setattr__(self, "provisioned_slices", tuple(self.provisioned_slices))
         if not self.sectors:
             raise StateValidationError("state must contain at least one sector")
         if not self.nodes:
@@ -183,6 +201,10 @@ class NetworkState:
             return self.nodes[node_id]
         except KeyError:
             raise UnknownIdError(f"unknown node {node_id!r}") from None
+
+    @cached_property
+    def _canonical_text(self) -> str:
+        return json.dumps(state_to_dict(self), indent=2, sort_keys=True) + "\n"
 
 
 def latency(state: NetworkState, sector_id: str, node_id: str) -> float:
@@ -293,6 +315,9 @@ def _slice_from_entry(index: int, entry: dict) -> SliceConfiguration:
     except ValueError:
         raise StateValidationError(f"{where}: unknown band {entry['band']!r}") from None
     slice_id = entry.get("slice_id")
+    if slice_id == "":
+        # The wire form omits an empty id, so it would reload as None.
+        raise StateValidationError(f"{where}: slice_id must be non-empty")
     return SliceConfiguration(
         sector_id=str(entry["sector"]),
         band=band,
@@ -380,8 +405,9 @@ def serialize_state(state: NetworkState) -> str:
     """Canonical textual form: sorted keys, stable layout, trailing newline.
 
     Round-trips: load_state(serialize_state(s)) is structurally equal to s.
+    The text is encoded on a state's first call and kept on the state.
     """
-    return json.dumps(state_to_dict(state), indent=2, sort_keys=True) + "\n"
+    return state._canonical_text
 
 
 def _validate_config(state: NetworkState, config: SliceConfiguration) -> None:

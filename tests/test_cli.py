@@ -3,7 +3,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +176,31 @@ def test_ablate_command(capsys, tmp_path):
     doc = json.loads(out_file.read_text())
     assert set(doc) == {"full", "no_prompts", "no_specialists", "no_react"}
     assert sha256_of(out_file) == ABLATE_REPORT_SHA256
+
+
+# Runs `sliceweaver.cli.main(argv)` and fails if `requests` was loaded by the
+# import or by the run itself.
+NO_REQUESTS_SCRIPT = """
+import sys
+from sliceweaver.cli import main
+assert "requests" not in sys.modules, "import sliceweaver.cli loaded requests"
+code = main(sys.argv[1:])
+assert "requests" not in sys.modules, "the run loaded requests"
+sys.exit(code)
+"""
+
+
+def test_hermetic_runs_do_not_load_requests(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out_file = tmp_path / "compare.json"
+    result = subprocess.run(
+        [sys.executable, "-c", NO_REQUESTS_SCRIPT, "compare", "--out", str(out_file)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert sha256_of(out_file) == COMPARE_REPORT_SHA256
 
 
 def test_validate_state(capsys, tmp_path):

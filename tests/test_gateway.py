@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 import requests
@@ -169,6 +170,45 @@ def live_backend(outcomes):
     )
     backend.BACKOFF_START_S = 0.0  # keep retry tests fast
     return backend, fake
+
+
+def test_live_backend_gives_each_thread_its_own_session(monkeypatch):
+    created = []
+
+    class ThreadRecordingSession:
+        def __init__(self):
+            self.thread = threading.get_ident()
+            self.post_threads = []
+            created.append(self)
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.post_threads.append(threading.get_ident())
+            return FakeResponse(body=ok_body())
+
+    monkeypatch.setattr(requests, "Session", ThreadRecordingSession)
+    backend = LiveBackend(base_url="https://llm.example/v1", model="test-model")
+    all_started = threading.Barrier(3)
+    errors = []
+
+    def worker():
+        try:
+            all_started.wait(timeout=10)
+            for _ in range(2):
+                assert backend.complete(messages("hi")).text == "fine"
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(created) == 3
+    assert len({session.thread for session in created}) == 3
+    for session in created:
+        assert session.post_threads == [session.thread] * 2
 
 
 def test_live_backend_requires_configuration(monkeypatch):

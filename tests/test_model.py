@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -22,6 +23,7 @@ from sliceweaver.model import (
     latency,
     load_state,
     serialize_state,
+    state_to_dict,
 )
 
 # Full latency matrix of the bundled topology, sector -> node -> ms.
@@ -260,6 +262,50 @@ def test_provisioned_state_round_trips(state):
     assert load_state(serialize_state(provisioned)) == provisioned
 
 
+def test_loading_an_empty_slice_id_rejected(state):
+    # The wire form omits an empty slice_id, so it would reload as None and
+    # break load_state(serialize_state(s)) == s.
+    doc = json.loads(serialize_state(state))
+    doc["provisioned_slices"] = [
+        {"sector": "city_plaza", "band": "mid_band", "node": "metro_agg_hub", "slice_id": ""}
+    ]
+    with pytest.raises(StateValidationError) as excinfo:
+        load_state(json.dumps(doc))
+    assert "slice_id" in str(excinfo.value)
+
+
+def test_loaded_state_is_read_only(state):
+    node = state.node("metro_agg_hub")
+    for mapping, key, value in (
+        (state.sectors, "city_plaza", state.sector("rural_highway")),
+        (state.nodes, "metro_agg_hub", state.node("mec_stadium_1")),
+        (node.latency_to_sector, "city_plaza", 1.0),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        with pytest.raises(TypeError):
+            del mapping[key]
+
+
+def test_state_does_not_share_the_callers_dicts(state):
+    sectors = dict(state.sectors)
+    latencies = dict(state.node("metro_agg_hub").latency_to_sector)
+    node = dataclasses.replace(state.node("metro_agg_hub"), latency_to_sector=latencies)
+    ledger = [GOLDEN_INDUSTRIAL]
+    built = NetworkState(
+        sectors=sectors, nodes={**state.nodes, "metro_agg_hub": node}, provisioned_slices=ledger
+    )
+    text = serialize_state(built)
+    sectors.pop("city_plaza")
+    latencies["city_plaza"] = 99.0
+    ledger.clear()
+    assert "city_plaza" in built.sectors
+    assert built.node("metro_agg_hub").latency_to_sector["city_plaza"] == 5
+    assert built.provisioned_slices == (GOLDEN_INDUSTRIAL,)
+    provisioned = apply_provisioning(state, GOLDEN_INDUSTRIAL)
+    assert serialize_state(built) == text == serialize_state(provisioned)
+
+
 def test_loading_duplicate_slice_ids_rejected(state):
     doc = json.loads(serialize_state(state))
     entry = {"sector": "city_plaza", "band": "mid_band", "node": "metro_agg_hub", "slice_id": "dup"}
@@ -307,7 +353,65 @@ def network_states(draw):
     return NetworkState(sectors=sectors, nodes=nodes)
 
 
+_slice_ids = st.text(min_size=1, max_size=10)
+
+
+@st.composite
+def provisioning_chains(draw, max_size=4):
+    """A generated state and the states that `apply_provisioning` makes from
+    it, one slice at a time (ids unique when set)."""
+    chain = [draw(network_states())]
+    used: set[str] = set()
+    for _ in range(draw(st.integers(min_value=0, max_value=max_size))):
+        state = chain[-1]
+        sector = state.sector(draw(st.sampled_from(sorted(state.sectors))))
+        bands = [band for band in Band if sector.spectrum.available(band)]
+        if not bands:
+            break
+        slice_id = draw(st.none() | _slice_ids.filter(lambda sid: sid not in used))
+        if slice_id is not None:
+            used.add(slice_id)
+        config = SliceConfiguration(
+            sector_id=sector.id,
+            band=draw(st.sampled_from(bands)),
+            node_id=draw(st.sampled_from(sorted(state.nodes))),
+            slice_id=slice_id,
+        )
+        chain.append(apply_provisioning(state, config))
+    return chain
+
+
 @settings(max_examples=50, deadline=None)
-@given(network_states())
-def test_round_trip_identity_property(random_state):
-    assert load_state(serialize_state(random_state)) == random_state
+@given(provisioning_chains())
+def test_round_trip_identity_property(chain):
+    for random_state in chain:
+        assert load_state(serialize_state(random_state)) == random_state
+
+
+@settings(max_examples=50, deadline=None)
+@given(provisioning_chains())
+def test_cached_text_is_never_stale(chain):
+    for random_state in chain:
+        reference = json.dumps(state_to_dict(random_state), indent=2, sort_keys=True) + "\n"
+        assert serialize_state(random_state) == reference
+        assert serialize_state(random_state) == reference  # from the cache
+        for mapping in (random_state.sectors, random_state.nodes) + tuple(
+            node.latency_to_sector for node in random_state.nodes.values()
+        ):
+            key = next(iter(mapping))
+            with pytest.raises(TypeError):
+                mapping[key] = mapping[key]
+            with pytest.raises(TypeError):
+                del mapping[key]
+    # A replaced state encodes its own fields, not its parent's cached text.
+    parent = chain[-1]
+    serialize_state(parent)
+    first = next(iter(parent.sectors.values()))
+    busier = dataclasses.replace(first, active_users=first.active_users + 1)
+    child = dataclasses.replace(parent, sectors={**parent.sectors, first.id: busier})
+    assert serialize_state(child) == (
+        json.dumps(state_to_dict(child), indent=2, sort_keys=True) + "\n"
+    )
+    assert serialize_state(child) != serialize_state(parent)
+    bare = dataclasses.replace(parent, provisioned_slices=())
+    assert serialize_state(bare) == serialize_state(chain[0])

@@ -1,4 +1,5 @@
-"""The fixture generator and the demos, run as their users run them."""
+"""The fixture generator, the demos and the per-layer benchmarks, run as
+their users run them."""
 
 from __future__ import annotations
 
@@ -31,13 +32,23 @@ def test_make_fixtures_rebuilds_the_committed_fixtures(tmp_path, monkeypatch, ca
         assert (tmp_path / committed.name).read_bytes() == committed.read_bytes(), committed.name
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo):
+def run_with_src(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    result = run_with_src(str(demo))
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_benchmark_cases_run():
+    # Each case once, untimed, so the per-layer benchmarks cannot rot.
+    result = run_with_src("-m", "pytest", "benchmarks", "--benchmark-disable", "-q")
+    assert result.returncode == 0, result.stdout + result.stderr
