@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import pytest
 
+from sliceweaver import data as bundled
+from sliceweaver.harness import load_scenarios
 from sliceweaver.intent import BandwidthCategory, IntentProfile, TrafficClass, classify_intent
 from sliceweaver.model import Band
 from sliceweaver.oracle import solve
@@ -29,6 +31,18 @@ def test_classify_intent(benchmark, topology, lexicon, n_sectors):
     profile = benchmark(classify_intent, text, state, lexicon)
     assert profile.target_sector == target
     assert profile.traffic_class is TrafficClass.MMTC
+
+
+@pytest.mark.parametrize("lexicon_name", ["default", "strict"])
+def test_classify_bundled_suite(benchmark, lexicon_name):
+    # One round classifies the 12 bundled intents on the bundled 5-sector
+    # state: the referee's per-scenario work in a compare or ablate run.
+    state = bundled.default_state()
+    lexicon = getattr(bundled, f"{lexicon_name}_lexicon")()
+    texts = [s.intent_text for s in load_scenarios(bundled.default_scenarios_path(), state)]
+    profiles = benchmark(lambda: [classify_intent(text, state, lexicon) for text in texts])
+    assert len(profiles) == 12
+    assert all(profile.target_sector in state.sectors for profile in profiles)
 
 
 def test_solve_untargeted(benchmark, topology):

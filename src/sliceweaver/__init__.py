@@ -50,11 +50,8 @@ from .intent import (
     IntentProfile,
     Lexicon,
     TrafficClass,
-    classify_bandwidth,
     classify_intent,
-    classify_traffic,
     extract_target_sector,
-    extract_tau_req,
     weights_for,
 )
 from .model import (

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import data as bundled
-from .agents import PromptError, load_prompts, render_trace, run_react
+from .agents import Outcome, PromptError, load_prompts, render_trace, run_react
 from .gateway import (
     ChatSession,
     GatewayError,
@@ -210,7 +210,7 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
         result = rule_based_provision(intent_text, state, thresholds)
         breakdown = compute_utility(result.config, profile, state)
         print("rationale: " + "; ".join(result.rationale))
-        _print_decision(result.config, breakdown.utility, result.ranking[0].feasible)
+        _print_decision(result.config, breakdown.utility, result.feasible)
         return 0
 
     backend = _provider_for(args.backend, default_scripted=False)
@@ -219,6 +219,8 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
     session = ChatSession(backend)
     transcript = run_react(intent_text, state, session, config.prompts)
     print(render_trace(transcript), end="")
+    if transcript.outcome is Outcome.ERROR:  # run_react stops early only on a gateway error
+        raise GatewayError(transcript.error)
     if transcript.final_configuration is None:
         print(f"no configuration provisioned (outcome: {transcript.outcome.value})")
         return 1

@@ -263,7 +263,7 @@ class LiveBackend:
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
         if not isinstance(text, str):
             raise ProviderError(f"malformed provider response: content is {text!r}")

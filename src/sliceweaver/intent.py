@@ -8,13 +8,16 @@ interpretation.
 
 Classification is keyword-driven against a lexicon loaded from a data file,
 so the strict/frozen-lexicon brittleness experiments stay reproducible.
+`classify_intent` holds every decision rule: one pass finds the latency bound
+once, searches each lexicon list at most once and derives the whole profile
+from those hits.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -66,12 +69,23 @@ _BOUND_PATTERNS = (
 class Lexicon:
     """Keyword lists driving classification. Matching is case-insensitive,
     word-bounded, space/hyphen/underscore tolerant, with optional plural 's'.
+
+    Every keyword needs a letter or digit: one made only of spaces or
+    separators would match text that holds no keyword at all.
     """
 
     urllc: tuple[str, ...]
     mmtc: tuple[str, ...]
     bandwidth_high: tuple[str, ...]
     bandwidth_low: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            for keyword in getattr(self, field.name):
+                if not any(ch.isalnum() for ch in keyword):
+                    raise ValueError(
+                        f"lexicon field {field.name!r}: keyword {keyword!r} has no letter or digit"
+                    )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Lexicon":
@@ -144,38 +158,6 @@ def explicit_latency_bound(text: str) -> tuple[float, str] | None:
     return float(first.group(1)), first.group(0).strip()
 
 
-def classify_traffic(text: str, lexicon: Lexicon) -> TrafficClass:
-    """URLLC on an explicit bound <= 10 ms or a URLLC keyword, then mMTC on a
-    massive-IoT keyword, else eMBB."""
-    if not text.strip():
-        return TrafficClass.EMBB
-    bound = explicit_latency_bound(text)
-    if bound is not None and bound[0] <= URLLC_BOUND_MS:
-        return TrafficClass.URLLC
-    if keyword_hits(text, lexicon.urllc):
-        return TrafficClass.URLLC
-    if keyword_hits(text, lexicon.mmtc):
-        return TrafficClass.MMTC
-    return TrafficClass.EMBB
-
-
-def classify_bandwidth(text: str, lexicon: Lexicon) -> BandwidthCategory:
-    """High-capacity keywords win, then low-rate keywords, else medium."""
-    if keyword_hits(text, lexicon.bandwidth_high):
-        return BandwidthCategory.HIGH
-    if keyword_hits(text, lexicon.bandwidth_low):
-        return BandwidthCategory.LOW
-    return BandwidthCategory.MEDIUM
-
-
-def extract_tau_req(text: str, traffic_class: TrafficClass) -> float:
-    """Explicit bound if present, otherwise the class default."""
-    bound = explicit_latency_bound(text)
-    if bound is not None:
-        return bound[0]
-    return CLASS_TAU_DEFAULTS_MS[traffic_class]
-
-
 def extract_target_sector(text: str, state: NetworkState) -> str | None:
     """First sector id of the state named verbatim in the text.
 
@@ -199,31 +181,45 @@ def classify_intent(
     state: NetworkState | None = None,
     lexicon: Lexicon | None = None,
 ) -> IntentProfile:
-    """Build the full profile for an intent. Pure and deterministic."""
+    """Build the full profile for an intent. Pure and deterministic.
+
+    One pass: the latency bound is found once and each lexicon list searched
+    at most once (`mmtc` only when the intent is not URLLC, `bandwidth_low`
+    only when `bandwidth_high` has no hit). The profile follows from those:
+
+    - class: URLLC on an explicit bound <= URLLC_BOUND_MS or a URLLC keyword,
+      then mMTC on a massive-IoT keyword, else eMBB;
+    - bandwidth: high-capacity keywords win, then low-rate keywords, else
+      medium;
+    - tau_req_ms: the explicit bound if present, otherwise the class default;
+    - matched_keywords: the chosen class list's hits, then the bound's text
+      when the bound forced URLLC, then the chosen bandwidth list's hits,
+      each kept once, at its first place.
+    """
     if lexicon is None:
         from .data import default_lexicon
 
         lexicon = default_lexicon()
-    traffic_class = classify_traffic(text, lexicon)
-    bandwidth = classify_bandwidth(text, lexicon)
-    matched: list[str] = []
     bound = explicit_latency_bound(text)
-    if traffic_class is TrafficClass.URLLC:
-        matched.extend(keyword_hits(text, lexicon.urllc))
-        if bound is not None and bound[0] <= URLLC_BOUND_MS:
-            matched.append(bound[1])
-    elif traffic_class is TrafficClass.MMTC:
-        matched.extend(keyword_hits(text, lexicon.mmtc))
-    if bandwidth is BandwidthCategory.HIGH:
-        matched.extend(keyword_hits(text, lexicon.bandwidth_high))
-    elif bandwidth is BandwidthCategory.LOW:
-        matched.extend(keyword_hits(text, lexicon.bandwidth_low))
-    seen: dict[str, None] = dict.fromkeys(matched)
+    matched = keyword_hits(text, lexicon.urllc)
+    if bound is not None and bound[0] <= URLLC_BOUND_MS:
+        matched.append(bound[1])
+    if matched:
+        traffic_class = TrafficClass.URLLC
+    else:
+        matched = keyword_hits(text, lexicon.mmtc)
+        traffic_class = TrafficClass.MMTC if matched else TrafficClass.EMBB
+    bandwidth_hits = keyword_hits(text, lexicon.bandwidth_high)
+    if bandwidth_hits:
+        bandwidth = BandwidthCategory.HIGH
+    else:
+        bandwidth_hits = keyword_hits(text, lexicon.bandwidth_low)
+        bandwidth = BandwidthCategory.LOW if bandwidth_hits else BandwidthCategory.MEDIUM
     return IntentProfile(
         raw_text=text,
         traffic_class=traffic_class,
         bandwidth_category=bandwidth,
-        tau_req_ms=extract_tau_req(text, traffic_class),
+        tau_req_ms=bound[0] if bound is not None else CLASS_TAU_DEFAULTS_MS[traffic_class],
         target_sector=extract_target_sector(text, state) if state is not None else None,
-        matched_keywords=tuple(seen),
+        matched_keywords=tuple(dict.fromkeys(matched + bandwidth_hits)),
     )

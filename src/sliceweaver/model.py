@@ -177,18 +177,20 @@ class NetworkState:
         if not self.nodes:
             raise StateValidationError("state must contain at least one node")
         for node in self.nodes.values():
-            for sector_id in self.sectors:
-                if sector_id not in node.latency_to_sector:
-                    raise StateValidationError(
-                        f"node {node.id!r} is missing a latency entry for sector "
-                        f"{sector_id!r}"
-                    )
-            for sector_id in node.latency_to_sector:
-                if sector_id not in self.sectors:
-                    raise StateValidationError(
-                        f"node {node.id!r} has a latency entry for unknown sector "
-                        f"{sector_id!r}"
-                    )
+            row = node.latency_to_sector
+            # apply_provisioning re-runs this check, so the common case is one
+            # key-set comparison; the scans below only name the culprit.
+            if row.keys() == self.sectors.keys():
+                continue
+            missing = next((sector_id for sector_id in self.sectors if sector_id not in row), None)
+            if missing is not None:
+                raise StateValidationError(
+                    f"node {node.id!r} is missing a latency entry for sector {missing!r}"
+                )
+            unknown = next(sector_id for sector_id in row if sector_id not in self.sectors)
+            raise StateValidationError(
+                f"node {node.id!r} has a latency entry for unknown sector {unknown!r}"
+            )
 
     def sector(self, sector_id: str) -> RanSector:
         try:

@@ -62,7 +62,7 @@ class RuleBasedResult:
 
     config: SliceConfiguration
     profile: IntentProfile
-    ranking: tuple[RankedConfiguration, ...]
+    feasible: bool
     rationale: tuple[str, ...]
 
 
@@ -219,13 +219,12 @@ def rule_based_provision(
             "no lexicon keyword matched; defaulted to "
             f"{profile.traffic_class.value}/{profile.bandwidth_category.value}"
         )
-    ranking = solve(state, profile, thresholds)
-    head = ranking[0]
+    head = solve(state, profile, thresholds)[0]
     if not head.feasible:
         rationale.append("no feasible candidate; returning best infeasible fallback")
     return RuleBasedResult(
         config=head.config,
         profile=profile,
-        ranking=tuple(ranking),
+        feasible=head.feasible,
         rationale=tuple(rationale),
     )

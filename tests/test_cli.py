@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,54 @@ def test_run_intent_rule_based(capsys):
     assert code == 0
     assert "rationale:" in out
     assert "decision:" in out
+
+
+def test_run_intent_rule_based_flags_an_infeasible_fallback(capsys):
+    code, out, _ = run_cli(
+        capsys, "run-intent", "ultra-low latency loop at industrial_park_a",
+        "--system", "rule_based", "--kappa-max", "1",
+    )
+    assert code == 0
+    assert "no feasible candidate; returning best infeasible fallback" in out
+    assert out.rstrip().endswith("[infeasible fallback]")
+
+
+class MalformedPayloadSession:
+    """Stands in for requests.Session: every POST answers 200 with `content`."""
+
+    content = b""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        response = requests.Response()
+        response.status_code = 200
+        response._content = self.content
+        return response
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"not json", id="not-json"),
+        pytest.param(b'{"choices": []}', id="no-choices"),
+        pytest.param(b'{"choices": [{"message": {"content": 5}}]}', id="content-int"),
+        pytest.param(
+            b'{"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": -1}}',
+            id="negative-tokens",
+        ),
+        pytest.param(b'[["choices"]]', id="list"),
+        pytest.param(b"[" * 100_000, id="too-deep"),
+    ],
+)
+def test_run_intent_live_malformed_payload_exits_3(capsys, monkeypatch, content):
+    monkeypatch.setenv("IBN_LLM_BASE_URL", "https://llm.example/v1")
+    monkeypatch.setenv("IBN_LLM_MODEL", "test-model")
+    monkeypatch.setenv("IBN_LLM_API_KEY", "k")
+    monkeypatch.setattr(MalformedPayloadSession, "content", content)
+    monkeypatch.setattr(requests, "Session", MalformedPayloadSession)
+    code, _, err = run_cli(capsys, "run-intent", FACTORY_INTENT, "--backend", "live")
+    assert code == 3
+    assert err.startswith("gateway error: malformed provider response")
+    assert "Traceback" not in err
 
 
 def test_oracle_command(capsys, tmp_path):

@@ -5,6 +5,8 @@ import threading
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
 from sliceweaver.gateway import (
@@ -371,3 +373,49 @@ def test_live_backend_drives_the_full_reasoning_loop(state, prompts):
     specialist_call = fake.requests[1]["json"]["messages"]
     assert specialist_call[0]["role"] == "system"
     assert "CURRENT NETWORK STATE:" in specialist_call[1]["content"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: (
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=10), children, max_size=3)
+    ),
+    max_leaves=10,
+)
+TOKEN_COUNTS = st.integers(min_value=-3) | JSON_VALUES
+NEAR_VALID_BODIES = st.builds(
+    lambda content, usage: {"choices": [{"message": {"content": content}}], "usage": usage},
+    st.text(max_size=12) | JSON_VALUES,
+    st.fixed_dictionaries({}, optional={
+        "prompt_tokens": TOKEN_COUNTS, "completion_tokens": TOKEN_COUNTS,
+    }) | JSON_VALUES,
+)
+PROVIDER_RESPONSES = st.builds(
+    FakeResponse,
+    status_code=st.sampled_from([200, 400, 401, 429, 500, 503]),
+    body=NEAR_VALID_BODIES | JSON_VALUES,
+    headers=st.dictionaries(st.just("Retry-After"), st.text(max_size=12), max_size=1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(outcomes=st.lists(
+    PROVIDER_RESPONSES | st.just(requests.ConnectionError("reset")),
+    min_size=LiveBackend.MAX_ATTEMPTS, max_size=LiveBackend.MAX_ATTEMPTS,
+))
+def test_live_backend_fails_typed_on_any_provider_payload(outcomes):
+    waits = []
+    backend, fake = live_backend(outcomes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sliceweaver.gateway.time.sleep", waits.append)
+        try:
+            result = backend.complete(messages("ping"))
+        except (ProviderError, TransportError):
+            result = None
+    assert all(0 <= wait <= LiveBackend.RETRY_AFTER_MAX_S for wait in waits)
+    assert len(fake.requests) <= LiveBackend.MAX_ATTEMPTS
+    if result is not None:
+        assert isinstance(result.text, str)
+        for tokens in (result.prompt_tokens, result.completion_tokens):
+            assert type(tokens) is int and tokens >= 0

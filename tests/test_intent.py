@@ -1,21 +1,27 @@
 from __future__ import annotations
 
+import json
 import math
+import re
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceweaver import data as bundled
+from sliceweaver import intent
 from sliceweaver.intent import (
+    CLASS_TAU_DEFAULTS_MS,
+    URLLC_BOUND_MS,
     BandwidthCategory,
+    IntentProfile,
+    Lexicon,
     TrafficClass,
     _keyword_pattern,
-    classify_bandwidth,
     classify_intent,
-    classify_traffic,
     explicit_latency_bound,
     extract_target_sector,
-    extract_tau_req,
     keyword_hits,
     weights_for,
 )
@@ -38,7 +44,7 @@ from sliceweaver.model import (
     ],
 )
 def test_classify_traffic_examples(text, expected, lexicon):
-    assert classify_traffic(text, lexicon) is expected
+    assert classify_intent(text, lexicon=lexicon).traffic_class is expected
 
 
 @pytest.mark.parametrize(
@@ -53,26 +59,36 @@ def test_classify_traffic_examples(text, expected, lexicon):
     ],
 )
 def test_classify_bandwidth_examples(text, expected, lexicon):
-    assert classify_bandwidth(text, lexicon) is expected
+    assert classify_intent(text, lexicon=lexicon).bandwidth_category is expected
 
 
 def test_high_bandwidth_beats_low_when_both_present(lexicon):
-    assert classify_bandwidth("video feeds from roadside sensors", lexicon) is BandwidthCategory.HIGH
+    profile = classify_intent("video feeds from roadside sensors", lexicon=lexicon)
+    assert profile.bandwidth_category is BandwidthCategory.HIGH
 
 
 def test_extract_tau_req_patterns(lexicon):
-    assert extract_tau_req("Requires ultra-low latency (<5ms)", TrafficClass.URLLC) == 5
-    assert extract_tau_req("keep it below 8 ms end to end", TrafficClass.EMBB) == 8
-    assert extract_tau_req("stay under 25 milliseconds", TrafficClass.EMBB) == 25
+    def tau(text):
+        return classify_intent(text, lexicon=lexicon).tau_req_ms
+
+    def class_and_tau(text):
+        profile = classify_intent(text, lexicon=lexicon)
+        return profile.traffic_class, profile.tau_req_ms
+
+    assert tau("Requires ultra-low latency (<5ms)") == 5
+    assert tau("keep it below 8 ms end to end") == 8
+    assert tau("stay under 25 milliseconds") == 25
     # No explicit bound: class defaults.
-    assert extract_tau_req("real-time gaming", TrafficClass.URLLC) == 10
-    assert extract_tau_req("bulk video", TrafficClass.EMBB) == 50
-    assert extract_tau_req("smart meters", TrafficClass.MMTC) == 1000
+    assert class_and_tau("real-time gaming") == (TrafficClass.URLLC, 10)
+    assert class_and_tau("bulk video") == (TrafficClass.EMBB, 50)
+    assert class_and_tau("smart meters") == (TrafficClass.MMTC, 1000)
 
 
-def test_mmtc_default_is_latency_unconstrained_on_bundled_topology(state):
+def test_mmtc_default_is_latency_unconstrained_on_bundled_topology(state, lexicon):
     # Every sector/node pair satisfies the 1000 ms mMTC default.
-    tau = extract_tau_req("smart meters", TrafficClass.MMTC)
+    profile = classify_intent("smart meters", lexicon=lexicon)
+    assert profile.traffic_class is TrafficClass.MMTC
+    tau = profile.tau_req_ms
     for sector_id in state.sectors:
         for node_id in state.nodes:
             assert latency(state, sector_id, node_id) <= tau
@@ -137,10 +153,10 @@ def test_factory_intent_profile(state, lexicon, factory_intent):
 
 def test_explicit_small_bound_forces_urllc_over_other_keywords(lexicon):
     text = "telemetry from thousands of sensors, but control loop needs <5 ms"
-    assert classify_traffic(text, lexicon) is TrafficClass.URLLC
+    assert classify_intent(text, lexicon=lexicon).traffic_class is TrafficClass.URLLC
     # Above the bound threshold the keyword layers decide instead.
     relaxed = "telemetry from thousands of sensors, delivery under 500 ms"
-    assert classify_traffic(relaxed, lexicon) is TrafficClass.MMTC
+    assert classify_intent(relaxed, lexicon=lexicon).traffic_class is TrafficClass.MMTC
 
 
 def test_matched_keywords_nonempty_and_present_in_text(state, lexicon, scenarios):
@@ -173,8 +189,9 @@ def test_keyword_matching_uses_word_boundaries(lexicon):
 )
 def test_small_explicit_bounds_always_classify_urllc(prefix, bound, lexicon):
     text = f"{prefix} with latency <{bound}ms"
-    assert classify_traffic(text, lexicon) is TrafficClass.URLLC
-    assert extract_tau_req(text, classify_traffic(text, lexicon)) == bound
+    profile = classify_intent(text, lexicon=lexicon)
+    assert profile.traffic_class is TrafficClass.URLLC
+    assert profile.tau_req_ms == bound
 
 
 def test_classify_reuses_its_patterns_past_512_sectors(lexicon):
@@ -194,3 +211,177 @@ def test_classify_reuses_its_patterns_past_512_sectors(lexicon):
     misses = _keyword_pattern.cache_info().misses
     assert classify_intent(text, big, lexicon).target_sector == "cell_599"
     assert _keyword_pattern.cache_info().misses == misses
+
+
+LEXICON_FIELDS = ("urllc", "mmtc", "bandwidth_high", "bandwidth_low")
+
+
+@pytest.mark.parametrize("keyword", ["", "  ", "-", "_"])
+def test_lexicon_rejects_keywords_without_a_letter_or_digit(keyword):
+    # A keyword of separators alone matched text that held no keyword: with
+    # bandwidth_high [" "], classify_intent("") read bandwidth high.
+    for path in (bundled.default_lexicon_path(), bundled.strict_lexicon_path()):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        Lexicon.from_dict(doc)
+        doc["bandwidth_high"].append(keyword)
+        with pytest.raises(ValueError, match="no letter or digit"):
+            Lexicon.from_dict(doc)
+    with pytest.raises(ValueError, match="no letter or digit"):
+        Lexicon(urllc=(), mmtc=(keyword,), bandwidth_high=(), bandwidth_low=())
+
+
+@pytest.mark.parametrize("lexicon_name", ["default", "strict"])
+def test_classify_finds_the_bound_once_and_searches_each_list_once(
+    monkeypatch, state, scenarios, lexicon_name
+):
+    lexicon = getattr(bundled, f"{lexicon_name}_lexicon")()
+    searched, bounds = [], []
+    real_hits, real_bound = intent.keyword_hits, intent.explicit_latency_bound
+
+    def recording_hits(text, keywords):
+        searched.append(keywords)
+        return real_hits(text, keywords)
+
+    def recording_bound(text):
+        bounds.append(text)
+        return real_bound(text)
+
+    monkeypatch.setattr(intent, "keyword_hits", recording_hits)
+    monkeypatch.setattr(intent, "explicit_latency_bound", recording_bound)
+    assert len(scenarios) == 12
+    for scenario in scenarios:
+        searched.clear()
+        bounds.clear()
+        classify_intent(scenario.intent_text, state, lexicon)
+        assert len(bounds) == 1, scenario.id
+        for name in LEXICON_FIELDS:
+            keywords = getattr(lexicon, name)
+            assert sum(kw is keywords for kw in searched) <= 1, (scenario.id, name)
+
+
+def reference_classify(text, state, lexicon):
+    """The derivation the one-pass classify_intent replaced: a helper per
+    decision, then the chosen lists searched again for the matched keywords."""
+
+    def classify_traffic():
+        if not text.strip():
+            return TrafficClass.EMBB
+        bound = explicit_latency_bound(text)
+        if bound is not None and bound[0] <= URLLC_BOUND_MS:
+            return TrafficClass.URLLC
+        if keyword_hits(text, lexicon.urllc):
+            return TrafficClass.URLLC
+        if keyword_hits(text, lexicon.mmtc):
+            return TrafficClass.MMTC
+        return TrafficClass.EMBB
+
+    def classify_bandwidth():
+        if keyword_hits(text, lexicon.bandwidth_high):
+            return BandwidthCategory.HIGH
+        if keyword_hits(text, lexicon.bandwidth_low):
+            return BandwidthCategory.LOW
+        return BandwidthCategory.MEDIUM
+
+    def extract_tau_req(traffic_class):
+        bound = explicit_latency_bound(text)
+        if bound is not None:
+            return bound[0]
+        return CLASS_TAU_DEFAULTS_MS[traffic_class]
+
+    traffic_class = classify_traffic()
+    bandwidth = classify_bandwidth()
+    matched = []
+    bound = explicit_latency_bound(text)
+    if traffic_class is TrafficClass.URLLC:
+        matched.extend(keyword_hits(text, lexicon.urllc))
+        if bound is not None and bound[0] <= URLLC_BOUND_MS:
+            matched.append(bound[1])
+    elif traffic_class is TrafficClass.MMTC:
+        matched.extend(keyword_hits(text, lexicon.mmtc))
+    if bandwidth is BandwidthCategory.HIGH:
+        matched.extend(keyword_hits(text, lexicon.bandwidth_high))
+    elif bandwidth is BandwidthCategory.LOW:
+        matched.extend(keyword_hits(text, lexicon.bandwidth_low))
+    return IntentProfile(
+        raw_text=text,
+        traffic_class=traffic_class,
+        bandwidth_category=bandwidth,
+        tau_req_ms=extract_tau_req(traffic_class),
+        target_sector=extract_target_sector(text, state) if state is not None else None,
+        matched_keywords=tuple(dict.fromkeys(matched)),
+    )
+
+
+@cache
+def bundled_inputs():
+    lexicons = (bundled.default_lexicon(), bundled.strict_lexicon())
+    keywords = sorted(
+        {kw for lex in lexicons for name in LEXICON_FIELDS for kw in getattr(lex, name)}
+    )
+    return lexicons, keywords, bundled.default_state()
+
+
+SEPARATORS = (" ", "-", "_", "  ", " - ", "__")
+JOINERS = (" ", ", ", "; ", "")
+BLANKS = ("", " ", "\t\n ")
+FILLER = ("the", "for", "with", "slice", "needs", "loop", "and", "at", ",", "(", ")", "ms", "5")
+BOUND_VALUES = ("0", "0.5", "5", "10", "10.5", "25", "500")
+BOUND_FORMS = (
+    "<{n}ms", "< {n} ms", "<{n} milliseconds", "<{n}millisecond",
+    "below {n} ms", "below {n}ms", "under {n} milliseconds", "Under {n} MS",
+)
+generated_keywords = st.builds(
+    str.join,
+    st.sampled_from(SEPARATORS[:3]),
+    st.lists(st.text(alphabet="abceiost01", min_size=1, max_size=4), min_size=1, max_size=2),
+)
+
+
+def spell(draw, word):
+    """`word` in random case, with random separators between its parts and
+    an optional plural 's'."""
+    parts = re.split(r"[\s_-]+", word)
+    text = draw(st.sampled_from(SEPARATORS)).join(parts) + draw(st.sampled_from(("", "s", "S")))
+    flips = draw(st.integers(min_value=0, max_value=2 ** len(text) - 1))
+    return "".join(c.swapcase() if flips >> i & 1 else c for i, c in enumerate(text))
+
+
+@st.composite
+def classify_inputs(draw):
+    """(text, state, lexicon): texts of bundled and lexicon keywords, bounds,
+    bundled sector ids and filler, or blank; the bundled or a generated
+    lexicon; the bundled state or None."""
+    lexicons, bundled_keywords, bundled_state = bundled_inputs()
+    if draw(st.booleans()):
+        lexicon = draw(st.sampled_from(lexicons))
+    else:
+        keyword_list = st.lists(
+            st.one_of(st.sampled_from(bundled_keywords), generated_keywords), max_size=4
+        )
+        lexicon = Lexicon(**{name: tuple(draw(keyword_list)) for name in LEXICON_FIELDS})
+    lexicon_keywords = [kw for name in LEXICON_FIELDS for kw in getattr(lexicon, name)]
+    if draw(st.integers(min_value=0, max_value=9)) == 9:
+        return draw(st.sampled_from(BLANKS)), draw(st.sampled_from((None, bundled_state))), lexicon
+    pieces = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(("keyword", "lexicon", "bound", "sector", "filler")))
+        if kind == "keyword" or (kind == "lexicon" and not lexicon_keywords):
+            pieces.append(spell(draw, draw(st.sampled_from(bundled_keywords))))
+        elif kind == "lexicon":
+            pieces.append(spell(draw, draw(st.sampled_from(lexicon_keywords))))
+        elif kind == "bound":
+            form = draw(st.sampled_from(BOUND_FORMS))
+            pieces.append(form.format(n=draw(st.sampled_from(BOUND_VALUES))))
+        elif kind == "sector":
+            pieces.append(spell(draw, draw(st.sampled_from(sorted(bundled_state.sectors)))))
+        else:
+            pieces.append(draw(st.sampled_from(FILLER)))
+    text = draw(st.sampled_from(JOINERS)).join(pieces)
+    return text, draw(st.sampled_from((None, bundled_state))), lexicon
+
+
+@settings(max_examples=200, deadline=None)
+@given(classify_inputs())
+def test_one_pass_classify_equals_the_reference_derivation(case):
+    text, state, lexicon = case
+    assert classify_intent(text, state, lexicon) == reference_classify(text, state, lexicon)

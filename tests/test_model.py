@@ -126,6 +126,17 @@ def test_missing_latency_entry_names_the_pair():
     assert "s2" in str(excinfo.value)
 
 
+def test_renamed_latency_entry_reports_the_missing_sector():
+    # The row has one key per sector, but one key names no sector: the
+    # missing sector is reported first, as for a short row.
+    doc = minimal_doc()
+    doc["sectors"]["s2"] = doc["sectors"]["s1"].copy()
+    doc["nodes"]["n1"]["latency_to_ran_ms"] = {"s1": 5, "ghost": 4}
+    with pytest.raises(StateValidationError) as excinfo:
+        load_state(json.dumps(doc))
+    assert str(excinfo.value) == "node 'n1' is missing a latency entry for sector 's2'"
+
+
 def test_latency_entry_for_unknown_sector_rejected():
     doc = minimal_doc()
     doc["nodes"]["n1"]["latency_to_ran_ms"]["ghost"] = 4

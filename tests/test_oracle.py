@@ -183,6 +183,16 @@ def test_rule_based_brittleness_costs_accuracy_not_utility(state, lexicon, stric
     assert produced_utility < golden_utility
 
 
+def test_rule_based_reports_an_infeasible_fallback(state, strict_lexicon):
+    # Every bundled node runs above 1% compute, so no candidate is feasible.
+    text = "ultra-low latency loop at industrial_park_a"
+    result = rule_based_provision(text, state, Thresholds(kappa_max=1), strict_lexicon)
+    assert result.feasible is False
+    assert result.config == solve(state, result.profile, Thresholds(kappa_max=1))[0].config
+    assert "no feasible candidate; returning best infeasible fallback" in result.rationale
+    assert rule_based_provision(text, state, lexicon=strict_lexicon).feasible is True
+
+
 def test_rule_based_empty_intent_defaults_to_embb(state, strict_lexicon):
     result = rule_based_provision("", state, lexicon=strict_lexicon)
     assert result.profile.traffic_class is TrafficClass.EMBB
