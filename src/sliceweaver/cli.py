@@ -93,7 +93,7 @@ def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read run-config file {args.config}: {exc.strerror}")
-    except ValueError as exc:  # malformed JSON or text
+    except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or not text
         raise CliError(f"run-config file {args.config} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise CliError(f"run-config file {args.config} must hold a JSON object")
@@ -162,7 +162,7 @@ def _provider_for(backend_spec: str | None, default_scripted: bool):
             raise CliError(f"fixture not found: {fixture_path}")
         try:
             doc = json.loads(fixture_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # malformed JSON or text
+        except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or not text
             raise CliError(f"fixture {fixture_path} is not valid JSON: {exc}") from None
         try:
             if isinstance(doc, list):
@@ -195,7 +195,7 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
     intent_text = args.intent
     if intent_text is None or intent_text == "-":
         intent_text = sys.stdin.read().strip()
-    if not intent_text:
+    if not intent_text.strip():
         raise CliError("no intent text given (argument or stdin)")
     profile = classify_intent(intent_text, state, config.lexicon)
 

@@ -14,12 +14,16 @@ and utility >= 0.7), and emits reports: a human-readable table
 
 Scoring always uses the deterministic referee profile derived from the
 scenario's intent text with the full lexicon, regardless of how the system
-under test interpreted the intent. Failures of a run are recorded as
-zero-accuracy rows rather than aborting the harness.
+under test interpreted the intent; the oracle row solves that same profile.
+Each run is scored once, into its `EvaluationRecord`. A deterministic run (a
+referee system, or any scripted backend) runs once per scenario and its
+record is copied for every repeat; a live LLM run is repeated. Failures of a
+run are recorded as zero-accuracy rows rather than aborting the harness.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import statistics
 from collections.abc import Callable
@@ -36,7 +40,7 @@ from .agents import (
     run_single_pass,
 )
 from .gateway import ChatSession
-from .intent import IntentProfile, Lexicon, TrafficClass, classify_intent
+from .intent import BandwidthCategory, IntentProfile, Lexicon, TrafficClass, classify_intent
 from .model import Band, NetworkState, SliceConfiguration, UnknownIdError, config_to_dict
 from .oracle import rule_based_provision, solve
 from .scoring import DEFAULT_THRESHOLDS, Thresholds, compute_utility, round_half_up
@@ -105,18 +109,6 @@ class EvaluationRecord:
 
 
 @dataclass(frozen=True)
-class RunOutcome:
-    """What one execution of a system produced, before scoring."""
-
-    produced: SliceConfiguration | None = None
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    wall_seconds: float = 0.0
-    iterations: int = 0
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class ColumnStats:
     mean: float
     std: float
@@ -150,7 +142,7 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise HarnessError(f"cannot read scenario suite {path}: {exc.strerror}") from None
-    except ValueError as exc:  # malformed JSON or text
+    except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or not text
         raise HarnessError(f"scenario suite {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, list) or not doc:
         raise HarnessError(f"{path}: scenario suite must be a non-empty JSON list")
@@ -160,6 +152,11 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
         try:
             if not isinstance(entry["id"], str) or not isinstance(entry["intent_text"], str):
                 raise TypeError("'id' and 'intent_text' must be strings")
+            if not entry["intent_text"].strip():
+                raise ValueError("'intent_text' must not be blank")
+            for key in ("notes", "provenance"):
+                if not isinstance(entry.get(key, ""), str):
+                    raise TypeError(f"{key!r} must be a string")
             golden_entry = entry["golden"]
             golden = SliceConfiguration(
                 sector_id=golden_entry["sector"],
@@ -174,7 +171,7 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
                 category=TrafficClass(entry["category"]),
                 intent_text=entry["intent_text"],
                 golden=golden,
-                declared_beta=entry["declared_beta"],
+                declared_beta=BandwidthCategory(entry["declared_beta"]).value,
                 notes=entry.get("notes", ""),
                 provenance=entry.get("provenance", "authored"),
             )
@@ -219,38 +216,51 @@ def referee_profile(scenario: Scenario, config: HarnessConfig) -> IntentProfile:
 # this module's globals, so a tracer that patches `harness.run_react` and the
 # like sees every call.
 
-def _run_oracle(scenario: Scenario, config: HarnessConfig, session: None):
-    profile = referee_profile(scenario, config)
+def _run_oracle(
+    scenario: Scenario, config: HarnessConfig, profile: IntentProfile, session: None
+):
     return solve(config.state, profile, config.thresholds)[0].config
 
 
-def _run_rule_based(scenario: Scenario, config: HarnessConfig, session: None):
+def _run_rule_based(
+    scenario: Scenario, config: HarnessConfig, profile: IntentProfile, session: None
+):
     return rule_based_provision(
         scenario.intent_text, config.state, config.thresholds,
         lexicon=config.strict_lexicon,
     ).config
 
 
-def _run_multi_agent(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+def _run_multi_agent(
+    scenario: Scenario, config: HarnessConfig, profile: IntentProfile, session: ChatSession
+):
     return run_react(scenario.intent_text, config.state, session, config.prompts)
 
 
-def _run_generic_prompts(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+def _run_generic_prompts(
+    scenario: Scenario, config: HarnessConfig, profile: IntentProfile, session: ChatSession
+):
     return run_react(scenario.intent_text, config.state, session, config.generic_prompts)
 
 
-def _run_monolithic(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+def _run_monolithic(
+    scenario: Scenario, config: HarnessConfig, profile: IntentProfile, session: ChatSession
+):
     return run_react(
         scenario.intent_text, config.state, session, config.prompts,
         system_prompt=merge_prompts_monolithic(config.prompts),
     )
 
 
-def _run_direct_llm(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+def _run_direct_llm(
+    scenario: Scenario, config: HarnessConfig, profile: IntentProfile, session: ChatSession
+):
     return run_single_pass(scenario.intent_text, config.state, session, DIRECT_LLM_PROMPT)
 
 
-def _run_single_pass(scenario: Scenario, config: HarnessConfig, session: ChatSession):
+def _run_single_pass(
+    scenario: Scenario, config: HarnessConfig, profile: IntentProfile, session: ChatSession
+):
     return run_single_pass(
         scenario.intent_text, config.state, session,
         config.prompts[ORCHESTRATOR] + SINGLE_PASS_SUFFIX,
@@ -263,8 +273,9 @@ class System:
 
     `records_as` is the `system` field of its records; `script` is the
     suite-fixture key it replays, None for the referee systems that use no
-    LLM; `run(scenario, config, session)` returns an agent transcript, or a
-    configuration when `script` is None (the session is then None)."""
+    LLM; `run(scenario, config, profile, session)`, given the scenario's
+    referee profile, returns an agent transcript, or a configuration when
+    `script` is None (the session is then None)."""
 
     records_as: str
     script: str | None
@@ -285,23 +296,41 @@ SYSTEM_TABLE = {
 }
 
 
-def _execute_once(
-    scenario: Scenario, system: System, provider, config: HarnessConfig
-) -> RunOutcome:
-    """Run one row once."""
-    if system.script is None:
-        return RunOutcome(produced=system.run(scenario, config, None))
-    session = ChatSession(provider.backend_for(scenario.id, system.script))
-    transcript = system.run(scenario, config, session)
-    error = transcript.error
-    if transcript.outcome is Outcome.ITERATION_LIMIT:
-        error = "iteration limit exceeded"
-    return RunOutcome(
-        produced=transcript.final_configuration,
-        prompt_tokens=transcript.prompt_tokens,
-        completion_tokens=transcript.completion_tokens,
-        wall_seconds=session.total_usage().wall_seconds,
-        iterations=transcript.iterations,
+def _run_once(
+    scenario: Scenario, row: System, provider, config: HarnessConfig, profile: IntentProfile,
+    run_index: int,
+) -> EvaluationRecord:
+    """Run one row once and score what it produced against the golden
+    standard and the referee `profile`; a run that raises becomes a
+    zero-accuracy record carrying the exception."""
+    produced = transcript = error = None
+    try:
+        if row.script is None:
+            produced = row.run(scenario, config, profile, None)
+        else:
+            session = ChatSession(provider.backend_for(scenario.id, row.script))
+            transcript = row.run(scenario, config, profile, session)
+    except Exception as exc:  # failures become zero-accuracy rows
+        error = f"{type(exc).__name__}: {exc}"
+    if transcript is not None:
+        produced, error = transcript.final_configuration, transcript.error
+        if transcript.outcome is Outcome.ITERATION_LIMIT:
+            error = "iteration limit exceeded"
+    accuracy = semantic_accuracy(produced, scenario.golden)
+    utility = 0.0 if produced is None else compute_utility(produced, profile, config.state).utility
+    return EvaluationRecord(
+        scenario_id=scenario.id,
+        category=scenario.category.value,
+        system=row.records_as,
+        run_index=run_index,
+        produced=produced,
+        semantic_accuracy=accuracy,
+        utility=utility,
+        hybrid_success=accuracy >= HYBRID_ACCURACY_MIN and utility >= HYBRID_UTILITY_MIN,
+        prompt_tokens=transcript.prompt_tokens if transcript else 0,
+        completion_tokens=transcript.completion_tokens if transcript else 0,
+        wall_seconds=session.total_usage().wall_seconds if transcript else 0.0,
+        iterations=transcript.iterations if transcript else 0,
         error=error,
     )
 
@@ -311,52 +340,19 @@ def run_scenario(
 ) -> list[EvaluationRecord]:
     """Evaluate one scenario `config.repeats` times.
 
-    Deterministic paths (the referee systems, any scripted backend) execute
-    once and replicate the record; live LLM systems run independent sessions.
+    A deterministic run (a referee system, or any scripted backend) runs and
+    is scored once, and its record is copied for each repeat; a live LLM
+    system runs and is scored once per repeat, each in its own session.
     """
     row = SYSTEM_TABLE.get(system)
     if row is None:
         raise HarnessError(f"unknown system {system!r}")
     profile = referee_profile(scenario, config)
-    deterministic = row.script is None or provider.deterministic
-    runs = 1 if deterministic else config.repeats
-
-    outcomes: list[RunOutcome] = []
-    for _ in range(runs):
-        try:
-            outcomes.append(_execute_once(scenario, row, provider, config))
-        except Exception as exc:  # failures become zero-accuracy rows
-            outcomes.append(RunOutcome(error=f"{type(exc).__name__}: {exc}"))
-
-    records: list[EvaluationRecord] = []
-    for run_index in range(1, config.repeats + 1):
-        outcome = outcomes[min(run_index - 1, len(outcomes) - 1)]
-        produced = outcome.produced
-        accuracy = semantic_accuracy(produced, scenario.golden)
-        if produced is not None:
-            utility = compute_utility(produced, profile, config.state).utility
-        else:
-            utility = 0.0
-        records.append(
-            EvaluationRecord(
-                scenario_id=scenario.id,
-                category=scenario.category.value,
-                system=row.records_as,
-                run_index=run_index,
-                produced=produced,
-                semantic_accuracy=accuracy,
-                utility=utility,
-                hybrid_success=(
-                    accuracy >= HYBRID_ACCURACY_MIN and utility >= HYBRID_UTILITY_MIN
-                ),
-                prompt_tokens=outcome.prompt_tokens,
-                completion_tokens=outcome.completion_tokens,
-                wall_seconds=outcome.wall_seconds,
-                iterations=outcome.iterations,
-                error=outcome.error,
-            )
-        )
-    return records
+    indices = range(1, config.repeats + 1)
+    if row.script is None or provider.deterministic:
+        record = _run_once(scenario, row, provider, config, profile, run_index=1)
+        return [dataclasses.replace(record, run_index=i) for i in indices]
+    return [_run_once(scenario, row, provider, config, profile, i) for i in indices]
 
 
 def _summarise(records: tuple[EvaluationRecord, ...]) -> dict[str, ColumnStats]:

@@ -332,7 +332,7 @@ def load_state(document: str) -> NetworkState:
     """Parse and validate a state document (see the JSON schema in README)."""
     try:
         doc = json.loads(document, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise StateParseError(f"malformed state document: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateValidationError("state document must be a JSON object")

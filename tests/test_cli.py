@@ -258,10 +258,11 @@ def test_validate_state(capsys, tmp_path):
     assert "OK: 5 sectors, 4 nodes" in out
 
     bad = tmp_path / "bad.json"
-    bad.write_text('{"sectors": {}, "nodes": {}}')
-    code, out, _ = run_cli(capsys, "validate-state", "--state", str(bad))
-    assert code == 1
-    assert "INVALID" in out
+    for text in ('{"sectors": {}, "nodes": {}}', DEEPLY_NESTED):
+        bad.write_text(text)
+        code, out, _ = run_cli(capsys, "validate-state", "--state", str(bad))
+        assert code == 1
+        assert "INVALID" in out
 
 
 def test_validate_prompts(capsys, tmp_path):
@@ -319,6 +320,16 @@ UNKNOWN_SECTOR_SUITE = json.dumps([
 
 
 NOT_UTF8 = b"\xff\xfe{}"
+DEEPLY_NESTED = "[" * 100000 + "]" * 100000
+
+
+def one_scenario_suite(**fields) -> str:
+    """A one-entry suite, valid on the bundled state unless `fields` say otherwise."""
+    entry = {
+        "id": "x", "category": "URLLC", "intent_text": "t", "declared_beta": "high",
+        "golden": {"sector": "industrial_park_a", "band": "mid_band", "node": "mec_industrial_1"},
+    }
+    return json.dumps([{**entry, **fields}])
 
 
 # Each case writes `file_text` (str or bytes), if given, to a file whose path
@@ -416,6 +427,29 @@ NOT_UTF8 = b"\xff\xfe{}"
                      "Is a directory", id="benchmark-out-directory"),
         pytest.param("oracle", ["--intent", "x", "--out", "{dir}"], None, "Is a directory",
                      id="oracle-out-directory"),
+        pytest.param("benchmark", ["--state", "{file}"], DEEPLY_NESTED, "invalid state file",
+                     id="state-deeply-nested"),
+        pytest.param("benchmark", ["--config", "{file}"], DEEPLY_NESTED, "not valid JSON",
+                     id="config-deeply-nested"),
+        pytest.param("benchmark", ["--scenarios", "{file}"], DEEPLY_NESTED, "not valid JSON",
+                     id="scenarios-deeply-nested"),
+        pytest.param("benchmark", ["--backend", "scripted:{file}"], DEEPLY_NESTED,
+                     "not valid JSON", id="fixture-deeply-nested"),
+        pytest.param("run-intent", ["x", "--backend", "scripted:{file}"], DEEPLY_NESTED,
+                     "not valid JSON", id="run-intent-fixture-deeply-nested"),
+        pytest.param("run-intent", ["   ", "--backend", trace_backend()], None,
+                     "no intent text given", id="run-intent-whitespace-intent"),
+        *(
+            pytest.param("benchmark", ["--system", "oracle", "--scenarios", "{file}"],
+                         one_scenario_suite(**fields), needle, id=f"scenarios-{case}")
+            for case, fields, needle in [
+                ("beta-number", {"declared_beta": 5}, "BandwidthCategory"),
+                ("beta-unknown", {"declared_beta": "huge"}, "BandwidthCategory"),
+                ("notes-list", {"notes": ["x"]}, "'notes' must be a string"),
+                ("provenance-null", {"provenance": None}, "'provenance' must be a string"),
+                ("intent-blank", {"intent_text": " \n\t"}, "'intent_text' must not be blank"),
+            ]
+        ),
     ],
 )
 def test_bad_flags_and_config_files_exit_2(capsys, tmp_path, command, flags, file_text, needle):

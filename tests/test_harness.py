@@ -6,7 +6,8 @@ from math import fsum
 import pytest
 
 from sliceweaver import data as bundled
-from sliceweaver.gateway import ScriptedExchange, SuiteFixture
+from sliceweaver import harness
+from sliceweaver.gateway import ScriptedBackend, ScriptedExchange, SuiteFixture
 from sliceweaver.harness import (
     ABLATION_VARIANTS,
     COMPARE_SYSTEMS,
@@ -135,6 +136,82 @@ def test_run_scenario_failure_becomes_zero_accuracy_row(scenarios, harness_confi
     assert all(r.produced is None for r in records)
     assert all(r.error for r in records)
     assert all(not r.hybrid_success for r in records)
+
+
+def counting(monkeypatch, name):
+    """Patch `harness.<name>` with a wrapper and return its list of calls."""
+    calls = []
+    original = getattr(harness, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("system", ["oracle", "multi_agent"])
+def test_deterministic_run_is_scored_once_per_scenario(
+    monkeypatch, scenarios, suite_fixture, harness_config, system
+):
+    calls = counting(monkeypatch, "compute_utility")
+    report = run_benchmark(scenarios, system, suite_fixture, harness_config)
+    assert harness_config.repeats == 3
+    assert len(report.records) == 3 * len(scenarios)
+    produced = {r.scenario_id for r in report.records if r.produced is not None}
+    assert len(calls) == len(produced)
+
+
+def test_oracle_row_classifies_once_per_scenario(monkeypatch, scenarios, harness_config):
+    calls = counting(monkeypatch, "classify_intent")
+    run_benchmark(scenarios, "oracle", None, harness_config)
+    assert sorted(text for text, *_ in calls) == sorted(s.intent_text for s in scenarios)
+
+
+# What each live session provisions, and the prompt tokens it reports.
+LIVE_RUNS = [
+    (SliceConfiguration("industrial_park_a", Band.MMWAVE, "mec_industrial_1"), 900),
+    (GOLDEN_INDUSTRIAL, 950),
+    (SliceConfiguration("city_plaza", Band.LOW_BAND, "metro_agg_hub"), 1000),
+]
+
+
+class LiveLikeProvider:
+    """A non-deterministic provider: each session replays the next run."""
+
+    deterministic = False
+
+    def __init__(self):
+        self.sessions = 0
+
+    def backend_for(self, scenario_id, system):
+        config, prompt_tokens = LIVE_RUNS[self.sessions]
+        self.sessions += 1
+        response = (
+            f"ACTION: PROVISION_SLICE | slice_id=s{self.sessions} | "
+            f"ran_config={config.band.value}@{config.sector_id} | core_config=UPF@{config.node_id}"
+            "\nACTION: FINISH | summary=done"
+        )
+        exchange = ScriptedExchange(response, prompt_tokens=prompt_tokens, completion_tokens=40)
+        return ScriptedBackend([exchange])
+
+
+def test_live_repeats_run_and_score_each_session(scenarios, harness_config):
+    scenario = by_id(scenarios, "industrial_automation")
+    provider = LiveLikeProvider()
+    records = run_scenario(scenario, "direct_llm", provider, harness_config)
+    assert provider.sessions == 3
+    profile = referee_profile(scenario, harness_config)
+    for run_index, (record, (config, prompt_tokens)) in enumerate(zip(records, LIVE_RUNS), 1):
+        assert record.run_index == run_index
+        assert record.produced.dimensions() == config.dimensions()
+        assert record.utility == compute_utility(config, profile, harness_config.state).utility
+        assert record.prompt_tokens == prompt_tokens
+        assert record.completion_tokens == 40
+        assert record.error is None
+    assert [r.semantic_accuracy for r in records] == [0.5, 1.0, 0.0]
+    assert len({r.utility for r in records}) == 3
 
 
 def test_hybrid_success_is_exactly_the_conjunction(scenarios, suite_fixture, harness_config):

@@ -200,6 +200,8 @@ def test_duplicate_keys_rejected():
 def test_malformed_document_is_a_parse_error():
     with pytest.raises(StateParseError):
         load_state("{not json")
+    with pytest.raises(StateParseError):
+        load_state("[" * 100000 + "]" * 100000)
 
 
 def test_tier_aliases():
