@@ -45,15 +45,38 @@ def test_classify_bundled_suite(benchmark, lexicon_name):
     assert all(profile.target_sector in state.sectors for profile in profiles)
 
 
-def test_solve_untargeted(benchmark, topology):
-    # No target sector: the exhaustive scan over every (sector, band, node).
-    state = topology(400, 12)
-    profile = IntentProfile(
-        raw_text="plain connectivity",
-        traffic_class=TrafficClass.EMBB,
-        bandwidth_category=BandwidthCategory.MEDIUM,
-        tau_req_ms=50.0,
-    )
-    ranking = benchmark(solve, state, profile)
+# No target sector: the exhaustive scan over every (sector, band, node).
+UNTARGETED = IntentProfile(
+    raw_text="plain connectivity",
+    traffic_class=TrafficClass.EMBB,
+    bandwidth_category=BandwidthCategory.MEDIUM,
+    tau_req_ms=50.0,
+)
+
+
+def candidate_count(state):
     bands = sum(s.spectrum.available(band) for s in state.sectors.values() for band in Band)
-    assert len(ranking) == bands * len(state.nodes)
+    return bands * len(state.nodes)
+
+
+def test_solve_untargeted(benchmark, topology):
+    # The scan and the sort alone: the ranking builds a row only when read.
+    state = topology(400, 12)
+    ranking = benchmark(solve, state, UNTARGETED)
+    assert len(ranking) == candidate_count(state)
+
+
+def test_solve_head(benchmark, topology):
+    # What the harness, the rule-based baseline and the referee workloads
+    # read: the head of the ranking.
+    state = topology(400, 12)
+    head = benchmark(lambda: solve(state, UNTARGETED)[0])
+    assert head.rank == 1
+
+
+def test_solve_full_ranking(benchmark, topology):
+    # Every row read, as `oracle --out` reads them.
+    state = topology(400, 12)
+    rows = benchmark(lambda: list(solve(state, UNTARGETED)))
+    assert len(rows) == candidate_count(state)
+    assert rows[-1].rank == len(rows)

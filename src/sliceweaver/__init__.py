@@ -69,6 +69,7 @@ from .model import (
 )
 from .oracle import (
     RankedConfiguration,
+    Ranking,
     RuleBasedResult,
     enumerate_candidates,
     rule_based_provision,

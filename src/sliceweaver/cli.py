@@ -277,6 +277,8 @@ def _ranking_doc(ranking) -> list[dict]:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     config = _resolve(args)
+    if not args.intent.strip():
+        raise CliError("no intent text given")
     profile = classify_intent(args.intent, config.state, config.lexicon)
     ranking = solve(config.state, profile, config.thresholds)
     _write_out(args, _ranking_doc(ranking))

@@ -17,10 +17,15 @@ part is computed once where it changes, and candidates with equal parts
 share one frozen ScoreBreakdown or ConstraintReport. `enumerate_candidates`
 scored candidate by candidate with `compute_utility` and `check_constraints`
 stays the reference it must equal.
+
+`solve` returns a read-only `Ranking` over the sorted rows: a row's
+configuration and ranked object are built when the row is read, so a caller
+that takes only the head (`solve(...)[0]`) builds one row, not every row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .intent import IntentProfile, Lexicon, classify_intent, weights_for
@@ -54,6 +59,42 @@ class RankedConfiguration:
     @property
     def feasible(self) -> bool:
         return self.constraints.feasible
+
+
+class Ranking(Sequence[RankedConfiguration]):
+    """The result of `solve`: a read-only sequence of ranked rows, best first.
+
+    It holds the sorted key rows of the scan; the RankedConfiguration at an
+    index (rank = index + 1) is built each time that index is read, by
+    indexing, slicing (which returns a list) or iterating.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[tuple]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_ranked(self._rows[i], i + 1) for i in range(*index.indices(len(self._rows)))]
+        row = self._rows[index]  # raises IndexError before the rank is taken
+        return _ranked(row, index % len(self._rows) + 1)
+
+    def __iter__(self) -> Iterator[RankedConfiguration]:
+        return map(_ranked, self._rows, range(1, len(self._rows) + 1))
+
+
+def _ranked(row: tuple, rank: int) -> RankedConfiguration:
+    _, _, _, _, sector_id, band_rank, node_id, breakdown, report = row
+    return RankedConfiguration(
+        SliceConfiguration(sector_id, RANKED_BANDS[band_rank], node_id),
+        breakdown,
+        report,
+        rank,
+    )
 
 
 @dataclass(frozen=True)
@@ -95,8 +136,12 @@ def solve(
     state: NetworkState,
     profile: IntentProfile,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> list[RankedConfiguration]:
+) -> Ranking:
     """Rank every candidate configuration; the head is the arg-max.
+
+    The result is a read-only `Ranking` whose rows are built when they are
+    read: `solve(...)[0]` builds the head alone, and iterating or slicing
+    builds the rows it reaches.
 
     When no candidate is feasible the head is the best-ranked infeasible one,
     flagged through its ConstraintReport rather than raised, so callers can
@@ -109,8 +154,8 @@ def solve(
     the compute check once per node and the resource score once per band.
     Candidates with equal sub-scores share one (frozen) ScoreBreakdown, and
     equal checks one ConstraintReport, so at most 8 reports are built. Each
-    candidate becomes one sort-key tuple; the configuration and ranked
-    objects are built after the sort.
+    candidate becomes one sort-key tuple, and the `Ranking` holds the sorted
+    tuples.
     """
     if profile.target_sector is not None:
         state.sector(profile.target_sector)  # UnknownIdError for an unknown id
@@ -177,16 +222,7 @@ def solve(
     if not rows:
         raise OracleError("empty candidate set: no sector has an available band")
     rows.sort()
-    return [
-        RankedConfiguration(
-            SliceConfiguration(sector_id, RANKED_BANDS[band_rank], node_id),
-            breakdown,
-            report,
-            rank,
-        )
-        for rank, (_, _, _, _, sector_id, band_rank, node_id, breakdown, report)
-        in enumerate(rows, 1)
-    ]
+    return Ranking(rows)
 
 
 def rule_based_provision(

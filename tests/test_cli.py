@@ -439,6 +439,8 @@ def one_scenario_suite(**fields) -> str:
                      "not valid JSON", id="run-intent-fixture-deeply-nested"),
         pytest.param("run-intent", ["   ", "--backend", trace_backend()], None,
                      "no intent text given", id="run-intent-whitespace-intent"),
+        pytest.param("oracle", ["--intent", "   "], None, "no intent text given",
+                     id="oracle-whitespace-intent"),
         *(
             pytest.param("benchmark", ["--system", "oracle", "--scenarios", "{file}"],
                          one_scenario_suite(**fields), needle, id=f"scenarios-{case}")

@@ -3,9 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sliceweaver import oracle
 from sliceweaver.intent import BandwidthCategory, IntentProfile, TrafficClass, classify_intent
 from sliceweaver.model import (
     Band,
@@ -201,6 +202,26 @@ def test_rule_based_empty_intent_defaults_to_embb(state, strict_lexicon):
     assert any("no lexicon keyword matched" in line for line in result.rationale)
 
 
+def test_solve_head_builds_one_row(state, lexicon, monkeypatch):
+    # The ranking builds a row when it is read: the head of an untargeted
+    # ranking over 52 candidates builds one RankedConfiguration.
+    built = []
+    ranked_configuration = oracle.RankedConfiguration
+
+    def counting(*args):
+        built.append(args)
+        return ranked_configuration(*args)
+
+    monkeypatch.setattr(oracle, "RankedConfiguration", counting)
+    profile = classify_intent("plain connectivity request", state, lexicon)
+    assert profile.target_sector is None
+    ranking = solve(state, profile)
+    head = ranking[0]
+    assert len(built) == 1
+    assert head.rank == 1
+    assert len(ranking) == 52
+
+
 def test_solve_rejects_unknown_target_sector(state):
     profile = IntentProfile(
         raw_text="x", traffic_class=TrafficClass.EMBB,
@@ -288,3 +309,28 @@ def test_solve_equals_the_reference_ranking_row_for_row(case):
         return
     ranking = solve(state, profile, thresholds)
     assert [(r.config, r.breakdown, r.constraints, r.rank) for r in ranking] == expected
+
+
+def bounds(n):
+    return st.none() | st.integers(-n - 3, n + 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(topologies_and_profiles(), st.data())
+def test_every_read_of_the_ranking_agrees(case, data):
+    state, profile, thresholds = case
+    assume(enumerate_candidates(state, profile))
+    ranking = solve(state, profile, thresholds)
+    rows = list(ranking)
+    n = len(ranking)
+    assert len(rows) == n
+    assert [ranking[i] for i in range(n)] == rows
+    assert [ranking[i] for i in range(-n, 0)] == rows
+    assert [row.rank for row in rows] == list(range(1, n + 1))
+    for _ in range(5):
+        step = data.draw(st.none() | st.integers(-n - 2, n + 2).filter(bool))
+        window = slice(data.draw(bounds(n)), data.draw(bounds(n)), step)
+        assert ranking[window] == rows[window]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ranking[index]
