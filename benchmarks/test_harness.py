@@ -7,14 +7,17 @@ Not part of the default test run (pyproject's testpaths is `tests`). Run:
         --benchmark-timer time.process_time --benchmark-json benchmarks/BENCH_harness.json
 
 `test_run_benchmark` replays the bundled suite fixture over the bundled
-12-scenario suite with the default 3 repeats. Its state is shared by every
-round, so only the first round encodes it, as in a `compare` run after its
+12-scenario suite with the default 3 repeats. Each round gets a fresh
+`HarnessConfig`, built outside the timed region, so every round classifies
+the suite as the first system of a `compare` run does. Their state is
+shared, so only the first round encodes it, as in a `compare` run after its
 first system. The CLI cases load every input from disk each round, as a user
 run does, and write the report to `--out` in a temporary directory.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -50,7 +53,12 @@ def suite():
 @pytest.mark.parametrize("system", COMPARE_SYSTEMS)
 def test_run_benchmark(benchmark, suite, system):
     scenarios, fixture, config = suite
-    report = benchmark(run_benchmark, scenarios, system, fixture, config)
+
+    def fresh_config():
+        # A config keeps the referee profiles it classifies; a copy has none.
+        return (scenarios, system, fixture, dataclasses.replace(config)), {}
+
+    report = benchmark.pedantic(run_benchmark, setup=fresh_config, rounds=100)
     assert len(report.records) == len(scenarios) * config.repeats
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -127,6 +128,12 @@ def _resolve(args: argparse.Namespace) -> HarnessConfig:
         value = getattr(args, key, None)
         if value is not None and value < 1:
             raise CliError(f"--{key} must be a positive integer, got {value}")
+    for key in ("l_max", "kappa_max"):
+        value = getattr(args, key)
+        if value is not None and not 0 <= value < math.inf:  # NaN fails every comparison
+            raise CliError(
+                f"--{key.replace('_', '-')} must be a finite number >= 0, got {value}"
+            )
     state_path = args.state or bundled.default_state_path()
     try:
         state = _read_state(state_path)

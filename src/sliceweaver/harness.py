@@ -15,7 +15,10 @@ and utility >= 0.7), and emits reports: a human-readable table
 Scoring always uses the deterministic referee profile derived from the
 scenario's intent text with the full lexicon, regardless of how the system
 under test interpreted the intent; the oracle row solves that same profile.
-Each run is scored once, into its `EvaluationRecord`. A deterministic run (a
+Each scenario is classified once per `HarnessConfig`, on first use, and every
+row run with that config is scored against the same profile, so `compare`
+and `ablate` classify the suite once for all their systems. Each run is
+scored once, into its `EvaluationRecord`. A deterministic run (a
 referee system, or any scripted backend) runs once per scenario and its
 record is copied for every repeat; a live LLM run is repeated. Failures of a
 run are recorded as zero-accuracy rows rather than aborting the harness.
@@ -28,7 +31,7 @@ import json
 import statistics
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 from pathlib import Path
 
@@ -133,6 +136,12 @@ class HarnessConfig:
     thresholds: Thresholds = DEFAULT_THRESHOLDS
     repeats: int = 3
     jobs: int = 1
+    # Referee profiles by intent text, filled by `referee_profile`. Exact
+    # because `state` and `lexicon` are immutable; a `dataclasses.replace`
+    # copy starts empty.
+    _referee_profiles: dict[str, IntentProfile] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
@@ -209,7 +218,13 @@ def semantic_accuracy(
 
 
 def referee_profile(scenario: Scenario, config: HarnessConfig) -> IntentProfile:
-    return classify_intent(scenario.intent_text, config.state, config.lexicon)
+    """The scenario's referee profile, classified on the first call for
+    `config` and kept on it."""
+    profile = config._referee_profiles.get(scenario.intent_text)
+    if profile is None:
+        profile = classify_intent(scenario.intent_text, config.state, config.lexicon)
+        config._referee_profiles[scenario.intent_text] = profile
+    return profile
 
 
 # The run functions of the rows call the agent runtime and the oracle through

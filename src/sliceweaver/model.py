@@ -12,6 +12,7 @@ call, and keep it.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -86,7 +87,7 @@ class SpectrumBands:
     def __post_init__(self) -> None:
         for name in ("mmwave_mhz", "mid_band_mhz", "low_band_mhz"):
             value = getattr(self, name)
-            if value < 0:
+            if not value >= 0:  # NaN fails every comparison
                 raise StateValidationError(f"spectrum {name} must be >= 0, got {value}")
 
     def for_band(self, band: Band) -> float:
@@ -141,7 +142,7 @@ class CoreNode:
                 "outside [0, 100]"
             )
         for sector_id, value in self.latency_to_sector.items():
-            if value <= 0:
+            if not value > 0:
                 raise StateValidationError(
                     f"node {self.id!r}: latency to {sector_id!r} must be > 0, got {value}"
                 )
@@ -225,9 +226,17 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _require_number(value: object, where: str) -> float:
+    """A finite JSON number as a float; NaN, Infinity and integers past the
+    float range raise StateValidationError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise StateValidationError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise StateValidationError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 def _check_keys(entry: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -332,7 +341,9 @@ def load_state(document: str) -> NetworkState:
     """Parse and validate a state document (see the JSON schema in README)."""
     try:
         doc = json.loads(document, object_pairs_hook=_reject_duplicate_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # ValueError covers JSONDecodeError and an integer past Python's digit
+    # limit; RecursionError, a document nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise StateParseError(f"malformed state document: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateValidationError("state document must be a JSON object")

@@ -40,13 +40,20 @@ def suite_fixture():
 
 
 @pytest.fixture(scope="session")
-def harness_config(state, prompts, lexicon, strict_lexicon):
+def generic_prompts():
+    return load_prompts(bundled.generic_prompts_dir(), require_markers=False)
+
+
+@pytest.fixture()
+def harness_config(state, prompts, lexicon, strict_lexicon, generic_prompts):
+    # Function-scoped: a config keeps the referee profiles it classifies, so
+    # each test starts from an empty memo.
     return HarnessConfig(
         state=state,
         prompts=prompts,
         lexicon=lexicon,
         strict_lexicon=strict_lexicon,
-        generic_prompts=load_prompts(bundled.generic_prompts_dir(), require_markers=False),
+        generic_prompts=generic_prompts,
     )
 
 

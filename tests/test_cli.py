@@ -332,6 +332,15 @@ def one_scenario_suite(**fields) -> str:
     return json.dumps([{**entry, **fields}])
 
 
+def state_with_nan_latency() -> str:
+    """The bundled state with one latency written as NaN, which json reads."""
+    doc = json.loads(bundled.default_state_path().read_text(encoding="utf-8"))
+    node = next(iter(doc["nodes"].values()))
+    sector_id = next(iter(node["latency_to_ran_ms"]))
+    node["latency_to_ran_ms"][sector_id] = float("nan")
+    return json.dumps(doc)
+
+
 # Each case writes `file_text` (str or bytes), if given, to a file whose path
 # replaces "{file}" in the flags, and as each role prompt of a directory whose
 # path replaces "{dir}".
@@ -429,6 +438,20 @@ def one_scenario_suite(**fields) -> str:
                      id="oracle-out-directory"),
         pytest.param("benchmark", ["--state", "{file}"], DEEPLY_NESTED, "invalid state file",
                      id="state-deeply-nested"),
+        pytest.param("benchmark", ["--state", "{file}"], state_with_nan_latency(),
+                     "must be a finite number", id="state-nan-latency"),
+        *(
+            pytest.param("oracle", ["--intent", "x", f"--{flag}={value}"], None, f"--{flag}",
+                         id=f"oracle-{flag}-{case}")
+            for flag in ("l-max", "kappa-max")
+            for case, value in [("nan", "nan"), ("inf", "inf"), ("negative", "-1")]
+        ),
+        *(
+            pytest.param("benchmark", ["--config", "{file}"], f'{{"{key}": {value}}}',
+                         f"--{key.replace('_', '-')}", id=f"config-{key}-{case}")
+            for key in ("l_max", "kappa_max")
+            for case, value in [("nan", "NaN"), ("inf", "Infinity"), ("negative", "-0.5")]
+        ),
         pytest.param("benchmark", ["--config", "{file}"], DEEPLY_NESTED, "not valid JSON",
                      id="config-deeply-nested"),
         pytest.param("benchmark", ["--scenarios", "{file}"], DEEPLY_NESTED, "not valid JSON",

@@ -169,6 +169,47 @@ def test_oracle_row_classifies_once_per_scenario(monkeypatch, scenarios, harness
     assert sorted(text for text, *_ in calls) == sorted(s.intent_text for s in scenarios)
 
 
+def fresh_fixture():
+    return SuiteFixture.from_file(bundled.default_suite_fixture_path())
+
+
+def test_compare_and_ablate_classify_each_scenario_once_per_config(
+    monkeypatch, scenarios, harness_config
+):
+    calls = counting(monkeypatch, "classify_intent")
+    shared = run_compare(scenarios, fresh_fixture(), harness_config)
+    shared.update(
+        (variant, run_ablation(variant, scenarios, fresh_fixture(), harness_config))
+        for variant in ABLATION_VARIANTS
+    )
+    # Eight rows over one config: the referee classifies each scenario once.
+    assert sorted(text for text, *_ in calls) == sorted(s.intent_text for s in scenarios)
+    # The shared profiles score exactly as a fresh config per row would.
+    monkeypatch.undo()
+    for name, report in shared.items():
+        fresh = dataclasses.replace(harness_config)
+        assert run_benchmark(scenarios, name, fresh_fixture(), fresh).records == report.records
+
+
+def test_replaced_config_classifies_with_its_own_lexicon(
+    monkeypatch, scenarios, state, strict_lexicon, harness_config
+):
+    expected = [classify_intent(s.intent_text, state, strict_lexicon) for s in scenarios]
+    calls = counting(monkeypatch, "classify_intent")
+    default_profiles = [referee_profile(s, harness_config) for s in scenarios]
+    strict = dataclasses.replace(harness_config, lexicon=strict_lexicon)
+    strict_profiles = [referee_profile(s, strict) for s in scenarios]
+    assert strict_profiles == expected
+    assert strict_profiles != default_profiles
+    # Each config classified each scenario once, with its own lexicon, and
+    # answers again from what it kept.
+    assert [referee_profile(s, harness_config) for s in scenarios] == default_profiles
+    assert [referee_profile(s, strict) for s in scenarios] == strict_profiles
+    assert [lexicon for _, _, lexicon in calls] == (
+        [harness_config.lexicon] * len(scenarios) + [strict_lexicon] * len(scenarios)
+    )
+
+
 # What each live session provisions, and the prompt tokens it reports.
 LIVE_RUNS = [
     (SliceConfiguration("industrial_park_a", Band.MMWAVE, "mec_industrial_1"), 900),

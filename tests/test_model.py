@@ -181,6 +181,29 @@ def test_out_of_range_values_rejected():
     doc["sectors"]["s1"]["spectrum_available_mhz"]["mmWave"] = -1
     with pytest.raises(StateValidationError):
         load_state(json.dumps(doc))
+    # json reads NaN, Infinity and -Infinity, and an integer past the float range.
+    for value in (float("nan"), float("inf"), float("-inf"), 10**400):
+        for path in (
+            ("sectors", "s1", "spectrum_available_mhz", "mmWave"),
+            ("sectors", "s1", "load_percentage"),
+            ("nodes", "n1", "compute_load_percent"),
+            ("nodes", "n1", "latency_to_ran_ms", "s1"),
+        ):
+            doc = minimal_doc()
+            entry = doc
+            for key in path[:-1]:
+                entry = entry[key]
+            entry[path[-1]] = value
+            with pytest.raises(StateValidationError, match="finite"):
+                load_state(json.dumps(doc))
+    # Built directly, the dataclasses reject NaN too.
+    with pytest.raises(StateValidationError):
+        SpectrumBands(mmwave_mhz=float("nan"), mid_band_mhz=1.0, low_band_mhz=1.0)
+    with pytest.raises(StateValidationError):
+        CoreNode(
+            id="n1", tier=NodeTier.EDGE, compute_load_percent=1.0,
+            latency_to_sector={"s1": float("nan")},
+        )
 
 
 def test_duplicate_keys_rejected():
@@ -202,6 +225,8 @@ def test_malformed_document_is_a_parse_error():
         load_state("{not json")
     with pytest.raises(StateParseError):
         load_state("[" * 100000 + "]" * 100000)
+    with pytest.raises(StateParseError):  # past the interpreter's int-digit limit
+        load_state('{"sectors": ' + "1" * 5000 + "}")
 
 
 def test_tier_aliases():
