@@ -60,7 +60,7 @@ def candidate_count(state):
 
 
 def test_solve_untargeted(benchmark, topology):
-    # The scan and the sort alone: the ranking builds a row only when read.
+    # The scan alone: the ranking sorts and builds rows only when read.
     state = topology(400, 12)
     ranking = benchmark(solve, state, UNTARGETED)
     assert len(ranking) == candidate_count(state)

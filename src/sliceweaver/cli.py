@@ -9,6 +9,7 @@ IBN_LLM_* environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -409,9 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse formats each flag as it is added, so `main` builds its parser
+    # once per process; parsing leaves the parser unchanged.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args = _merge_config_file(args)
         return args.func(args)

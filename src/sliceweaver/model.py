@@ -112,8 +112,10 @@ class RanSector:
     context: str = ""
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise StateValidationError("sector id must be non-empty")
+        # An intent names a sector by its words (`classify_intent`), so an
+        # id with no letter or digit would be "named" by punctuation.
+        if not any(map(str.isalnum, self.id)):
+            raise StateValidationError(f"sector id {self.id!r} has no letter or digit")
         if self.active_users < 0:
             raise StateValidationError(f"sector {self.id!r}: active_users must be >= 0")
         if not 0 <= self.load_percent <= 100:

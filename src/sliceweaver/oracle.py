@@ -18,9 +18,11 @@ share one frozen ScoreBreakdown or ConstraintReport. `enumerate_candidates`
 scored candidate by candidate with `compute_utility` and `check_constraints`
 stays the reference it must equal.
 
-`solve` returns a read-only `Ranking` over the sorted rows: a row's
-configuration and ranked object are built when the row is read, so a caller
-that takes only the head (`solve(...)[0]`) builds one row, not every row.
+`solve` returns a read-only `Ranking` over the scan's key rows, unsorted:
+they are sorted on the first read past the head, and a row's configuration
+and ranked object are built when the row is read. A caller that takes only
+the head (`solve(...)[0]`) gets the minimum key row, built alone, and no
+sort.
 """
 
 from __future__ import annotations
@@ -64,27 +66,45 @@ class RankedConfiguration:
 class Ranking(Sequence[RankedConfiguration]):
     """The result of `solve`: a read-only sequence of ranked rows, best first.
 
-    It holds the sorted key rows of the scan; the RankedConfiguration at an
-    index (rank = index + 1) is built each time that index is read, by
-    indexing, slicing (which returns a list) or iterating.
+    It holds the key rows of the scan, unsorted until the first read past the
+    head: the head alone (`ranking[0]`) is the minimum key row, and any other
+    read (another or a negative index, a slice, iteration) sorts the rows
+    once. The RankedConfiguration at an index (rank = index + 1) is built
+    each time that index is read; slicing returns a list.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_is_sorted")
 
     def __init__(self, rows: list[tuple]) -> None:
         self._rows = rows
+        self._is_sorted = False
 
     def __len__(self) -> int:
         return len(self._rows)
 
+    def _sorted_rows(self) -> list[tuple]:
+        if not self._is_sorted:
+            # A new list swapped in whole, so a concurrent reader never sees
+            # a half-sorted one; the flag is set only after the swap.
+            self._rows = sorted(self._rows)
+            self._is_sorted = True
+        return self._rows
+
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [_ranked(self._rows[i], i + 1) for i in range(*index.indices(len(self._rows)))]
-        row = self._rows[index]  # raises IndexError before the rank is taken
-        return _ranked(row, index % len(self._rows) + 1)
+            rows = self._sorted_rows()
+            return [_ranked(rows[i], i + 1) for i in range(*index.indices(len(rows)))]
+        if index == 0 and not self._is_sorted:
+            # The key fields are unique per candidate (see `solve`), so `min`
+            # is the sorted head.
+            return _ranked(min(self._rows), 1)
+        rows = self._sorted_rows()
+        row = rows[index]  # raises IndexError before the rank is taken
+        return _ranked(row, index % len(rows) + 1)
 
     def __iter__(self) -> Iterator[RankedConfiguration]:
-        return map(_ranked, self._rows, range(1, len(self._rows) + 1))
+        rows = self._sorted_rows()
+        return map(_ranked, rows, range(1, len(rows) + 1))
 
 
 def _ranked(row: tuple, rank: int) -> RankedConfiguration:
@@ -139,9 +159,10 @@ def solve(
 ) -> Ranking:
     """Rank every candidate configuration; the head is the arg-max.
 
-    The result is a read-only `Ranking` whose rows are built when they are
-    read: `solve(...)[0]` builds the head alone, and iterating or slicing
-    builds the rows it reaches.
+    The result is a read-only `Ranking` whose rows are sorted on the first
+    read past the head and built when they are read: `solve(...)[0]` takes
+    the minimum key row and builds it alone, and iterating or slicing sorts
+    once and builds the rows it reaches.
 
     When no candidate is feasible the head is the best-ranked infeasible one,
     flagged through its ConstraintReport rather than raised, so callers can
@@ -154,8 +175,8 @@ def solve(
     the compute check once per node and the resource score once per band.
     Candidates with equal sub-scores share one (frozen) ScoreBreakdown, and
     equal checks one ConstraintReport, so at most 8 reports are built. Each
-    candidate becomes one sort-key tuple, and the `Ranking` holds the sorted
-    tuples.
+    candidate becomes one sort-key tuple, and the `Ranking` holds the tuples
+    in scan order until a read needs them sorted.
     """
     if profile.target_sector is not None:
         state.sector(profile.target_sector)  # UnknownIdError for an unknown id
@@ -216,12 +237,11 @@ def solve(
                     per_band.append((band_rank, -breakdown.utility, breakdown))
             for band_rank, neg_utility, breakdown in per_band:
                 # The first seven fields are the ranking key and unique per
-                # candidate, so the sort never compares the objects after them.
+                # candidate, so ordering rows never compares the objects after them.
                 rows.append((infeasible, neg_utility, tau, load, sector_id, band_rank, node_id,
                              breakdown, report))
     if not rows:
         raise OracleError("empty candidate set: no sector has an available band")
-    rows.sort()
     return Ranking(rows)
 
 

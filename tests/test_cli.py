@@ -14,6 +14,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceweaver import cli
 from sliceweaver import data as bundled
 from sliceweaver.agents import PROMPT_ROLES
 from sliceweaver.cli import main
@@ -227,6 +228,20 @@ def test_ablate_command(capsys, tmp_path):
     assert sha256_of(out_file) == ABLATE_REPORT_SHA256
 
 
+def test_the_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
+    # `main` parses with one parser per process; a run-config merged into
+    # one call's arguments must not reach the next call.
+    assert cli._parser() is cli._parser()
+    config, first, second = tmp_path / "run.json", tmp_path / "one.json", tmp_path / "two.json"
+    config.write_text(json.dumps({"repeats": 1, "out": str(first)}))
+    code, _, _ = run_cli(capsys, "compare", "--config", str(config))
+    assert code == 0
+    assert len(json.loads(first.read_text())["multi_agent"]["records"]) == 12  # 12 scenarios x 1
+    code, _, _ = run_cli(capsys, "compare", "--out", str(second))
+    assert code == 0
+    assert sha256_of(second) == COMPARE_REPORT_SHA256
+
+
 # Runs `sliceweaver.cli.main(argv)` and fails if `requests` was loaded by the
 # import or by the run itself.
 NO_REQUESTS_SCRIPT = """
@@ -258,7 +273,7 @@ def test_validate_state(capsys, tmp_path):
     assert "OK: 5 sectors, 4 nodes" in out
 
     bad = tmp_path / "bad.json"
-    for text in ('{"sectors": {}, "nodes": {}}', DEEPLY_NESTED):
+    for text in ('{"sectors": {}, "nodes": {}}', DEEPLY_NESTED, state_with_sector("-")):
         bad.write_text(text)
         code, out, _ = run_cli(capsys, "validate-state", "--state", str(bad))
         assert code == 1
@@ -338,6 +353,15 @@ def state_with_nan_latency() -> str:
     node = next(iter(doc["nodes"].values()))
     sector_id = next(iter(node["latency_to_ran_ms"]))
     node["latency_to_ran_ms"][sector_id] = float("nan")
+    return json.dumps(doc)
+
+
+def state_with_sector(sector_id: str) -> str:
+    """The bundled state with one more sector, `sector_id`, reachable from every node."""
+    doc = json.loads(bundled.default_state_path().read_text(encoding="utf-8"))
+    doc["sectors"][sector_id] = dict(next(iter(doc["sectors"].values())))
+    for node in doc["nodes"].values():
+        node["latency_to_ran_ms"][sector_id] = 5
     return json.dumps(doc)
 
 
@@ -440,6 +464,10 @@ def state_with_nan_latency() -> str:
                      id="state-deeply-nested"),
         pytest.param("benchmark", ["--state", "{file}"], state_with_nan_latency(),
                      "must be a finite number", id="state-nan-latency"),
+        pytest.param("benchmark", ["--state", "{file}"], state_with_sector("-"),
+                     "no letter or digit", id="state-sector-id-dash"),
+        pytest.param("oracle", ["--intent", "x", "--state", "{file}"], state_with_sector(" "),
+                     "no letter or digit", id="oracle-state-sector-id-blank"),
         *(
             pytest.param("oracle", ["--intent", "x", f"--{flag}={value}"], None, f"--{flag}",
                          id=f"oracle-{flag}-{case}")

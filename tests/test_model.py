@@ -206,6 +206,21 @@ def test_out_of_range_values_rejected():
         )
 
 
+@pytest.mark.parametrize("sector_id", ["", "-", " ", "_", "--", " \t"])
+def test_sector_id_needs_a_letter_or_digit(sector_id):
+    # Punctuation in an intent would otherwise "name" such a sector.
+    doc = minimal_doc()
+    doc["sectors"][sector_id] = doc["sectors"]["s1"].copy()
+    doc["nodes"]["n1"]["latency_to_ran_ms"][sector_id] = 5
+    with pytest.raises(StateValidationError, match="no letter or digit"):
+        load_state(json.dumps(doc))
+    with pytest.raises(StateValidationError, match="no letter or digit"):
+        RanSector(id=sector_id, active_users=1, load_percent=1.0,
+                  spectrum=SpectrumBands(1.0, 1.0, 1.0))
+    RanSector(id=f"{sector_id}7", active_users=1, load_percent=1.0,
+              spectrum=SpectrumBands(1.0, 1.0, 1.0))
+
+
 def test_duplicate_keys_rejected():
     text = (
         '{"sectors": {"s1": {"active_users": 1, "load_percentage": 1,'
@@ -353,7 +368,8 @@ def test_loading_duplicate_slice_ids_rejected(state):
 
 
 _sector_ids = st.lists(
-    st.text(alphabet="abcdefgh_", min_size=1, max_size=8), min_size=1, max_size=3, unique=True
+    st.text(alphabet="abcdefgh_", min_size=1, max_size=8).filter(lambda sid: sid.strip("_")),
+    min_size=1, max_size=3, unique=True,
 )
 _node_ids = st.lists(
     st.text(alphabet="nopqrstu_", min_size=1, max_size=8), min_size=1, max_size=3, unique=True

@@ -269,7 +269,8 @@ def topologies_and_profiles(draw):
     # Latencies on the score breakpoints (10, 30) and on tau_req exactly.
     latencies = st.sampled_from([0.5, 9.99, 10.0, 10.01, 29.99, 30.0, 31.0, tau_req])
     sector_ids = draw(st.lists(
-        st.text(alphabet="ab_", min_size=1, max_size=3), min_size=1, max_size=6, unique=True))
+        st.text(alphabet="ab_", min_size=1, max_size=3).filter(lambda sid: sid.strip("_")),
+        min_size=1, max_size=6, unique=True))
     node_ids = draw(st.lists(
         st.text(alphabet="nm1", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
     mhz = st.sampled_from([0.0, 0.0, 20.0, 100.0])
@@ -309,6 +310,23 @@ def test_solve_equals_the_reference_ranking_row_for_row(case):
         return
     ranking = solve(state, profile, thresholds)
     assert [(r.config, r.breakdown, r.constraints, r.rank) for r in ranking] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(topologies_and_profiles())
+def test_the_head_read_first_is_the_reference_head(case):
+    # The head of a fresh ranking is taken before its rows are sorted.
+    state, profile, thresholds = case
+    assume(enumerate_candidates(state, profile))
+    expected = reference_ranking(state, profile, thresholds)
+    ranking = solve(state, profile, thresholds)
+    head = ranking[0]
+    assert (head.config, head.breakdown, head.constraints, head.rank) == expected[0]
+    rows = list(ranking)
+    assert [(r.config, r.breakdown, r.constraints, r.rank) for r in rows] == expected
+    assert ranking[0] == rows[0]
+    ranking = solve(state, profile, thresholds)
+    assert ranking[-len(ranking)] == head
 
 
 def bounds(n):
