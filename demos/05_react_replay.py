@@ -38,4 +38,4 @@ print(render_trace(transcript))
 profile = classify_intent(intent, state)
 breakdown = compute_utility(transcript.final_configuration, profile, state)
 print(f"Engineering utility of the provisioned slice: {breakdown.utility:.2f}")
-print(f"Gateway usage: {session.total_usage().total_tokens} tokens over {session.total_usage().calls} calls")
+print(f"Gateway usage: {transcript.total_tokens} tokens over {len(session.calls)} calls")

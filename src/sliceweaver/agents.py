@@ -25,6 +25,10 @@ and a CALL_AGENT is answered with an observation that no specialists exist.
 The monolithic baseline runs the loop that way; the single-pass baselines
 (direct LLM and the no-ReAct ablation, `run_single_pass`) do the same capped
 at one turn.
+
+The session's `calls` is the one record of completions. A run notes where
+its share of that record starts and totals its own completions once, into
+the `AgentTranscript` it returns: tokens, completion latency and iterations.
 """
 
 from __future__ import annotations
@@ -119,25 +123,29 @@ class SpecialistExchange:
 @dataclass(frozen=True)
 class TranscriptEntry:
     iteration: int
-    role: str
     response_text: str
     actions: tuple[AgentAction, ...]
     specialist_exchanges: tuple[SpecialistExchange, ...]
     observation: str | None
-    prompt_tokens: int
-    completion_tokens: int
 
 
 @dataclass(frozen=True)
 class AgentTranscript:
+    """One run: its orchestrator turns and the usage of the completions it
+    made, orchestrator and specialist alike."""
+
     intent_text: str
     entries: tuple[TranscriptEntry, ...]
     outcome: Outcome
     final_configuration: SliceConfiguration | None
-    iterations: int
     prompt_tokens: int
     completion_tokens: int
+    wall_seconds: float
     error: str | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.entries)
 
     @property
     def total_tokens(self) -> int:
@@ -328,14 +336,6 @@ def consult_specialist(
     return session.complete(history).text
 
 
-def _entry_usage(session: ChatSession, start_index: int) -> tuple[int, int]:
-    calls = session.calls[start_index:]
-    return (
-        sum(c.prompt_tokens for c in calls),
-        sum(c.completion_tokens for c in calls),
-    )
-
-
 def run_react(
     intent_text: str,
     state: NetworkState,
@@ -351,6 +351,10 @@ def run_react(
     returns the most recently provisioned configuration). A turn with no
     ACTION line gets a nudge observation. The loop never exceeds k_max
     completions for the orchestrator role.
+
+    The transcript's usage is the sum over the completions this run appended
+    to `session.calls`, so a session reused across runs counts each run's
+    own completions only.
 
     A `system_prompt` makes the orchestrator decide alone: it replaces the
     orchestrator prompt, the serialized state follows the intent in the user
@@ -370,22 +374,22 @@ def run_react(
     working_state = state
     entries: list[TranscriptEntry] = []
     last_provisioned: SliceConfiguration | None = None
+    first = len(session.calls)
 
     def finish(outcome: Outcome, final, error: str | None = None) -> AgentTranscript:
-        usage = session.total_usage()
+        calls = session.calls[first:]
         return AgentTranscript(
             intent_text=intent_text,
             entries=tuple(entries),
             outcome=outcome,
             final_configuration=final,
-            iterations=len(entries),
-            prompt_tokens=usage.prompt_tokens,
-            completion_tokens=usage.completion_tokens,
+            prompt_tokens=sum(c.prompt_tokens for c in calls),
+            completion_tokens=sum(c.completion_tokens for c in calls),
+            wall_seconds=sum(c.latency_s for c in calls),
             error=error,
         )
 
     for iteration in range(1, k_max + 1):
-        call_start = len(session.calls)
         try:
             result = session.complete(history)
         except GatewayError as exc:
@@ -457,12 +461,10 @@ def run_react(
                         "PROVISION_SLICE first"
                     )
         observation_text = "\n".join(observations) or None
-        prompt_tokens, completion_tokens = _entry_usage(session, call_start)
         entries.append(TranscriptEntry(
-            iteration=iteration, role=ORCHESTRATOR, response_text=result.text,
+            iteration=iteration, response_text=result.text,
             actions=tuple(actions), specialist_exchanges=tuple(exchanges),
             observation=observation_text,
-            prompt_tokens=prompt_tokens, completion_tokens=completion_tokens,
         ))
         if error is not None:
             return finish(Outcome.ERROR, None, error=error)

@@ -42,7 +42,7 @@ from .harness import (
 )
 from .intent import classify_intent
 from .model import NetworkState, StateError, config_to_dict, load_state
-from .oracle import rule_based_provision, solve
+from .oracle import OracleError, rule_based_provision, solve
 from .scoring import Thresholds, check_constraints, compute_utility, round_half_up
 
 
@@ -422,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _merge_config_file(args)
         return args.func(args)
-    except (CliError, HarnessError, PromptError) as exc:
+    except (CliError, HarnessError, OracleError, PromptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GatewayError as exc:

@@ -6,8 +6,9 @@ explicit arguments). ScriptedBackend replays a fixed exchange list and never
 touches the network, which makes every end-to-end test hermetic and
 byte-reproducible.
 
-A ChatSession wraps a backend and records per-call token usage; one ReAct
-session owns exactly one ChatSession.
+A ChatSession wraps a backend and records each completion in `calls`, the
+one usage record: it keeps no totals, and an agent run sums its own share
+of the record into the transcript it returns.
 
 `requests` is imported only by LiveBackend, so hermetic runs never load it.
 """
@@ -67,19 +68,6 @@ class CompletionResult:
     prompt_tokens: int
     completion_tokens: int
     latency_s: float
-    backend_id: str
-
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
-
-@dataclass(frozen=True)
-class Usage:
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    wall_seconds: float = 0.0
-    calls: int = 0
 
     @property
     def total_tokens(self) -> int:
@@ -159,7 +147,6 @@ class ScriptedBackend:
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
             latency_s=0.0,
-            backend_id=self.backend_id,
         )
 
 
@@ -171,7 +158,6 @@ class LiveBackend:
     """
 
     deterministic = False
-    backend_id = "live"
 
     MAX_ATTEMPTS = 3
     BACKOFF_START_S = 0.5
@@ -279,16 +265,16 @@ class LiveBackend:
             prompt_tokens=tokens["prompt_tokens"],
             completion_tokens=tokens["completion_tokens"],
             latency_s=elapsed,
-            backend_id=self.backend_id,
         )
 
 
 class ChatSession:
-    """Per-run usage recorder in front of a backend.
+    """The usage record in front of a backend.
 
     Validates the history contract (non-empty, starts with a system message)
-    and records one usage entry per successful completion; retries inside the
-    backend never double-count.
+    and appends each successful completion to `calls`; retries inside the
+    backend never double-count. It keeps no totals: a run that uses the
+    session sums its own share of `calls`.
     """
 
     def __init__(self, backend):
@@ -303,14 +289,6 @@ class ChatSession:
         result = self.backend.complete(messages)
         self.calls.append(result)
         return result
-
-    def total_usage(self) -> Usage:
-        return Usage(
-            prompt_tokens=sum(c.prompt_tokens for c in self.calls),
-            completion_tokens=sum(c.completion_tokens for c in self.calls),
-            wall_seconds=sum(c.latency_s for c in self.calls),
-            calls=len(self.calls),
-        )
 
 
 def exchange_from_dict(entry: dict) -> ScriptedExchange:

@@ -323,8 +323,8 @@ def _run_once(
         if row.script is None:
             produced = row.run(scenario, config, profile, None)
         else:
-            session = ChatSession(provider.backend_for(scenario.id, row.script))
-            transcript = row.run(scenario, config, profile, session)
+            backend = provider.backend_for(scenario.id, row.script)
+            transcript = row.run(scenario, config, profile, ChatSession(backend))
     except Exception as exc:  # failures become zero-accuracy rows
         error = f"{type(exc).__name__}: {exc}"
     if transcript is not None:
@@ -344,7 +344,7 @@ def _run_once(
         hybrid_success=accuracy >= HYBRID_ACCURACY_MIN and utility >= HYBRID_UTILITY_MIN,
         prompt_tokens=transcript.prompt_tokens if transcript else 0,
         completion_tokens=transcript.completion_tokens if transcript else 0,
-        wall_seconds=session.total_usage().wall_seconds if transcript else 0.0,
+        wall_seconds=transcript.wall_seconds if transcript else 0.0,
         iterations=transcript.iterations if transcript else 0,
         error=error,
     )
@@ -505,9 +505,9 @@ def emit_report(report: BenchmarkReport) -> str:
         f"{'Mean ± Std':28s} {'':8s} "
         f"{_fmt_mean_std(summary['semantic_accuracy']):>14s} "
         f"{_fmt_mean_std(summary['utility']):>14s} "
-        f"{summary['tokens'].mean:>9.0f} "
-        f"{summary['wall_seconds'].mean:>8.1f} "
-        f"{summary['iterations'].mean:>5.1f}"
+        f"{round_half_up(summary['tokens'].mean, 0):>9.0f} "
+        f"{round_half_up(summary['wall_seconds'].mean, 1):>8.1f} "
+        f"{round_half_up(summary['iterations'].mean, 1):>5.1f}"
     )
     lines.append("Std is the population standard deviation (divide by N).")
     return "\n".join(lines) + "\n"

@@ -241,6 +241,11 @@ def solve(
                 rows.append((infeasible, neg_utility, tau, load, sector_id, band_rank, node_id,
                              breakdown, report))
     if not rows:
+        if profile.target_sector is not None:
+            raise OracleError(
+                f"empty candidate set: target sector {profile.target_sector!r} "
+                "has no available band"
+            )
         raise OracleError("empty candidate set: no sector has an available band")
     return Ranking(rows)
 

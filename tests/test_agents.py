@@ -290,6 +290,20 @@ def test_react_transcript_replay_is_identical(state, prompts, factory_intent):
     assert run() == run()
 
 
+def test_reused_session_transcript_counts_only_its_own_completions(
+    state, prompts, factory_intent
+):
+    script = load_script(bundled.industrial_trace_fixture_path())
+    session = ChatSession(ScriptedBackend(script + script))
+    first = run_react(factory_intent, state, session, prompts)
+    second = run_react(factory_intent, state, session, prompts)
+    assert len(session.calls) == 10
+    assert first.total_tokens == sum(c.total_tokens for c in session.calls[:5]) == 13573
+    assert second.total_tokens == sum(c.total_tokens for c in session.calls[5:]) == 13573
+    assert second.prompt_tokens == sum(c.prompt_tokens for c in session.calls[5:])
+    assert render_trace(second).endswith("Iterations: 3; total tokens: 13573\n")
+
+
 def test_react_unknown_agent_recovers(state, prompts):
     session = scripted_session(
         "THOUGHT: ask billing.\n\nACTION: CALL_AGENT | agent_name=billing_specialist | request=how much?",
@@ -403,9 +417,10 @@ def test_single_pass_requires_same_turn_provision_and_finish(state, prompts):
         assert transcript.error == error, response
         assert transcript.iterations == (0 if response is None else 1), response
         assert transcript.final_configuration is None, response
-        usage = session.total_usage()
-        assert transcript.prompt_tokens == usage.prompt_tokens, response
-        assert transcript.completion_tokens == usage.completion_tokens, response
+        assert transcript.prompt_tokens == sum(c.prompt_tokens for c in session.calls), response
+        assert transcript.completion_tokens == sum(
+            c.completion_tokens for c in session.calls
+        ), response
 
 
 def test_monolithic_mode_handles_call_agent_gracefully(state, prompts):
@@ -488,9 +503,8 @@ def test_react_terminates_and_accounts_for_any_script(state, prompts, responses)
     transcript = run_react("any intent at all", state, session, prompts, k_max=10)
     assert transcript.iterations <= 10
     assert len(transcript.entries) == transcript.iterations
-    usage = session.total_usage()
-    assert transcript.prompt_tokens == usage.prompt_tokens
-    assert transcript.completion_tokens == usage.completion_tokens
+    assert transcript.prompt_tokens == sum(c.prompt_tokens for c in session.calls)
+    assert transcript.completion_tokens == sum(c.completion_tokens for c in session.calls)
     assert transcript.total_tokens == sum(c.total_tokens for c in session.calls)
     if transcript.outcome is Outcome.FINISHED:
         final = transcript.final_configuration

@@ -118,6 +118,31 @@ def test_run_intent_rule_based_flags_an_infeasible_fallback(capsys):
     assert out.rstrip().endswith("[infeasible fallback]")
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--intent", "4K video at stadium_central"],
+    ["run-intent", "4K video at stadium_central", "--system", "oracle"],
+    ["run-intent", "4K video at stadium_central", "--system", "rule_based"],
+], ids=["oracle", "run-intent-oracle", "run-intent-rule_based"])
+def test_targeted_sector_without_a_band_exits_2(tmp_path, argv):
+    doc = json.loads(bundled.default_state_path().read_text(encoding="utf-8"))
+    doc["sectors"]["stadium_central"]["spectrum_available_mhz"] = {
+        "mmWave": 0, "mid_band": 0, "low_band": 0,
+    }
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(doc), encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "sliceweaver.cli", *argv, "--state", str(state_file)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "'stadium_central' has no available band" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 class MalformedPayloadSession:
     """Stands in for requests.Session: every POST answers 200 with `content`."""
 

@@ -102,17 +102,18 @@ def test_usage_additivity():
         ScriptedExchange(response="b", prompt_tokens=5, completion_tokens=6),
     ])
     session = ChatSession(backend)
-    assert session.total_usage().total_tokens == 0
-    assert session.total_usage().calls == 0
+    assert sum(c.total_tokens for c in session.calls) == 0
+    assert len(session.calls) == 0
     session.complete(messages("1"))
     session.complete(messages("2"))
-    usage = session.total_usage()
-    assert (usage.prompt_tokens, usage.completion_tokens) == (3 + 5, 4 + 6)
-    assert usage.total_tokens == 18
-    assert usage.calls == 2
+    prompt_tokens = sum(c.prompt_tokens for c in session.calls)
+    completion_tokens = sum(c.completion_tokens for c in session.calls)
+    assert (prompt_tokens, completion_tokens) == (3 + 5, 4 + 6)
+    assert sum(c.total_tokens for c in session.calls) == 18
+    assert len(session.calls) == 2
 
 
-def test_bundled_trace_fixture_total_usage():
+def test_bundled_trace_fixture_token_total():
     script = load_script(bundled.industrial_trace_fixture_path())
     assert len(script) == 5
     total = sum(e.prompt_tokens + e.completion_tokens for e in script)
@@ -248,8 +249,8 @@ def test_live_backend_retries_on_transport_and_5xx_then_succeeds():
     assert result.text == "fine"
     assert len(fake.requests) == 3
     # Retries never duplicate the successful completion in accounting.
-    assert session.total_usage().calls == 1
-    assert session.total_usage().total_tokens == 18
+    assert len(session.calls) == 1
+    assert sum(c.total_tokens for c in session.calls) == 18
 
 
 def test_live_backend_retries_429_and_gives_up():

@@ -7,7 +7,14 @@ import pytest
 
 from sliceweaver import data as bundled
 from sliceweaver import harness
-from sliceweaver.gateway import ScriptedBackend, ScriptedExchange, SuiteFixture
+from sliceweaver.agents import run_react
+from sliceweaver.gateway import (
+    ChatSession,
+    CompletionResult,
+    ScriptedBackend,
+    ScriptedExchange,
+    SuiteFixture,
+)
 from sliceweaver.harness import (
     ABLATION_VARIANTS,
     COMPARE_SYSTEMS,
@@ -255,6 +262,46 @@ def test_live_repeats_run_and_score_each_session(scenarios, harness_config):
     assert len({r.utility for r in records}) == 3
 
 
+class TimedBackend:
+    """Two orchestrator turns that report their own completion latency."""
+
+    TURNS = [
+        ("THOUGHT: weighing the options.", 0.25),
+        ("ACTION: PROVISION_SLICE | slice_id=t1 | ran_config=mid-band@industrial_park_a"
+         " | core_config=UPF@mec_industrial_1\nACTION: FINISH | summary=done", 0.5),
+    ]
+
+    def __init__(self):
+        self._turns = iter(self.TURNS)
+
+    def complete(self, messages):
+        text, latency_s = next(self._turns)
+        return CompletionResult(text, prompt_tokens=100, completion_tokens=10, latency_s=latency_s)
+
+
+class TimedProvider:
+    deterministic = False
+
+    def backend_for(self, scenario_id, system):
+        return TimedBackend()
+
+
+def test_wall_seconds_is_the_runs_completion_latency(scenarios, harness_config, prompts):
+    scenario = by_id(scenarios, "industrial_automation")
+    provider = TimedProvider()
+    session = ChatSession(provider.backend_for(scenario.id, "multi_agent"))
+    transcript = run_react(scenario.intent_text, harness_config.state, session, prompts)
+    assert transcript.wall_seconds == 0.75
+    assert transcript.iterations == 2
+    records = run_scenario(scenario, "multi_agent", provider, harness_config)
+    assert len(records) == harness_config.repeats
+    for record in records:
+        assert record.wall_seconds == 0.75
+        assert record.iterations == 2
+        assert record.total_tokens == 220
+        assert record.produced.dimensions() == GOLDEN_INDUSTRIAL.dimensions()
+
+
 def test_hybrid_success_is_exactly_the_conjunction(scenarios, suite_fixture, harness_config):
     report = run_benchmark(scenarios, "multi_agent", suite_fixture, harness_config)
     seen_true = seen_false = False
@@ -342,6 +389,26 @@ def test_table_report_shape(scenarios, suite_fixture, harness_config):
     assert "population standard deviation" in table
     for column in ("Scenario", "Category", "Accuracy", "Utility", "Tokens", "Time(s)", "Iter"):
         assert column in lines[1]
+
+
+def test_table_report_footer_rounds_half_up_like_its_rows():
+    records = tuple(
+        EvaluationRecord(
+            scenario_id="tie_breaks", category="eMBB", system="multi_agent", run_index=i,
+            produced=None, semantic_accuracy=0.0, utility=0.0, hybrid_success=False,
+            prompt_tokens=tokens, completion_tokens=0, wall_seconds=0.25, iterations=iterations,
+        )
+        for i, (tokens, iterations) in enumerate([(2, 1), (3, 1), (2, 1), (3, 2)], 1)
+    )
+    report = BenchmarkReport(system="multi_agent", records=records, summary=_summarise(records))
+    assert report.summary["tokens"].mean == 2.5
+    assert report.summary["wall_seconds"].mean == 0.25
+    assert report.summary["iterations"].mean == 1.25
+    lines = emit_report(report).splitlines()
+    row = next(line for line in lines if line.startswith("tie_breaks"))
+    footer = next(line for line in lines if line.startswith("Mean ± Std"))
+    assert row.split()[-3:] == ["3", "0.3", "1.3"]
+    assert footer.split()[-3:] == row.split()[-3:]
 
 
 def test_table_report_empty_records_is_header_only():

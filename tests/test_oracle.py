@@ -17,6 +17,7 @@ from sliceweaver.model import (
     SpectrumBands,
     UnknownIdError,
     load_state,
+    serialize_state,
 )
 from sliceweaver.oracle import (
     OracleError,
@@ -131,8 +132,22 @@ def test_solve_requires_candidates():
     }
     dark = load_state(json.dumps(doc))
     profile = classify_intent("anything", dark)
-    with pytest.raises(OracleError):
+    with pytest.raises(OracleError, match="no sector has an available band"):
         solve(dark, profile)
+
+
+def test_solve_names_a_targeted_sector_without_a_band(state):
+    doc = json.loads(serialize_state(state))
+    doc["sectors"]["stadium_central"]["spectrum_available_mhz"] = {
+        "mmWave": 0, "mid_band": 0, "low_band": 0,
+    }
+    zeroed = load_state(json.dumps(doc))
+    profile = classify_intent("4K video at stadium_central", zeroed)
+    assert profile.target_sector == "stadium_central"
+    with pytest.raises(OracleError, match="'stadium_central' has no available band"):
+        solve(zeroed, profile)
+    # Other sectors still have bands, so an untargeted intent is solved.
+    assert solve(zeroed, classify_intent("plain connectivity request", zeroed))[0].feasible
 
 
 def test_golden_utilities_meet_threshold_or_are_documented(state, lexicon, scenarios):

@@ -46,6 +46,8 @@ def test_demo_runs(demo):
     result = run_with_src(str(demo))
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    if demo.stem == "05_react_replay":
+        assert "Gateway usage: 13573 tokens over 5 calls\n" in result.stdout
 
 
 def test_benchmark_cases_run():
