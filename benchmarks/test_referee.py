@@ -22,12 +22,13 @@ from sliceweaver.oracle import solve
 
 @pytest.mark.parametrize("n_sectors", [480, 640])
 def test_classify_intent(benchmark, topology, lexicon, n_sectors):
-    # Past 512 sectors the ids and keywords outnumber a 512-entry pattern
-    # cache; one intent naming the last sector scans every id.
+    # One intent naming the last sector scans every id. The pattern cache is
+    # unbounded, so the cost should grow in step with the sector count; two
+    # sizes show it if it does not.
     state = topology(n_sectors, 12)
     target = list(state.sectors)[-1]
     text = f"smart metering telemetry for the sensor fleet at {target}"
-    classify_intent(text, state, lexicon)  # compiles the patterns a cache can keep
+    classify_intent(text, state, lexicon)  # compiles the patterns once
     profile = benchmark(classify_intent, text, state, lexicon)
     assert profile.target_sector == target
     assert profile.traffic_class is TrafficClass.MMTC
@@ -60,16 +61,18 @@ def candidate_count(state):
 
 
 def test_solve_untargeted(benchmark, topology):
-    # The scan alone: the ranking sorts and builds rows only when read.
+    # `solve` alone: the set-up and the head search. The other rows are
+    # built and sorted only when read.
     state = topology(400, 12)
     ranking = benchmark(solve, state, UNTARGETED)
     assert len(ranking) == candidate_count(state)
 
 
-def test_solve_head(benchmark, topology):
+@pytest.mark.parametrize("n_sectors", [400, 2000])
+def test_solve_head(benchmark, topology, n_sectors):
     # What the harness, the rule-based baseline and the referee workloads
-    # read: the head of the ranking.
-    state = topology(400, 12)
+    # read: the head of the ranking. Topology size is the scale axis.
+    state = topology(n_sectors, 12)
     head = benchmark(lambda: solve(state, UNTARGETED)[0])
     assert head.rank == 1
 

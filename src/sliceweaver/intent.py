@@ -119,7 +119,7 @@ class IntentProfile:
     matched_keywords: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.tau_req_ms <= 0:
+        if not self.tau_req_ms > 0:  # NaN fails every comparison
             raise ValueError(f"tau_req_ms must be > 0, got {self.tau_req_ms}")
 
 

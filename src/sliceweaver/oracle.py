@@ -11,27 +11,29 @@ then lower sector load, then lexicographic (sector, band, node) with bands
 ordered mmwave < mid_band < low_band. The comparator is total, so rankings
 are deterministic and independent of enumeration order.
 
-`solve` is factored: utility and feasibility split into parts that depend on
-the sector, the node, the (sector, node) latency or the band alone, so each
-part is computed once where it changes, and candidates with equal parts
-share one frozen ScoreBreakdown or ConstraintReport. `enumerate_candidates`
-scored candidate by candidate with `compute_utility` and `check_constraints`
-stays the reference it must equal.
-
-`solve` returns a read-only `Ranking` over the scan's key rows, unsorted:
-they are sorted on the first read past the head, and a row's configuration
-and ranked object are built when the row is read. A caller that takes only
-the head (`solve(...)[0]`) gets the minimum key row, built alone, and no
-sort.
+`solve` finds the head without a row per candidate: it takes each sector's
+best candidate (its nearest feasible node, or its nearest node when none is
+feasible, on that node's best band) and returns the least of them. It
+returns a read-only `Ranking` that builds the other rows only when a read
+needs them, by one factored scan: utility and feasibility split into parts
+that depend on the sector, the node, the (sector, node) latency or the band
+alone, so each part is computed once where it changes, and candidates with
+equal parts share one frozen ScoreBreakdown or ConstraintReport. The rows
+are sorted once, and a row's configuration and ranked object are built when
+the row is read. `enumerate_candidates` scored candidate by candidate with
+`compute_utility` and `check_constraints` stays the reference both must
+equal.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import operator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from .intent import IntentProfile, Lexicon, classify_intent, weights_for
-from .model import Band, NetworkState, SliceConfiguration
+from .model import Band, CoreNode, NetworkState, SliceConfiguration
 from .scoring import (
     DEFAULT_THRESHOLDS,
     ConstraintReport,
@@ -66,38 +68,40 @@ class RankedConfiguration:
 class Ranking(Sequence[RankedConfiguration]):
     """The result of `solve`: a read-only sequence of ranked rows, best first.
 
-    It holds the key rows of the scan, unsorted until the first read past the
-    head: the head alone (`ranking[0]`) is the minimum key row, and any other
-    read (another or a negative index, a slice, iteration) sorts the rows
-    once. The RankedConfiguration at an index (rank = index + 1) is built
-    each time that index is read; slicing returns a list.
+    It holds the head key row that `solve` found, the candidate count and a
+    builder for every candidate's key row. The head alone (`ranking[0]`)
+    needs no other row; any other read (another or a negative index, a
+    slice, iteration) builds the rows and sorts them once. The
+    RankedConfiguration at an index (rank = index + 1) is built each time
+    that index is read; slicing returns a list.
     """
 
-    __slots__ = ("_rows", "_is_sorted")
+    __slots__ = ("_head", "_count", "_build_rows", "_rows")
 
-    def __init__(self, rows: list[tuple]) -> None:
-        self._rows = rows
-        self._is_sorted = False
+    def __init__(self, head: tuple, count: int, build_rows: Callable[[], list[tuple]]) -> None:
+        self._head = head
+        self._count = count
+        self._build_rows = build_rows
+        self._rows: list[tuple] | None = None
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count
 
     def _sorted_rows(self) -> list[tuple]:
-        if not self._is_sorted:
+        rows = self._rows
+        if rows is None:
             # A new list swapped in whole, so a concurrent reader never sees
-            # a half-sorted one; the flag is set only after the swap.
-            self._rows = sorted(self._rows)
-            self._is_sorted = True
-        return self._rows
+            # a half-built or half-sorted one.
+            rows = self._rows = sorted(self._build_rows())
+        return rows
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             rows = self._sorted_rows()
             return [_ranked(rows[i], i + 1) for i in range(*index.indices(len(rows)))]
-        if index == 0 and not self._is_sorted:
-            # The key fields are unique per candidate (see `solve`), so `min`
-            # is the sorted head.
-            return _ranked(min(self._rows), 1)
+        index = operator.index(index)  # a float is refused before the head shortcut
+        if index == 0:
+            return _ranked(self._head, 1)
         rows = self._sorted_rows()
         row = rows[index]  # raises IndexError before the rank is taken
         return _ranked(row, index % len(rows) + 1)
@@ -159,14 +163,108 @@ def solve(
 ) -> Ranking:
     """Rank every candidate configuration; the head is the arg-max.
 
-    The result is a read-only `Ranking` whose rows are sorted on the first
-    read past the head and built when they are read: `solve(...)[0]` takes
-    the minimum key row and builds it alone, and iterating or slicing sorts
-    once and builds the rows it reaches.
+    The result is a read-only `Ranking`. Its head is found here, without a
+    row per candidate; the other rows are built and sorted on the first read
+    past the head, and each RankedConfiguration is built when it is read.
 
     When no candidate is feasible the head is the best-ranked infeasible one,
     flagged through its ConstraintReport rather than raised, so callers can
     still score least-bad fallbacks.
+
+    The head is the minimum of each sector's best candidate. Within a sector
+    the load is fixed, utility never falls as S_latency rises (the weights
+    are non-negative), S_latency never rises with latency and the latency
+    check only fails above `tau_req_ms`. So the sector's best node is its
+    nearest feasible node, or its nearest node when none is feasible, with
+    ties to the lower node id, and its band is the one of highest utility
+    for that node's S_latency, with ties to the lower band rank. That is
+    one latency lookup per (sector, node) and one S_latency per sector.
+    """
+    if profile.target_sector is not None:
+        state.sector(profile.target_sector)  # UnknownIdError for an unknown id
+        sector_ids = [profile.target_sector]
+    else:
+        sector_ids = sorted(state.sectors)
+    # (sector id, load, ranks of its available bands) for every sector with a band.
+    sectors = []
+    for sector_id in sector_ids:
+        sector = state.sectors[sector_id]
+        band_ranks = tuple(
+            band_rank for band_rank, band in enumerate(RANKED_BANDS)
+            if sector.spectrum.available(band)
+        )
+        if band_ranks:
+            sectors.append((sector_id, sector.load_percent, band_ranks))
+    if not sectors:
+        if profile.target_sector is not None:
+            raise OracleError(
+                f"empty candidate set: target sector {profile.target_sector!r} "
+                "has no available band"
+            )
+        raise OracleError("empty candidate set: no sector has an available band")
+    node_ids = sorted(state.nodes)
+    nodes = [state.nodes[node_id] for node_id in node_ids]
+    weights = weights_for(profile.traffic_class)
+    s_resource = [score_resource(band, profile.bandwidth_category) for band in RANKED_BANDS]
+    compute_ok = [node.compute_load_percent <= thresholds.kappa_max for node in nodes]
+    tau_req = profile.tau_req_ms
+    head = None
+    for sector_id, load, band_ranks in sectors:
+        load_ok = load <= thresholds.l_max
+        # node_ids is sorted, so a strict `<` keeps the lower id on a latency tie.
+        best_infeasible, best_tau, best_node = 2, 0.0, ""
+        for node_id, node, node_compute_ok in zip(node_ids, nodes, compute_ok):
+            tau = node.latency_to_sector[sector_id]
+            infeasible = 0 if load_ok and node_compute_ok and tau <= tau_req else 1
+            if infeasible < best_infeasible or (infeasible == best_infeasible and tau < best_tau):
+                best_infeasible, best_tau, best_node = infeasible, tau, node_id
+        s_lat = score_latency(best_tau)
+        s_con = score_congestion(load)
+        neg_utility, band_rank = min(
+            (-weighted_utility(weights, s_lat, s_resource[band_rank], s_con), band_rank)
+            for band_rank in band_ranks
+        )
+        row = (best_infeasible, neg_utility, best_tau, load, sector_id, band_rank, best_node)
+        if head is None or row < head:
+            head = row
+    _, _, tau, load, sector_id, band_rank, node_id = head
+    s_lat, s_res, s_con = score_latency(tau), s_resource[band_rank], score_congestion(load)
+    breakdown = ScoreBreakdown(
+        s_latency=s_lat,
+        s_resource=s_res,
+        s_congestion=s_con,
+        weights=weights,
+        utility=weighted_utility(weights, s_lat, s_res, s_con),
+    )
+    report = ConstraintReport(
+        load_ok=load <= thresholds.l_max,
+        band_ok=True,
+        compute_ok=compute_ok[node_ids.index(node_id)],
+        latency_ok=tau <= tau_req,
+        l_max=thresholds.l_max,
+        kappa_max=thresholds.kappa_max,
+        tau_req_ms=tau_req,
+    )
+    count = len(nodes) * sum(len(band_ranks) for _, _, band_ranks in sectors)
+    return Ranking(
+        head + (breakdown, report),
+        count,
+        partial(_candidate_rows, sectors, node_ids, nodes, compute_ok, weights, s_resource,
+                profile, thresholds),
+    )
+
+
+def _candidate_rows(
+    sectors: list[tuple[str, float, tuple[int, ...]]],
+    node_ids: list[str],
+    nodes: list[CoreNode],
+    compute_ok: list[bool],
+    weights: tuple[float, float, float],
+    s_resource: list[float],
+    profile: IntentProfile,
+    thresholds: Thresholds,
+) -> list[tuple]:
+    """Every candidate's key row, in scan order, from `solve`'s set-up.
 
     One factored scan over the candidates of `enumerate_candidates`, equal
     row for row to scoring each with `compute_utility` and
@@ -174,32 +272,12 @@ def solve(
     once per sector, the latency score and check once per (sector, node),
     the compute check once per node and the resource score once per band.
     Candidates with equal sub-scores share one (frozen) ScoreBreakdown, and
-    equal checks one ConstraintReport, so at most 8 reports are built. Each
-    candidate becomes one sort-key tuple, and the `Ranking` holds the tuples
-    in scan order until a read needs them sorted.
+    equal checks one ConstraintReport, so at most 8 reports are built.
     """
-    if profile.target_sector is not None:
-        state.sector(profile.target_sector)  # UnknownIdError for an unknown id
-        sector_ids = [profile.target_sector]
-    else:
-        sector_ids = sorted(state.sectors)
-    node_ids = sorted(state.nodes)
-    nodes = [state.nodes[node_id] for node_id in node_ids]
-    weights = weights_for(profile.traffic_class)
-    s_resource = [score_resource(band, profile.bandwidth_category) for band in RANKED_BANDS]
-    compute_ok = [node.compute_load_percent <= thresholds.kappa_max for node in nodes]
     breakdowns: dict[tuple[float, float, float], ScoreBreakdown] = {}
     reports: dict[tuple[bool, bool, bool], ConstraintReport] = {}
     rows = []
-    for sector_id in sector_ids:
-        sector = state.sectors[sector_id]
-        band_ranks = [
-            band_rank for band_rank, band in enumerate(RANKED_BANDS)
-            if sector.spectrum.available(band)
-        ]
-        if not band_ranks:
-            continue
-        load = sector.load_percent
+    for sector_id, load, band_ranks in sectors:
         s_con = score_congestion(load)
         load_ok = load <= thresholds.l_max
         # S_latency -> [(band rank, -utility, breakdown)] for this sector.
@@ -240,14 +318,7 @@ def solve(
                 # candidate, so ordering rows never compares the objects after them.
                 rows.append((infeasible, neg_utility, tau, load, sector_id, band_rank, node_id,
                              breakdown, report))
-    if not rows:
-        if profile.target_sector is not None:
-            raise OracleError(
-                f"empty candidate set: target sector {profile.target_sector!r} "
-                "has no available band"
-            )
-        raise OracleError("empty candidate set: no sector has an available band")
-    return Ranking(rows)
+    return rows
 
 
 def rule_based_provision(

@@ -213,6 +213,16 @@ def test_classify_reuses_its_patterns_past_512_sectors(lexicon):
     assert _keyword_pattern.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("tau_req_ms", [0.0, -1.0, math.nan])
+def test_profile_rejects_a_latency_bound_that_is_not_positive(tau_req_ms):
+    # NaN passed `tau_req_ms <= 0` and made every candidate latency-infeasible.
+    with pytest.raises(ValueError, match="tau_req_ms must be > 0"):
+        IntentProfile(
+            raw_text="x", traffic_class=TrafficClass.EMBB,
+            bandwidth_category=BandwidthCategory.MEDIUM, tau_req_ms=tau_req_ms,
+        )
+
+
 LEXICON_FIELDS = ("urllc", "mmtc", "bandwidth_high", "bandwidth_low")
 
 

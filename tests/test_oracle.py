@@ -287,7 +287,7 @@ def topologies_and_profiles(draw):
         st.text(alphabet="ab_", min_size=1, max_size=3).filter(lambda sid: sid.strip("_")),
         min_size=1, max_size=6, unique=True))
     node_ids = draw(st.lists(
-        st.text(alphabet="nm1", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+        st.text(alphabet="nm1", min_size=1, max_size=3), min_size=1, max_size=6, unique=True))
     mhz = st.sampled_from([0.0, 0.0, 20.0, 100.0])
     sectors = {
         sid: RanSector(
@@ -367,3 +367,100 @@ def test_every_read_of_the_ranking_agrees(case, data):
     for index in (n, -n - 1):
         with pytest.raises(IndexError):
             ranking[index]
+
+
+def build_state(loads, nodes):
+    """Sectors {id: load} with every band, nodes {id: (compute load, {sector: latency})}."""
+    return NetworkState(
+        sectors={
+            sid: RanSector(id=sid, active_users=10, load_percent=load,
+                           spectrum=SpectrumBands(100.0, 100.0, 100.0))
+            for sid, load in loads.items()
+        },
+        nodes={
+            nid: CoreNode(id=nid, tier=NodeTier.EDGE, compute_load_percent=compute,
+                          latency_to_sector=row)
+            for nid, (compute, row) in nodes.items()
+        },
+    )
+
+
+def profile_for(traffic_class, tau_req_ms, target_sector=None):
+    return IntentProfile(
+        raw_text="x", traffic_class=traffic_class, bandwidth_category=BandwidthCategory.MEDIUM,
+        tau_req_ms=tau_req_ms, target_sector=target_sector,
+    )
+
+
+# Each case: state, profile, thresholds, and the head's (sector, node, feasible).
+PER_SECTOR_CASES = {
+    "nearest node over kappa_max": (
+        build_state({"s": 20.0}, {"near": (90.0, {"s": 5.0}), "far": (10.0, {"s": 20.0})}),
+        profile_for(TrafficClass.URLLC, 50.0), Thresholds(),
+        ("s", "far", True),
+    ),
+    "every node above tau_req": (
+        build_state({"s": 20.0}, {"far": (10.0, {"s": 20.0}), "near": (10.0, {"s": 5.0})}),
+        profile_for(TrafficClass.URLLC, 1.0), Thresholds(),
+        ("s", "near", False),
+    ),
+    "equal latency": (
+        build_state({"s": 20.0}, {"n2": (10.0, {"s": 5.0}), "n1": (10.0, {"s": 5.0})}),
+        profile_for(TrafficClass.EMBB, 50.0), Thresholds(),
+        ("s", "n1", True),
+    ),
+    # Sector "a" has the higher utility (URLLC weighs latency 0.8), but its
+    # load is over l_max.
+    "a sector over l_max": (
+        build_state({"a": 90.0, "b": 70.0}, {"n": (10.0, {"a": 5.0, "b": 20.0})}),
+        profile_for(TrafficClass.URLLC, 50.0), Thresholds(l_max=80.0),
+        ("b", "n", True),
+    ),
+    "a targeted sector over l_max": (
+        build_state({"a": 90.0, "b": 70.0},
+                    {"n1": (10.0, {"a": 20.0, "b": 5.0}), "n2": (10.0, {"a": 5.0, "b": 20.0})}),
+        profile_for(TrafficClass.URLLC, 50.0, target_sector="a"), Thresholds(l_max=80.0),
+        ("a", "n2", False),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PER_SECTOR_CASES.values(), ids=PER_SECTOR_CASES)
+def test_the_head_follows_the_per_sector_rule(case):
+    state, profile, thresholds, (sector_id, node_id, feasible) = case
+    expected = reference_ranking(state, profile, thresholds)
+    head = solve(state, profile, thresholds)[0]
+    assert (head.config, head.breakdown, head.constraints, head.rank) == expected[0]
+    assert (head.config.sector_id, head.config.node_id, head.feasible) == (
+        sector_id, node_id, feasible)
+
+
+def test_the_head_scores_one_latency_per_sector(state, lexicon, monkeypatch):
+    calls = []
+    score_latency = oracle.score_latency
+
+    def counting(tau):
+        calls.append(tau)
+        return score_latency(tau)
+
+    monkeypatch.setattr(oracle, "score_latency", counting)
+    profile = classify_intent("plain connectivity request", state, lexicon)
+    assert profile.target_sector is None
+    ranking = solve(state, profile)
+    ranking[0]
+    assert len(calls) <= len(state.sectors) + 1
+    calls.clear()
+    list(ranking)
+    assert len(calls) == len(state.sectors) * len(state.nodes)
+
+
+def test_a_float_index_is_refused_in_either_read_order(state, lexicon):
+    profile = classify_intent("plain connectivity request", state, lexicon)
+    fresh = solve(state, profile)
+    with pytest.raises(TypeError):
+        fresh[0.0]
+    read = solve(state, profile)
+    list(read)
+    with pytest.raises(TypeError):
+        read[0.0]
+    assert fresh[0] == read[0]
