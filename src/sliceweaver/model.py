@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -76,6 +76,14 @@ _TIER_ALIASES = {
 }
 
 
+# The SpectrumBands field that holds each band's MHz.
+_BAND_FIELDS: dict[Band, str] = {
+    Band.MMWAVE: "mmwave_mhz",
+    Band.MID_BAND: "mid_band_mhz",
+    Band.LOW_BAND: "low_band_mhz",
+}
+
+
 @dataclass(frozen=True)
 class SpectrumBands:
     """Unallocated spectrum per band, in MHz. A band is available iff > 0."""
@@ -85,17 +93,13 @@ class SpectrumBands:
     low_band_mhz: float
 
     def __post_init__(self) -> None:
-        for name in ("mmwave_mhz", "mid_band_mhz", "low_band_mhz"):
+        for name in _BAND_FIELDS.values():
             value = getattr(self, name)
             if not value >= 0:  # NaN fails every comparison
                 raise StateValidationError(f"spectrum {name} must be >= 0, got {value}")
 
     def for_band(self, band: Band) -> float:
-        return {
-            Band.MMWAVE: self.mmwave_mhz,
-            Band.MID_BAND: self.mid_band_mhz,
-            Band.LOW_BAND: self.low_band_mhz,
-        }[band]
+        return getattr(self, _BAND_FIELDS[band])
 
     def available(self, band: Band) -> bool:
         return self.for_band(band) > 0
@@ -170,6 +174,10 @@ class NetworkState:
     sectors: Mapping[str, RanSector]
     nodes: Mapping[str, CoreNode]
     provisioned_slices: tuple[SliceConfiguration, ...] = ()
+    # The oracle's per-sector nearest nodes by kappa_max, filled by the first
+    # `solve` (oracle._nearest_nodes). Exact because the state is immutable;
+    # a `dataclasses.replace` copy starts empty.
+    _nearest_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sectors", _read_only(self.sectors))

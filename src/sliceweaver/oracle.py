@@ -13,24 +13,31 @@ are deterministic and independent of enumeration order.
 
 `solve` finds the head without a row per candidate: it takes each sector's
 best candidate (its nearest feasible node, or its nearest node when none is
-feasible, on that node's best band) and returns the least of them. It
-returns a read-only `Ranking` that builds the other rows only when a read
-needs them, by one factored scan: utility and feasibility split into parts
-that depend on the sector, the node, the (sector, node) latency or the band
-alone, so each part is computed once where it changes, and candidates with
-equal parts share one frozen ScoreBreakdown or ConstraintReport. The rows
-are sorted once, and a row's configuration and ranked object are built when
-the row is read. `enumerate_candidates` scored candidate by candidate with
+feasible, on that node's best band) and returns the least of them. Each
+sector's nearest node, and its nearest node within `kappa_max`, depend on
+the state alone: the first `solve` for a `kappa_max` finds them in one scan
+of the latency matrix and keeps them on the (immutable) state, so each later
+head takes one pass over the sectors. Nothing that depends on the profile
+is kept. `solve` returns a read-only `Ranking` that builds the other rows
+only when a read needs them, by one factored scan: utility and feasibility
+split into parts that depend on the sector, the node, the (sector, node)
+latency or the band alone, so each part is computed once where it changes,
+and candidates with equal parts share one frozen ScoreBreakdown or
+ConstraintReport. The rows are sorted once, and a row's configuration and
+ranked object are built when the row is read. `enumerate_candidates` scored candidate by candidate with
 `compute_utility` and `check_constraints` stays the reference both must
 equal.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress, product
+from typing import NamedTuple
 
 from .intent import IntentProfile, Lexicon, classify_intent, weights_for
 from .model import Band, CoreNode, NetworkState, SliceConfiguration
@@ -177,54 +184,52 @@ def solve(
     check only fails above `tau_req_ms`. So the sector's best node is its
     nearest feasible node, or its nearest node when none is feasible, with
     ties to the lower node id, and its band is the one of highest utility
-    for that node's S_latency, with ties to the lower band rank. That is
-    one latency lookup per (sector, node) and one S_latency per sector.
+    for that node's S_latency, with ties to the lower band rank. The nearest
+    feasible node is the nearest node within `kappa_max` when the sector is
+    within `l_max` and that node within `tau_req_ms`, and there is none
+    otherwise. Both nearest nodes depend on the state alone: the first call
+    for a `kappa_max` finds them with one latency lookup per (sector, node)
+    and keeps them on the state, and every call takes one pass over the
+    sectors, with one S_latency per sector.
     """
     if profile.target_sector is not None:
         state.sector(profile.target_sector)  # UnknownIdError for an unknown id
-        sector_ids = [profile.target_sector]
-    else:
-        sector_ids = sorted(state.sectors)
-    # (sector id, load, ranks of its available bands) for every sector with a band.
-    sectors = []
-    for sector_id in sector_ids:
-        sector = state.sectors[sector_id]
-        band_ranks = tuple(
-            band_rank for band_rank, band in enumerate(RANKED_BANDS)
-            if sector.spectrum.available(band)
-        )
-        if band_ranks:
-            sectors.append((sector_id, sector.load_percent, band_ranks))
-    if not sectors:
-        if profile.target_sector is not None:
+    kappa_max = thresholds.kappa_max
+    nearest = state._nearest_nodes.get(kappa_max)
+    if nearest is None:
+        # Threads that race here each build an equal index; one is kept.
+        nearest = state._nearest_nodes[kappa_max] = _nearest_nodes(state, kappa_max)
+    if profile.target_sector is not None:
+        sector = nearest.sectors.get(profile.target_sector)
+        if sector is None:
             raise OracleError(
                 f"empty candidate set: target sector {profile.target_sector!r} "
                 "has no available band"
             )
-        raise OracleError("empty candidate set: no sector has an available band")
-    node_ids = sorted(state.nodes)
-    nodes = [state.nodes[node_id] for node_id in node_ids]
+        sectors = (sector,)
+        count = len(nearest.node_ids) * len(sector[2])
+    else:
+        sectors = nearest.sectors.values()
+        if not sectors:
+            raise OracleError("empty candidate set: no sector has an available band")
+        count = nearest.candidates
     weights = weights_for(profile.traffic_class)
     s_resource = [score_resource(band, profile.bandwidth_category) for band in RANKED_BANDS]
-    compute_ok = [node.compute_load_percent <= thresholds.kappa_max for node in nodes]
+    l_max = thresholds.l_max
     tau_req = profile.tau_req_ms
     head = None
-    for sector_id, load, band_ranks in sectors:
-        load_ok = load <= thresholds.l_max
-        # node_ids is sorted, so a strict `<` keeps the lower id on a latency tie.
-        best_infeasible, best_tau, best_node = 2, 0.0, ""
-        for node_id, node, node_compute_ok in zip(node_ids, nodes, compute_ok):
-            tau = node.latency_to_sector[sector_id]
-            infeasible = 0 if load_ok and node_compute_ok and tau <= tau_req else 1
-            if infeasible < best_infeasible or (infeasible == best_infeasible and tau < best_tau):
-                best_infeasible, best_tau, best_node = infeasible, tau, node_id
-        s_lat = score_latency(best_tau)
+    for sector_id, load, band_ranks, near_tau, near_id, ok_tau, ok_id in sectors:
+        if load <= l_max and ok_id is not None and ok_tau <= tau_req:
+            infeasible, tau, node_id = 0, ok_tau, ok_id
+        else:
+            infeasible, tau, node_id = 1, near_tau, near_id
+        s_lat = score_latency(tau)
         s_con = score_congestion(load)
         neg_utility, band_rank = min(
             (-weighted_utility(weights, s_lat, s_resource[band_rank], s_con), band_rank)
             for band_rank in band_ranks
         )
-        row = (best_infeasible, neg_utility, best_tau, load, sector_id, band_rank, best_node)
+        row = (infeasible, neg_utility, tau, load, sector_id, band_rank, node_id)
         if head is None or row < head:
             head = row
     _, _, tau, load, sector_id, band_rank, node_id = head
@@ -237,25 +242,79 @@ def solve(
         utility=weighted_utility(weights, s_lat, s_res, s_con),
     )
     report = ConstraintReport(
-        load_ok=load <= thresholds.l_max,
+        load_ok=load <= l_max,
         band_ok=True,
-        compute_ok=compute_ok[node_ids.index(node_id)],
+        compute_ok=state.nodes[node_id].compute_load_percent <= kappa_max,
         latency_ok=tau <= tau_req,
-        l_max=thresholds.l_max,
-        kappa_max=thresholds.kappa_max,
+        l_max=l_max,
+        kappa_max=kappa_max,
         tau_req_ms=tau_req,
     )
-    count = len(nodes) * sum(len(band_ranks) for _, _, band_ranks in sectors)
     return Ranking(
         head + (breakdown, report),
         count,
-        partial(_candidate_rows, sectors, node_ids, nodes, compute_ok, weights, s_resource,
-                profile, thresholds),
+        partial(_candidate_rows, sectors, nearest.node_ids, nearest.nodes, nearest.compute_ok,
+                weights, s_resource, profile, thresholds),
     )
 
 
+# The ranks of a sector's available bands, by whether its mmWave, mid-band
+# and low-band spectrum is > 0.
+_BAND_RANKS: dict[tuple[bool, bool, bool], tuple[int, ...]] = {
+    available: tuple(band_rank for band_rank, ok in enumerate(available) if ok)
+    for available in product((False, True), repeat=3)
+}
+
+
+class _NearestNodes(NamedTuple):
+    """The part of `solve`'s head search that depends on the state and
+    `kappa_max` alone, kept on the state by `kappa_max`."""
+
+    node_ids: list[str]  # sorted
+    nodes: list[CoreNode]  # in node_ids order
+    compute_ok: list[bool]  # compute load <= kappa_max, in node_ids order
+    # Sector id -> (sector id, load, band ranks, nearest node's latency and
+    # id, nearest compute-ok node's latency and id or (inf, None)), by id,
+    # for every sector with an available band.
+    sectors: dict[str, tuple[str, float, tuple[int, ...], float, str, float, str | None]]
+    candidates: int  # the untargeted candidate count
+
+
+def _nearest_nodes(state: NetworkState, kappa_max: float) -> _NearestNodes:
+    """Each sector's nearest node and nearest node within `kappa_max`, by
+    one latency lookup per (sector, node); ties go to the lower node id."""
+    node_ids = sorted(state.nodes)
+    nodes = [state.nodes[node_id] for node_id in node_ids]
+    compute_ok = [node.compute_load_percent <= kappa_max for node in nodes]
+    # Each search starts at its first node, so an infinite latency is still found.
+    first_ok_id = next(compress(node_ids, compute_ok), None)
+    sectors = {}
+    candidates = 0
+    for sector_id in sorted(state.sectors):
+        sector = state.sectors[sector_id]
+        spectrum = sector.spectrum
+        band_ranks = _BAND_RANKS[
+            spectrum.mmwave_mhz > 0, spectrum.mid_band_mhz > 0, spectrum.low_band_mhz > 0
+        ]
+        if not band_ranks:
+            continue
+        # node_ids is sorted, so a strict `<` keeps the lower id on a latency tie.
+        near_tau, near_id, ok_tau, ok_id = math.inf, node_ids[0], math.inf, first_ok_id
+        for node_id, node, node_compute_ok in zip(node_ids, nodes, compute_ok):
+            tau = node.latency_to_sector[sector_id]
+            if tau < near_tau:
+                near_tau, near_id = tau, node_id
+            if node_compute_ok and tau < ok_tau:
+                ok_tau, ok_id = tau, node_id
+        sectors[sector_id] = (
+            sector_id, sector.load_percent, band_ranks, near_tau, near_id, ok_tau, ok_id
+        )
+        candidates += len(nodes) * len(band_ranks)
+    return _NearestNodes(node_ids, nodes, compute_ok, sectors, candidates)
+
+
 def _candidate_rows(
-    sectors: list[tuple[str, float, tuple[int, ...]]],
+    sectors: Iterable[tuple],
     node_ids: list[str],
     nodes: list[CoreNode],
     compute_ok: list[bool],
@@ -265,6 +324,9 @@ def _candidate_rows(
     thresholds: Thresholds,
 ) -> list[tuple]:
     """Every candidate's key row, in scan order, from `solve`'s set-up.
+
+    `sectors` are `_NearestNodes` sector rows; only their id, load and band
+    ranks are read.
 
     One factored scan over the candidates of `enumerate_candidates`, equal
     row for row to scoring each with `compute_utility` and
@@ -277,7 +339,7 @@ def _candidate_rows(
     breakdowns: dict[tuple[float, float, float], ScoreBreakdown] = {}
     reports: dict[tuple[bool, bool, bool], ConstraintReport] = {}
     rows = []
-    for sector_id, load, band_ranks in sectors:
+    for sector_id, load, band_ranks, *_ in sectors:
         s_con = score_congestion(load)
         load_ok = load <= thresholds.l_max
         # S_latency -> [(band rank, -utility, breakdown)] for this sector.

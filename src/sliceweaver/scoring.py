@@ -32,10 +32,19 @@ from .model import Band, NetworkState, ProvisioningError, SliceConfiguration, la
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Operational limits for the feasibility check, configurable per run."""
+    """Operational limits for the feasibility check, configurable per run.
+
+    A NaN, infinite or negative limit raises ValueError.
+    """
 
     l_max: float = 100.0
     kappa_max: float = 85.0
+
+    def __post_init__(self) -> None:
+        for name in ("l_max", "kappa_max"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 DEFAULT_THRESHOLDS = Thresholds()

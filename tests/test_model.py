@@ -469,3 +469,18 @@ def test_cached_text_is_never_stale(chain):
     assert serialize_state(child) != serialize_state(parent)
     bare = dataclasses.replace(parent, provisioned_slices=())
     assert serialize_state(bare) == serialize_state(chain[0])
+
+
+@pytest.mark.parametrize("band, field", [
+    (Band.MMWAVE, "mmwave_mhz"),
+    (Band.MID_BAND, "mid_band_mhz"),
+    (Band.LOW_BAND, "low_band_mhz"),
+])
+@pytest.mark.parametrize("mhz", [0.0, 0.5, 40.0])
+def test_for_band_reads_the_band_field(band, field, mhz):
+    others = {name: 7.0 for name in ("mmwave_mhz", "mid_band_mhz", "low_band_mhz")}
+    spectrum = SpectrumBands(**{**others, field: mhz})
+    assert spectrum.for_band(band) == mhz
+    assert spectrum.for_band(band.value) == mhz  # Band is a str enum
+    assert spectrum.available(band) is (mhz > 0)
+    assert all(spectrum.for_band(other) == 7.0 for other in Band if other is not band)

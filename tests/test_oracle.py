@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +20,7 @@ from sliceweaver.model import (
     RanSector,
     SpectrumBands,
     UnknownIdError,
+    apply_provisioning,
     load_state,
     serialize_state,
 )
@@ -464,3 +469,113 @@ def test_a_float_index_is_refused_in_either_read_order(state, lexicon):
     with pytest.raises(TypeError):
         read[0.0]
     assert fresh[0] == read[0]
+
+
+# Each sector's nearest nodes are kept on the state by kappa_max.
+
+def head_of(ranking):
+    head = ranking[0]
+    return (head.config, head.breakdown, head.constraints, head.rank)
+
+
+@st.composite
+def calls_on(draw, state):
+    """A (profile, thresholds) pair for `state`, with limits on both sides
+    of the drawn loads."""
+    profile = IntentProfile(
+        raw_text="generated",
+        traffic_class=draw(st.sampled_from(TrafficClass)),
+        bandwidth_category=draw(st.sampled_from(BandwidthCategory)),
+        tau_req_ms=draw(st.sampled_from(TAUS_REQ)),
+        target_sector=draw(st.none() | st.sampled_from(sorted(state.sectors))),
+    )
+    return profile, Thresholds(l_max=draw(LOADS), kappa_max=draw(LOADS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(topologies_and_profiles(), st.data())
+def test_heads_on_one_state_across_kappa_max_are_the_reference_heads(case, data):
+    # One state object serves every call, so a memo keyed too coarsely
+    # would hand one kappa_max's nearest nodes to another.
+    state, _, _ = case
+    calls = data.draw(st.lists(calls_on(state), min_size=2, max_size=8))
+    for profile, thresholds in calls:
+        expected = reference_ranking(state, profile, thresholds)
+        if not expected:
+            with pytest.raises(OracleError):
+                solve(state, profile, thresholds)
+            continue
+        assert head_of(solve(state, profile, thresholds)) == expected[0]
+    assert set(state._nearest_nodes) == {thresholds.kappa_max for _, thresholds in calls}
+
+
+def test_the_nearest_nodes_are_found_once_per_state_and_kappa_max(
+    state, lexicon, scenarios, monkeypatch
+):
+    found = []
+    nearest_nodes = oracle._nearest_nodes
+
+    def counting(state, kappa_max):
+        found.append(kappa_max)
+        return nearest_nodes(state, kappa_max)
+
+    monkeypatch.setattr(oracle, "_nearest_nodes", counting)
+    fresh = load_state(serialize_state(state))
+    profiles = [classify_intent(s.intent_text, fresh, lexicon) for s in scenarios]
+    profiles.append(classify_intent("plain connectivity request", fresh, lexicon))
+    for kappa_max in (85.0, 50.0, 85.0, 50.0):
+        for profile in profiles:
+            for l_max in (100.0, 60.0):
+                solve(fresh, profile, Thresholds(l_max=l_max, kappa_max=kappa_max))
+    assert found == [85.0, 50.0]
+    solve(load_state(serialize_state(state)), profiles[0])
+    assert found == [85.0, 50.0, 85.0]
+
+
+def test_copies_of_a_solved_state_start_without_nearest_nodes(state, lexicon):
+    fresh = load_state(serialize_state(state))
+    assert fresh._nearest_nodes == {}
+    profile = classify_intent("plain connectivity request", fresh, lexicon)
+    head = solve(fresh, profile)[0]
+    assert set(fresh._nearest_nodes) == {85.0}
+    provisioned = apply_provisioning(fresh, head.config)
+    for copy in (dataclasses.replace(fresh), provisioned):
+        assert copy._nearest_nodes == {}
+        assert solve(copy, profile)[0] == head
+        assert set(copy._nearest_nodes) == {85.0}
+
+
+def test_state_equality_and_repr_ignore_the_nearest_nodes(state, lexicon):
+    solved, unsolved = (load_state(serialize_state(state)) for _ in range(2))
+    solve(solved, classify_intent("plain connectivity request", solved, lexicon))
+    assert solved._nearest_nodes and not unsolved._nearest_nodes
+    assert solved == unsolved
+    assert repr(solved) == repr(unsolved)
+    assert "_nearest_nodes" not in repr(solved)
+
+
+def test_threads_taking_the_first_solve_get_the_serial_heads(state, lexicon, scenarios):
+    # As `--jobs 3` does: three workers share one state and race to be its
+    # first `solve`.
+    text = serialize_state(state)
+    profiles = [classify_intent(s.intent_text, state, lexicon) for s in scenarios]
+    profiles.append(classify_intent("plain connectivity request", state, lexicon))
+    serial_state = load_state(text)
+    serial = [solve(serial_state, profile)[0] for profile in profiles]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the first solve too
+    try:
+        for _ in range(10):
+            fresh = load_state(text)
+            barrier = threading.Barrier(3, timeout=10)
+
+            def heads():
+                barrier.wait()
+                return [solve(fresh, profile)[0] for profile in profiles]
+
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results = [pool.submit(heads) for _ in range(3)]
+                assert [result.result(timeout=10) for result in results] == [serial] * 3
+            assert set(fresh._nearest_nodes) == {85.0}
+    finally:
+        sys.setswitchinterval(switch_interval)

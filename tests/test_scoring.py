@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,3 +253,15 @@ def test_utility_monotone_nonincreasing_in_load(load_a, load_b, tau, band, beta,
 )
 def test_round_half_up(value, places, expected):
     assert round_half_up(value, places) == expected
+
+
+@pytest.mark.parametrize("name", ["l_max", "kappa_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, -1])
+def test_thresholds_reject_a_bad_limit(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number >= 0"):
+        Thresholds(**{name: value})
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 50, 85.0, 100.0, 250.0])
+def test_thresholds_accept_a_finite_limit(value):
+    assert Thresholds(l_max=value, kappa_max=value) == Thresholds(value, value)
