@@ -11,8 +11,10 @@ Not part of the default test run (pyproject's testpaths is `tests`). Run:
 `HarnessConfig`, built outside the timed region, so every round classifies
 the suite as the first system of a `compare` run does. Their state is
 shared, so only the first round encodes it, as in a `compare` run after its
-first system. The CLI cases load every input from disk each round, as a user
-run does, and write the report to `--out` in a temporary directory.
+first system. The CLI cases load the state, prompts, suite and fixture from
+disk each round, as a user run does (the lexicons and generic prompts are
+read once per process), and write the report to `--out` in a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -39,13 +41,7 @@ from sliceweaver.harness import (
 def suite():
     """(scenarios, suite fixture, harness config) of the bundled suite."""
     state = bundled.default_state()
-    config = HarnessConfig(
-        state=state,
-        prompts=load_prompts(bundled.default_prompts_dir()),
-        lexicon=bundled.default_lexicon(),
-        strict_lexicon=bundled.strict_lexicon(),
-        generic_prompts=load_prompts(bundled.generic_prompts_dir(), require_markers=False),
-    )
+    config = HarnessConfig(state=state, prompts=load_prompts(bundled.default_prompts_dir()))
     scenarios = load_scenarios(bundled.default_scenarios_path(), state)
     return scenarios, SuiteFixture.from_file(bundled.default_suite_fixture_path()), config
 

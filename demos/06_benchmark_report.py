@@ -7,13 +7,10 @@ Everything here is hermetic: no network, byte-reproducible output.
 
 from sliceweaver import load_prompts, load_scenarios
 from sliceweaver.data import (
-    default_lexicon,
     default_prompts_dir,
     default_scenarios_path,
     default_state,
     default_suite_fixture_path,
-    generic_prompts_dir,
-    strict_lexicon,
 )
 from sliceweaver.gateway import SuiteFixture
 from sliceweaver.harness import (
@@ -28,13 +25,7 @@ from sliceweaver.harness import (
 )
 
 state = default_state()
-config = HarnessConfig(
-    state=state,
-    prompts=load_prompts(default_prompts_dir()),
-    lexicon=default_lexicon(),
-    strict_lexicon=strict_lexicon(),
-    generic_prompts=load_prompts(generic_prompts_dir(), require_markers=False),
-)
+config = HarnessConfig(state=state, prompts=load_prompts(default_prompts_dir()))
 scenarios = load_scenarios(default_scenarios_path(), state)
 fixture = SuiteFixture.from_file(default_suite_fixture_path())
 

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: run-intent, benchmark, compare, ablate, oracle, validate-state,
-validate-prompts. Every command accepts --backend scripted:<fixture> so the
-whole surface is testable without network access; live mode reads the
-IBN_LLM_* environment variables.
+validate-prompts. Each command takes only the flags it reads (`_COMMAND_FLAGS`);
+argparse refuses any other with exit 2. The commands that call an LLM take
+--backend scripted:<fixture>, so the whole surface is testable without
+network access; live mode reads the IBN_LLM_* environment variables.
 """
 
 from __future__ import annotations
@@ -50,18 +51,32 @@ class CliError(Exception):
     pass
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--state", type=Path, default=None, help="state document (default: bundled topology)")
-    parser.add_argument("--prompts", type=Path, default=None, help="prompt directory (default: bundled prompts)")
-    parser.add_argument("--scenarios", type=Path, default=None, help="scenario suite (default: bundled benchmark12)")
-    parser.add_argument("--backend", default=None, help="'live' or 'scripted:<fixture path>'")
-    parser.add_argument("--l-max", type=float, default=None, help="sector load threshold (default 100)")
-    parser.add_argument("--kappa-max", type=float, default=None, help="node compute threshold (default 85)")
-    parser.add_argument("--repeats", type=int, default=None, help="runs per scenario (default 3)")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel scenario workers (default 1)")
-    parser.add_argument("--out", type=Path, default=None, help="write the machine-format report here")
-    parser.add_argument("--config", type=Path, default=None, help="run-config file; flags win over it")
+# The flags the commands share, in help order: flag -> add_argument keywords.
+# Each defaults to None, so a run-config value fills only what no flag set.
+_COMMON_FLAGS: dict[str, dict] = {
+    "--state": {"type": Path, "help": "state document (default: bundled topology)"},
+    "--prompts": {"type": Path, "help": "prompt directory (default: bundled prompts)"},
+    "--scenarios": {"type": Path, "help": "scenario suite (default: bundled benchmark12)"},
+    "--backend": {"help": "'live' or 'scripted:<fixture path>'"},
+    "--l-max": {"type": float, "help": "sector load threshold (default 100)"},
+    "--kappa-max": {"type": float, "help": "node compute threshold (default 85)"},
+    "--repeats": {"type": int, "help": "runs per scenario (default 3)"},
+    "--jobs": {"type": int, "help": "parallel scenario workers (default 1)"},
+    "--out": {"type": Path, "help": "write the machine-format report here"},
+    "--config": {"type": Path, "help": "run-config file; flags win over it"},
+}
 
+# The common flags each command reads.
+_COMMAND_FLAGS: dict[str, tuple[str, ...]] = {
+    "run-intent": ("--state", "--prompts", "--backend", "--l-max", "--kappa-max", "--out",
+                   "--config"),
+    "benchmark": tuple(_COMMON_FLAGS),
+    "compare": tuple(_COMMON_FLAGS),
+    "ablate": tuple(_COMMON_FLAGS),
+    "oracle": ("--state", "--prompts", "--l-max", "--kappa-max", "--out", "--config"),
+    "validate-state": ("--state", "--config"),
+    "validate-prompts": ("--prompts", "--config"),
+}
 
 _CONFIG_KEYS = {
     "state", "prompts", "scenarios", "backend", "l_max", "kappa_max",
@@ -124,14 +139,21 @@ def _read_state(state_path: Path) -> NetworkState:
     return load_state(text)
 
 
+def _given(args: argparse.Namespace, *keys: str) -> dict:
+    """The values of `keys` that a flag or the run-config set, by key; a key
+    whose flag the command lacks is never set."""
+    return {key: value for key in keys if (value := getattr(args, key, None)) is not None}
+
+
 def _resolve(args: argparse.Namespace) -> HarnessConfig:
-    for key in ("repeats", "jobs", "top"):
-        value = getattr(args, key, None)
-        if value is not None and value < 1:
+    """Check the given run settings and build the HarnessConfig; a setting
+    not given keeps the default of `Thresholds` or `HarnessConfig`."""
+    for key, value in _given(args, "repeats", "jobs", "top").items():
+        if value < 1:
             raise CliError(f"--{key} must be a positive integer, got {value}")
-    for key in ("l_max", "kappa_max"):
-        value = getattr(args, key)
-        if value is not None and not 0 <= value < math.inf:  # NaN fails every comparison
+    limits = _given(args, "l_max", "kappa_max")
+    for key, value in limits.items():
+        if not 0 <= value < math.inf:  # NaN fails every comparison
             raise CliError(
                 f"--{key.replace('_', '-')} must be a finite number >= 0, got {value}"
             )
@@ -143,15 +165,8 @@ def _resolve(args: argparse.Namespace) -> HarnessConfig:
     return HarnessConfig(
         state=state,
         prompts=load_prompts(args.prompts or bundled.default_prompts_dir()),
-        lexicon=bundled.default_lexicon(),
-        strict_lexicon=bundled.strict_lexicon(),
-        generic_prompts=load_prompts(bundled.generic_prompts_dir(), require_markers=False),
-        thresholds=Thresholds(
-            l_max=args.l_max if args.l_max is not None else 100.0,
-            kappa_max=args.kappa_max if args.kappa_max is not None else 85.0,
-        ),
-        repeats=args.repeats if args.repeats is not None else 3,
-        jobs=args.jobs if args.jobs is not None else 1,
+        thresholds=Thresholds(**limits),
+        **_given(args, "repeats", "jobs"),
     )
 
 
@@ -170,6 +185,8 @@ def _provider_for(backend_spec: str | None, default_scripted: bool):
             raise CliError(f"fixture not found: {fixture_path}")
         try:
             doc = json.loads(fixture_path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise CliError(f"cannot read fixture {fixture_path}: {exc}") from None
         except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or not text
             raise CliError(f"fixture {fixture_path} is not valid JSON: {exc}") from None
         try:
@@ -205,7 +222,7 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
         intent_text = sys.stdin.read().strip()
     if not intent_text.strip():
         raise CliError("no intent text given (argument or stdin)")
-    profile = classify_intent(intent_text, state, config.lexicon)
+    profile = classify_intent(intent_text, state, bundled.default_lexicon())
 
     if system == "oracle":
         ranking = solve(state, profile, thresholds)
@@ -287,7 +304,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     config = _resolve(args)
     if not args.intent.strip():
         raise CliError("no intent text given")
-    profile = classify_intent(args.intent, config.state, config.lexicon)
+    profile = classify_intent(args.intent, config.state, bundled.default_lexicon())
     ranking = solve(config.state, profile, config.thresholds)
     _write_out(args, _ranking_doc(ranking))
     print(
@@ -373,39 +390,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("intent", nargs="?", default=None, help="intent text ('-' or omitted: read stdin)")
     p.add_argument("--system", default=None, choices=("multi_agent", "oracle", "rule_based"))
     p.add_argument("--top", type=int, default=None, help="rows to print for --system oracle")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_run_intent)
 
     p = sub.add_parser("benchmark", help="run one system over the scenario suite")
     p.add_argument("--system", default=None, choices=SYSTEMS)
-    _add_common_flags(p)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("compare", help="run the four baseline systems and summarise")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("ablate", help="run the four ablation variants and summarise")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("oracle", help="print the brute-force ranking for an intent")
     p.add_argument("--intent", required=True)
     p.add_argument("--top", type=int, default=None)
-    _add_common_flags(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("validate-state", help="check a state document against the schema")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_validate_state)
 
     p = sub.add_parser("validate-prompts", help="check a prompt directory for required files/markers")
     p.add_argument("--allow-missing-markers", action="store_true")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_validate_prompts)
 
-    # Run-config values are checked against the flags of their command.
-    for command in sub.choices.values():
+    # Each command takes the common flags it reads, after its own; run-config
+    # values are checked against the flags of their command.
+    for name, command in sub.choices.items():
+        for flag in _COMMAND_FLAGS[name]:
+            command.add_argument(flag, default=None, **_COMMON_FLAGS[flag])
         command.set_defaults(flags={action.dest: action for action in command._actions})
     return parser
 

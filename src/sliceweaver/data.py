@@ -1,12 +1,21 @@
 """Access to the data files bundled with the package: the metropolitan
 topology, classifier lexicons, agent prompts, the benchmark scenario suite,
-and scripted replay fixtures."""
+and scripted replay fixtures.
+
+The fixed inputs of the experiment are read once per process: the full
+lexicon (the referee's), the strict lexicon (the rule-based baseline's) and
+the generic prompts (the `no_prompts` ablation's).
+"""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
+from .agents import load_prompts
 from .intent import Lexicon
 from .model import NetworkState, load_state
 
@@ -54,9 +63,17 @@ def default_state() -> NetworkState:
     return load_state(default_state_path().read_text(encoding="utf-8"))
 
 
+@cache
 def default_lexicon() -> Lexicon:
     return Lexicon.from_file(default_lexicon_path())
 
 
+@cache
 def strict_lexicon() -> Lexicon:
     return Lexicon.from_file(strict_lexicon_path())
+
+
+@cache
+def generic_prompts() -> Mapping[str, str]:
+    """The generic role prompts, read-only: every caller shares one mapping."""
+    return MappingProxyType(load_prompts(generic_prompts_dir(), require_markers=False))

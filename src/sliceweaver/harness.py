@@ -13,15 +13,19 @@ and utility >= 0.7), and emits reports: a human-readable table
 (`emit_report`) and a machine-format document (`report_to_dict`).
 
 Scoring always uses the deterministic referee profile derived from the
-scenario's intent text with the full lexicon, regardless of how the system
-under test interpreted the intent; the oracle row solves that same profile.
-Each scenario is classified once per `HarnessConfig`, on first use, and every
-row run with that config is scored against the same profile, so `compare`
-and `ablate` classify the suite once for all their systems. Each run is
-scored once, into its `EvaluationRecord`. A deterministic run (a
-referee system, or any scripted backend) runs once per scenario and its
-record is copied for every repeat; a live LLM run is repeated. Failures of a
-run are recorded as zero-accuracy rows rather than aborting the harness.
+scenario's intent text with the bundled full lexicon, regardless of how the
+system under test interpreted the intent; the oracle row solves that same
+profile. The experiment's fixed inputs are package data, not run settings:
+the rule-based row classifies with the bundled strict lexicon and the
+`no_prompts` ablation runs on the bundled generic prompts, each read once per
+process (`data`). Each scenario is classified once per `HarnessConfig`, on
+first use, and every row run with that config is scored against the same
+profile, so `compare` and `ablate` classify the suite once for all their
+systems. Each run is scored once, into its `EvaluationRecord`. A
+deterministic run (a referee system, or any scripted backend) runs once per
+scenario and its record is copied for every repeat; a live LLM run is
+repeated. Failures of a run are recorded as zero-accuracy rows rather than
+aborting the harness.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from dataclasses import dataclass, field
 from math import fsum
 from pathlib import Path
 
+from . import data as bundled
 from .agents import (
     ORCHESTRATOR,
     Outcome,
@@ -43,7 +48,7 @@ from .agents import (
     run_single_pass,
 )
 from .gateway import ChatSession
-from .intent import BandwidthCategory, IntentProfile, Lexicon, TrafficClass, classify_intent
+from .intent import BandwidthCategory, IntentProfile, TrafficClass, classify_intent
 from .model import Band, NetworkState, SliceConfiguration, UnknownIdError, config_to_dict
 from .oracle import rule_based_provision, solve
 from .scoring import DEFAULT_THRESHOLDS, Thresholds, compute_utility, round_half_up
@@ -126,19 +131,17 @@ class BenchmarkReport:
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Everything a run needs besides the scenarios and the backend."""
+    """Everything a run can set besides the scenarios and the backend; the
+    lexicons and the generic prompts are fixed package data (`data`)."""
 
     state: NetworkState
     prompts: dict[str, str]
-    lexicon: Lexicon
-    strict_lexicon: Lexicon
-    generic_prompts: dict[str, str]
     thresholds: Thresholds = DEFAULT_THRESHOLDS
     repeats: int = 3
     jobs: int = 1
     # Referee profiles by intent text, filled by `referee_profile`. Exact
-    # because `state` and `lexicon` are immutable; a `dataclasses.replace`
-    # copy starts empty.
+    # because `state` is immutable and the referee lexicon is fixed; a
+    # `dataclasses.replace` copy starts empty.
     _referee_profiles: dict[str, IntentProfile] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -222,7 +225,7 @@ def referee_profile(scenario: Scenario, config: HarnessConfig) -> IntentProfile:
     `config` and kept on it."""
     profile = config._referee_profiles.get(scenario.intent_text)
     if profile is None:
-        profile = classify_intent(scenario.intent_text, config.state, config.lexicon)
+        profile = classify_intent(scenario.intent_text, config.state, bundled.default_lexicon())
         config._referee_profiles[scenario.intent_text] = profile
     return profile
 
@@ -240,10 +243,7 @@ def _run_oracle(
 def _run_rule_based(
     scenario: Scenario, config: HarnessConfig, profile: IntentProfile, session: None
 ):
-    return rule_based_provision(
-        scenario.intent_text, config.state, config.thresholds,
-        lexicon=config.strict_lexicon,
-    ).config
+    return rule_based_provision(scenario.intent_text, config.state, config.thresholds).config
 
 
 def _run_multi_agent(
@@ -255,7 +255,7 @@ def _run_multi_agent(
 def _run_generic_prompts(
     scenario: Scenario, config: HarnessConfig, profile: IntentProfile, session: ChatSession
 ):
-    return run_react(scenario.intent_text, config.state, session, config.generic_prompts)
+    return run_react(scenario.intent_text, config.state, session, bundled.generic_prompts())
 
 
 def _run_monolithic(

@@ -39,8 +39,9 @@ from functools import partial
 from itertools import compress, product
 from typing import NamedTuple
 
-from .intent import IntentProfile, Lexicon, classify_intent, weights_for
-from .model import Band, CoreNode, NetworkState, SliceConfiguration
+from . import data as bundled
+from .intent import IntentProfile, classify_intent, weights_for
+from .model import Band, NetworkState, SliceConfiguration
 from .scoring import (
     DEFAULT_THRESHOLDS,
     ConstraintReport,
@@ -207,7 +208,7 @@ def solve(
                 "has no available band"
             )
         sectors = (sector,)
-        count = len(nearest.node_ids) * len(sector[2])
+        count = len(state.nodes) * len(sector[2])
     else:
         sectors = nearest.sectors.values()
         if not sectors:
@@ -250,12 +251,8 @@ def solve(
         kappa_max=kappa_max,
         tau_req_ms=tau_req,
     )
-    return Ranking(
-        head + (breakdown, report),
-        count,
-        partial(_candidate_rows, sectors, nearest.node_ids, nearest.nodes, nearest.compute_ok,
-                weights, s_resource, profile, thresholds),
-    )
+    build_rows = partial(_candidate_rows, state, sectors, profile, thresholds)
+    return Ranking(head + (breakdown, report), count, build_rows)
 
 
 # The ranks of a sector's available bands, by whether its mmWave, mid-band
@@ -270,9 +267,6 @@ class _NearestNodes(NamedTuple):
     """The part of `solve`'s head search that depends on the state and
     `kappa_max` alone, kept on the state by `kappa_max`."""
 
-    node_ids: list[str]  # sorted
-    nodes: list[CoreNode]  # in node_ids order
-    compute_ok: list[bool]  # compute load <= kappa_max, in node_ids order
     # Sector id -> (sector id, load, band ranks, nearest node's latency and
     # id, nearest compute-ok node's latency and id or (inf, None)), by id,
     # for every sector with an available band.
@@ -310,20 +304,17 @@ def _nearest_nodes(state: NetworkState, kappa_max: float) -> _NearestNodes:
             sector_id, sector.load_percent, band_ranks, near_tau, near_id, ok_tau, ok_id
         )
         candidates += len(nodes) * len(band_ranks)
-    return _NearestNodes(node_ids, nodes, compute_ok, sectors, candidates)
+    return _NearestNodes(sectors, candidates)
 
 
 def _candidate_rows(
+    state: NetworkState,
     sectors: Iterable[tuple],
-    node_ids: list[str],
-    nodes: list[CoreNode],
-    compute_ok: list[bool],
-    weights: tuple[float, float, float],
-    s_resource: list[float],
     profile: IntentProfile,
     thresholds: Thresholds,
 ) -> list[tuple]:
-    """Every candidate's key row, in scan order, from `solve`'s set-up.
+    """Every candidate's key row, in scan order, for the sectors `solve`
+    searched.
 
     `sectors` are `_NearestNodes` sector rows; only their id, load and band
     ranks are read.
@@ -336,6 +327,11 @@ def _candidate_rows(
     Candidates with equal sub-scores share one (frozen) ScoreBreakdown, and
     equal checks one ConstraintReport, so at most 8 reports are built.
     """
+    node_ids = sorted(state.nodes)
+    nodes = [state.nodes[node_id] for node_id in node_ids]
+    compute_ok = [node.compute_load_percent <= thresholds.kappa_max for node in nodes]
+    weights = weights_for(profile.traffic_class)
+    s_resource = [score_resource(band, profile.bandwidth_category) for band in RANKED_BANDS]
     breakdowns: dict[tuple[float, float, float], ScoreBreakdown] = {}
     reports: dict[tuple[bool, bool, bool], ConstraintReport] = {}
     rows = []
@@ -387,19 +383,15 @@ def rule_based_provision(
     intent_text: str,
     state: NetworkState,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    lexicon: Lexicon | None = None,
 ) -> RuleBasedResult:
-    """The deterministic baseline: frozen-lexicon classification + solve.
+    """The deterministic baseline: classification with the bundled strict
+    (frozen) lexicon, then solve.
 
     No synonym expansion happens here; when the text matches no keyword the
     class falls through to the eMBB default and the rationale records it, so
     misclassifications stay auditable.
     """
-    if lexicon is None:
-        from .data import strict_lexicon
-
-        lexicon = strict_lexicon()
-    profile = classify_intent(intent_text, state, lexicon)
+    profile = classify_intent(intent_text, state, bundled.strict_lexicon())
     rationale = [
         f"traffic_class={profile.traffic_class.value}",
         f"bandwidth={profile.bandwidth_category.value}",

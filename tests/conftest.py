@@ -19,11 +19,6 @@ def lexicon():
 
 
 @pytest.fixture(scope="session")
-def strict_lexicon():
-    return bundled.strict_lexicon()
-
-
-@pytest.fixture(scope="session")
 def prompts():
     return load_prompts(bundled.default_prompts_dir())
 
@@ -39,22 +34,11 @@ def suite_fixture():
     return SuiteFixture.from_file(bundled.default_suite_fixture_path())
 
 
-@pytest.fixture(scope="session")
-def generic_prompts():
-    return load_prompts(bundled.generic_prompts_dir(), require_markers=False)
-
-
 @pytest.fixture()
-def harness_config(state, prompts, lexicon, strict_lexicon, generic_prompts):
+def harness_config(state, prompts):
     # Function-scoped: a config keeps the referee profiles it classifies, so
     # each test starts from an empty memo.
-    return HarnessConfig(
-        state=state,
-        prompts=prompts,
-        lexicon=lexicon,
-        strict_lexicon=strict_lexicon,
-        generic_prompts=generic_prompts,
-    )
+    return HarnessConfig(state=state, prompts=prompts)
 
 
 FACTORY_INTENT = (

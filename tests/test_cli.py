@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ from sliceweaver import cli
 from sliceweaver import data as bundled
 from sliceweaver.agents import PROMPT_ROLES
 from sliceweaver.cli import main
+from sliceweaver.intent import Lexicon
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +350,115 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     code, _, err = run_cli(capsys, "benchmark", "--config", str(config))
     assert code == 2
     assert "warp" in err
+
+
+# The flags of each command, -h excluded: its own, then the common flags it reads.
+COMMON_FLAGS = {
+    "--state", "--prompts", "--scenarios", "--backend", "--l-max", "--kappa-max",
+    "--repeats", "--jobs", "--out", "--config",
+}
+COMMAND_FLAGS = {
+    "run-intent": {"--system", "--top", "--state", "--prompts", "--backend", "--l-max",
+                   "--kappa-max", "--out", "--config"},
+    "benchmark": {"--system"} | COMMON_FLAGS,
+    "compare": COMMON_FLAGS,
+    "ablate": COMMON_FLAGS,
+    "oracle": {"--intent", "--top", "--state", "--prompts", "--l-max", "--kappa-max", "--out",
+               "--config"},
+    "validate-state": {"--state", "--config"},
+    "validate-prompts": {"--allow-missing-markers", "--prompts", "--config"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    [commands] = [
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = {
+        name: {flag for action in command._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, command in commands.items()
+    }
+    assert flags == COMMAND_FLAGS
+    # (command, argument) pairs, run-intent's positional intent included:
+    # 77 when every command took all ten common flags.
+    arguments = [
+        action for command in commands.values() for action in command._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    assert len(arguments) == 54
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--intent", "x", "--jobs", "2"],
+    ["validate-state", "--out", "x"],
+    ["validate-prompts", "--state", "x"],
+    ["run-intent", "x", "--scenarios", "x"],
+], ids=["oracle-jobs", "validate-state-out", "validate-prompts-state", "run-intent-scenarios"])
+def test_a_flag_the_command_does_not_take_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_config_file_keys_the_command_lacks_are_ignored(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"jobs": 2, "scenarios": "/nonexistent/suite.json"}))
+    code, out, err = run_cli(capsys, "oracle", "--intent", FACTORY_INTENT, "--config", str(config))
+    assert (code, err) == (0, "")
+    assert "class=URLLC" in out
+
+
+def test_bundled_experiment_inputs_load_once_per_process(capsys, monkeypatch):
+    for cached in (bundled.default_lexicon, bundled.strict_lexicon, bundled.generic_prompts):
+        cached.cache_clear()
+    loaded = []
+    from_file, load_prompts = Lexicon.from_file.__func__, bundled.load_prompts
+
+    def counting_from_file(cls, path):
+        loaded.append(Path(path).name)
+        return from_file(cls, path)
+
+    def counting_load_prompts(directory, **kwargs):
+        loaded.append(Path(directory).name)
+        return load_prompts(directory, **kwargs)
+
+    monkeypatch.setattr(Lexicon, "from_file", classmethod(counting_from_file))
+    monkeypatch.setattr(bundled, "load_prompts", counting_load_prompts)
+    for argv in (
+        ["compare"], ["ablate"], ["compare", "--jobs", "3"],
+        ["oracle", "--intent", FACTORY_INTENT],
+        ["run-intent", FACTORY_INTENT, "--system", "rule_based"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert sorted(loaded) == ["ablation_generic", "lexicon.json", "lexicon_strict.json"]
+    generic = bundled.generic_prompts()
+    with pytest.raises(TypeError):
+        generic["orchestrator"] = "x"
+
+
+@pytest.mark.parametrize("command, args", [
+    ("run-intent", ["x"]), ("benchmark", []),
+], ids=["run-intent", "benchmark"])
+def test_unreadable_fixture_exits_2(capsys, monkeypatch, tmp_path, command, args):
+    # chmod cannot make a file unreadable to root, so the read itself is made to fail.
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text("[]")
+    read_text = Path.read_text
+
+    def refusing_read_text(path, *a, **kw):
+        if path == fixture:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *a, **kw)
+
+    monkeypatch.setattr(Path, "read_text", refusing_read_text)
+    code, out, err = run_cli(capsys, command, *args, "--backend", f"scripted:{fixture}")
+    assert code == 2
+    assert err.startswith(f"error: cannot read fixture {fixture}: ")
+    assert "Permission denied" in err
+    assert out == ""
 
 
 NO_GOLDEN_SUITE = json.dumps([

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from math import fsum
 
 import pytest
@@ -34,7 +35,7 @@ from sliceweaver.harness import (
     semantic_accuracy,
 )
 from sliceweaver.intent import TrafficClass, classify_intent
-from sliceweaver.model import Band, SliceConfiguration, config_to_dict
+from sliceweaver.model import Band, SliceConfiguration, config_to_dict, load_state
 from sliceweaver.oracle import solve
 from sliceweaver.scoring import compute_utility, round_half_up
 
@@ -198,23 +199,32 @@ def test_compare_and_ablate_classify_each_scenario_once_per_config(
         assert run_benchmark(scenarios, name, fresh_fixture(), fresh).records == report.records
 
 
-def test_replaced_config_classifies_with_its_own_lexicon(
-    monkeypatch, scenarios, state, strict_lexicon, harness_config
+def test_replaced_config_keeps_its_own_referee_profiles(
+    monkeypatch, scenarios, lexicon, harness_config
 ):
-    expected = [classify_intent(s.intent_text, state, strict_lexicon) for s in scenarios]
+    # The bundled state with industrial_park_a renamed: the intents that name
+    # it no longer target a sector there.
+    doc = json.loads(bundled.default_state_path().read_text(encoding="utf-8"))
+    doc["sectors"]["factory_park_a"] = doc["sectors"].pop("industrial_park_a")
+    for node in doc["nodes"].values():
+        latencies = node["latency_to_ran_ms"]
+        latencies["factory_park_a"] = latencies.pop("industrial_park_a")
+    renamed = load_state(json.dumps(doc))
+    expected = [classify_intent(s.intent_text, renamed, lexicon) for s in scenarios]
     calls = counting(monkeypatch, "classify_intent")
     default_profiles = [referee_profile(s, harness_config) for s in scenarios]
-    strict = dataclasses.replace(harness_config, lexicon=strict_lexicon)
-    strict_profiles = [referee_profile(s, strict) for s in scenarios]
-    assert strict_profiles == expected
-    assert strict_profiles != default_profiles
-    # Each config classified each scenario once, with its own lexicon, and
+    replaced = dataclasses.replace(harness_config, state=renamed)
+    replaced_profiles = [referee_profile(s, replaced) for s in scenarios]
+    assert replaced_profiles == expected
+    assert replaced_profiles != default_profiles
+    # Each config classified each scenario once, against its own state, and
     # answers again from what it kept.
     assert [referee_profile(s, harness_config) for s in scenarios] == default_profiles
-    assert [referee_profile(s, strict) for s in scenarios] == strict_profiles
-    assert [lexicon for _, _, lexicon in calls] == (
-        [harness_config.lexicon] * len(scenarios) + [strict_lexicon] * len(scenarios)
+    assert [referee_profile(s, replaced) for s in scenarios] == replaced_profiles
+    assert [classified for _, classified, _ in calls] == (
+        [harness_config.state] * len(scenarios) + [renamed] * len(scenarios)
     )
+    assert all(classified == lexicon for _, _, classified in calls)
 
 
 # What each live session provisions, and the prompt tokens it reports.

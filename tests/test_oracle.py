@@ -167,10 +167,9 @@ def test_golden_utilities_meet_threshold_or_are_documented(state, lexicon, scena
         assert "structural" in notes.lower()
 
 
-def test_rule_based_handles_explicit_keywords(state, strict_lexicon):
+def test_rule_based_handles_explicit_keywords(state):
     result = rule_based_provision(
         "ultra-low latency control loop at industrial_park_a", state,
-        lexicon=strict_lexicon,
     )
     assert result.profile.traffic_class is TrafficClass.URLLC
     # Latency-dominant weighting picks the co-located edge node.
@@ -178,16 +177,16 @@ def test_rule_based_handles_explicit_keywords(state, strict_lexicon):
     assert any("traffic_class=URLLC" in line for line in result.rationale)
 
 
-def test_rule_based_misses_synonyms(state, lexicon, strict_lexicon):
+def test_rule_based_misses_synonyms(state, lexicon):
     text = "instantaneous connectivity for the machine cell at industrial_park_a"
     # The full lexicon understands the synonym; the frozen strict one does not.
     assert classify_intent(text, state, lexicon).traffic_class is TrafficClass.URLLC
-    result = rule_based_provision(text, state, lexicon=strict_lexicon)
+    result = rule_based_provision(text, state)
     assert result.profile.traffic_class is TrafficClass.EMBB
     assert any("no lexicon keyword matched" in line for line in result.rationale)
 
 
-def test_rule_based_brittleness_costs_accuracy_not_utility(state, lexicon, strict_lexicon):
+def test_rule_based_brittleness_costs_accuracy_not_utility(state, lexicon):
     # A synonym-worded intent: the referee classifies it URLLC/high, the
     # frozen lexicon falls through to eMBB/medium, and the chosen config
     # diverges from the true optimum while remaining technically sound.
@@ -195,7 +194,7 @@ def test_rule_based_brittleness_costs_accuracy_not_utility(state, lexicon, stric
     referee = classify_intent(text, state, lexicon)
     assert referee.traffic_class is TrafficClass.URLLC
     golden = solve(state, referee)[0].config
-    result = rule_based_provision(text, state, lexicon=strict_lexicon)
+    result = rule_based_provision(text, state)
     assert result.profile.traffic_class is not TrafficClass.URLLC
     produced_utility = compute_utility(result.config, referee, state).utility
     golden_utility = compute_utility(golden, referee, state).utility
@@ -204,18 +203,18 @@ def test_rule_based_brittleness_costs_accuracy_not_utility(state, lexicon, stric
     assert produced_utility < golden_utility
 
 
-def test_rule_based_reports_an_infeasible_fallback(state, strict_lexicon):
+def test_rule_based_reports_an_infeasible_fallback(state):
     # Every bundled node runs above 1% compute, so no candidate is feasible.
     text = "ultra-low latency loop at industrial_park_a"
-    result = rule_based_provision(text, state, Thresholds(kappa_max=1), strict_lexicon)
+    result = rule_based_provision(text, state, Thresholds(kappa_max=1))
     assert result.feasible is False
     assert result.config == solve(state, result.profile, Thresholds(kappa_max=1))[0].config
     assert "no feasible candidate; returning best infeasible fallback" in result.rationale
-    assert rule_based_provision(text, state, lexicon=strict_lexicon).feasible is True
+    assert rule_based_provision(text, state).feasible is True
 
 
-def test_rule_based_empty_intent_defaults_to_embb(state, strict_lexicon):
-    result = rule_based_provision("", state, lexicon=strict_lexicon)
+def test_rule_based_empty_intent_defaults_to_embb(state):
+    result = rule_based_provision("", state)
     assert result.profile.traffic_class is TrafficClass.EMBB
     assert result.profile.bandwidth_category is BandwidthCategory.MEDIUM
     assert state.sector(result.config.sector_id).spectrum.available(result.config.band)
