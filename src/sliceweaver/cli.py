@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: run-intent, benchmark, compare, ablate, oracle, validate-state,
-validate-prompts. Each command takes only the flags it reads (`_COMMAND_FLAGS`);
-argparse refuses any other with exit 2. The commands that call an LLM take
---backend scripted:<fixture>, so the whole surface is testable without
-network access; live mode reads the IBN_LLM_* environment variables.
+validate-prompts. Each command takes only the flags it reads (`_COMMAND_FLAGS`),
+refuses any other with its own usage line and exit 2, and loads only the
+inputs it reads: only the suite commands build a `HarnessConfig`. The commands
+that call an LLM take --backend scripted:<fixture>, so the whole surface is
+testable without network access; live mode reads the IBN_LLM_* environment
+variables.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .harness import (
     run_compare,
 )
 from .intent import classify_intent
-from .model import NetworkState, StateError, config_to_dict, load_state
+from .model import NetworkState, StateError, config_to_dict, load_state, read_json
 from .oracle import OracleError, rule_based_provision, solve
-from .scoring import Thresholds, check_constraints, compute_utility, round_half_up
+from .scoring import ScoreBreakdown, Thresholds, check_constraints, compute_utility, round_half_up
 
 
 class CliError(Exception):
@@ -73,7 +75,7 @@ _COMMAND_FLAGS: dict[str, tuple[str, ...]] = {
     "benchmark": tuple(_COMMON_FLAGS),
     "compare": tuple(_COMMON_FLAGS),
     "ablate": tuple(_COMMON_FLAGS),
-    "oracle": ("--state", "--prompts", "--l-max", "--kappa-max", "--out", "--config"),
+    "oracle": ("--state", "--l-max", "--kappa-max", "--out", "--config"),
     "validate-state": ("--state", "--config"),
     "validate-prompts": ("--prompts", "--config"),
 }
@@ -106,20 +108,16 @@ def _config_value(action: argparse.Action, key: str, value):
 def _merge_config_file(args: argparse.Namespace) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CliError(f"cannot read run-config file {args.config}: {exc.strerror}")
-    except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or not text
-        raise CliError(f"run-config file {args.config} is not valid JSON: {exc}")
+    doc = read_json(args.config, "run-config file", CliError)
     if not isinstance(doc, dict):
         raise CliError(f"run-config file {args.config} must hold a JSON object")
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise CliError(f"run-config file has unknown key(s): {sorted(unknown)}")
+    flags = {action.dest: action for action in args.parser._actions}
     for key, value in doc.items():
         # A key whose flag this command does not have is ignored.
-        action = args.flags.get(key)
+        action = flags.get(key)
         if action is not None:
             value = _config_value(action, key, value)
             if getattr(args, key) is None:
@@ -145,9 +143,9 @@ def _given(args: argparse.Namespace, *keys: str) -> dict:
     return {key: value for key in keys if (value := getattr(args, key, None)) is not None}
 
 
-def _resolve(args: argparse.Namespace) -> HarnessConfig:
-    """Check the given run settings and build the HarnessConfig; a setting
-    not given keeps the default of `Thresholds` or `HarnessConfig`."""
+def _check_settings(args: argparse.Namespace) -> Thresholds:
+    """Check the run settings given and build the Thresholds; a limit not
+    given keeps the default of `Thresholds`."""
     for key, value in _given(args, "repeats", "jobs", "top").items():
         if value < 1:
             raise CliError(f"--{key} must be a positive integer, got {value}")
@@ -157,17 +155,17 @@ def _resolve(args: argparse.Namespace) -> HarnessConfig:
             raise CliError(
                 f"--{key.replace('_', '-')} must be a finite number >= 0, got {value}"
             )
+    return Thresholds(**limits)
+
+
+def _state(args: argparse.Namespace) -> NetworkState:
+    """The state that --state names, or the bundled topology; a bad file
+    raises CliError."""
     state_path = args.state or bundled.default_state_path()
     try:
-        state = _read_state(state_path)
+        return _read_state(state_path)
     except StateError as exc:
         raise CliError(f"invalid state file {state_path}: {exc}")
-    return HarnessConfig(
-        state=state,
-        prompts=load_prompts(args.prompts or bundled.default_prompts_dir()),
-        thresholds=Thresholds(**limits),
-        **_given(args, "repeats", "jobs"),
-    )
 
 
 def _provider_for(backend_spec: str | None, default_scripted: bool):
@@ -181,14 +179,7 @@ def _provider_for(backend_spec: str | None, default_scripted: bool):
         return LiveBackend()
     if backend_spec.startswith("scripted:"):
         fixture_path = Path(backend_spec.split(":", 1)[1])
-        if not fixture_path.is_file():
-            raise CliError(f"fixture not found: {fixture_path}")
-        try:
-            doc = json.loads(fixture_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise CliError(f"cannot read fixture {fixture_path}: {exc}") from None
-        except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or not text
-            raise CliError(f"fixture {fixture_path} is not valid JSON: {exc}") from None
+        doc = read_json(fixture_path, "fixture", CliError)
         try:
             if isinstance(doc, list):
                 script = script_from_doc(doc, str(fixture_path))
@@ -214,8 +205,8 @@ def _write_out(args: argparse.Namespace, doc: dict | list) -> None:
 
 
 def cmd_run_intent(args: argparse.Namespace) -> int:
-    config = _resolve(args)
-    state, thresholds = config.state, config.thresholds
+    thresholds = _check_settings(args)
+    state = _state(args)
     system = args.system or "multi_agent"
     intent_text = args.intent
     if intent_text is None or intent_text == "-":
@@ -234,15 +225,19 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
     if system == "rule_based":
         result = rule_based_provision(intent_text, state, thresholds)
         breakdown = compute_utility(result.config, profile, state)
+        _write_out(args, _decision_doc(intent_text, result.config, breakdown, result.feasible))
         print("rationale: " + "; ".join(result.rationale))
         _print_decision(result.config, breakdown.utility, result.feasible)
         return 0
 
+    # The prompts are read before the backend, so a bad --prompts exits 2
+    # even when the backend is live.
+    prompts = load_prompts(args.prompts or bundled.default_prompts_dir())
     backend = _provider_for(args.backend, default_scripted=False)
     if isinstance(backend, SuiteFixture):
         raise CliError("run-intent expects a flat script fixture, not a suite fixture")
     session = ChatSession(backend)
-    transcript = run_react(intent_text, state, session, config.prompts)
+    transcript = run_react(intent_text, state, session, prompts)
     print(render_trace(transcript), end="")
     if transcript.outcome is Outcome.ERROR:  # run_react stops early only on a gateway error
         raise GatewayError(transcript.error)
@@ -253,20 +248,30 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
     breakdown = compute_utility(config_final, profile, state)
     report = check_constraints(config_final, profile, state, thresholds)
     _print_decision(config_final, breakdown.utility, report.feasible)
-    _write_out(args, {
+    _write_out(args, _decision_doc(
+        intent_text, config_final, breakdown, report.feasible,
+        iterations=transcript.iterations, total_tokens=transcript.total_tokens,
+    ))
+    return 0
+
+
+def _decision_doc(intent_text: str, config, breakdown: ScoreBreakdown, feasible: bool,
+                  iterations: int = 0, total_tokens: int = 0) -> dict:
+    """The --out document of run-intent's decision; a referee system runs
+    no agent iteration and spends no token."""
+    return {
         "intent": intent_text,
-        "configuration": config_to_dict(config_final),
+        "configuration": config_to_dict(config),
         "utility": breakdown.utility,
         "sub_scores": {
             "latency": breakdown.s_latency,
             "resource": breakdown.s_resource,
             "congestion": breakdown.s_congestion,
         },
-        "feasible": report.feasible,
-        "iterations": transcript.iterations,
-        "total_tokens": transcript.total_tokens,
-    })
-    return 0
+        "feasible": feasible,
+        "iterations": iterations,
+        "total_tokens": total_tokens,
+    }
 
 
 def _print_decision(config, utility: float, feasible: bool) -> None:
@@ -301,11 +306,12 @@ def _ranking_doc(ranking) -> list[dict]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    config = _resolve(args)
+    thresholds = _check_settings(args)
+    state = _state(args)
     if not args.intent.strip():
         raise CliError("no intent text given")
-    profile = classify_intent(args.intent, config.state, bundled.default_lexicon())
-    ranking = solve(config.state, profile, config.thresholds)
+    profile = classify_intent(args.intent, state, bundled.default_lexicon())
+    ranking = solve(state, profile, thresholds)
     _write_out(args, _ranking_doc(ranking))
     print(
         f"profile: class={profile.traffic_class.value} beta={profile.bandwidth_category.value} "
@@ -319,8 +325,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def _suite_setup(args: argparse.Namespace):
     """Shared prologue of the suite commands: (config, scenarios, provider)."""
-    config = _resolve(args)
-    scenarios = load_scenarios(args.scenarios or bundled.default_scenarios_path(), config.state)
+    thresholds = _check_settings(args)
+    state = _state(args)
+    config = HarnessConfig(
+        state=state,
+        prompts=load_prompts(args.prompts or bundled.default_prompts_dir()),
+        thresholds=thresholds,
+        **_given(args, "repeats", "jobs"),
+    )
+    scenarios = load_scenarios(args.scenarios or bundled.default_scenarios_path(), state)
     provider = _provider_for(args.backend, default_scripted=True)
     if isinstance(provider, ScriptedBackend):
         raise CliError(f"{args.command} expects a suite fixture, not a flat script")
@@ -414,12 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-missing-markers", action="store_true")
     p.set_defaults(func=cmd_validate_prompts)
 
-    # Each command takes the common flags it reads, after its own; run-config
-    # values are checked against the flags of their command.
+    # Each command takes the common flags it reads, after its own. Its parser
+    # reports a flag it does not take, and checks its run-config values.
     for name, command in sub.choices.items():
         for flag in _COMMAND_FLAGS[name]:
             command.add_argument(flag, default=None, **_COMMON_FLAGS[flag])
-        command.set_defaults(flags={action.dest: action for action in command._actions})
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -431,7 +444,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args, unread = _parser().parse_known_args(argv)
+    if unread:
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         args = _merge_config_file(args)
         return args.func(args)

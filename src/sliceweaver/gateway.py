@@ -16,13 +16,14 @@ of the record into the transcript it returns.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from .model import read_json
 
 if TYPE_CHECKING:
     import requests
@@ -328,8 +329,9 @@ def script_from_doc(doc, name: str) -> list[ScriptedExchange]:
 
 
 def load_script(path: str | Path) -> list[ScriptedExchange]:
-    """Load a flat, ordered exchange list from a fixture file."""
-    return script_from_doc(json.loads(Path(path).read_text(encoding="utf-8")), str(path))
+    """Load a flat, ordered exchange list from a fixture file; every defect
+    of the file raises ScriptError."""
+    return script_from_doc(read_json(path, "script", ScriptError), str(path))
 
 
 class SuiteFixture:
@@ -342,7 +344,9 @@ class SuiteFixture:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SuiteFixture":
-        return cls.from_doc(json.loads(Path(path).read_text(encoding="utf-8")), str(path))
+        """Load a suite fixture file; every defect of the file raises
+        ScriptError."""
+        return cls.from_doc(read_json(path, "suite fixture", ScriptError), str(path))
 
     @classmethod
     def from_doc(cls, doc, name: str) -> "SuiteFixture":

@@ -31,7 +31,6 @@ aborting the harness.
 from __future__ import annotations
 
 import dataclasses
-import json
 import statistics
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +48,7 @@ from .agents import (
 )
 from .gateway import ChatSession
 from .intent import BandwidthCategory, IntentProfile, TrafficClass, classify_intent
-from .model import Band, NetworkState, SliceConfiguration, UnknownIdError, config_to_dict
+from .model import Band, NetworkState, SliceConfiguration, UnknownIdError, config_to_dict, read_json
 from .oracle import rule_based_provision, solve
 from .scoring import DEFAULT_THRESHOLDS, Thresholds, compute_utility, round_half_up
 
@@ -146,16 +145,15 @@ class HarnessConfig:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        if self.repeats < 1:  # run_scenario would return no record to report
+            raise ValueError(f"repeats must be a positive integer, got {self.repeats}")
+
 
 def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
     """Load a scenario suite and check it against `state`; every defect of
     the file raises HarnessError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise HarnessError(f"cannot read scenario suite {path}: {exc.strerror}") from None
-    except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or not text
-        raise HarnessError(f"scenario suite {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "scenario suite", HarnessError)
     if not isinstance(doc, list) or not doc:
         raise HarnessError(f"{path}: scenario suite must be a non-empty JSON list")
     scenarios: list[Scenario] = []

@@ -15,14 +15,13 @@ from those hits.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
 
-from .model import NetworkState
+from .model import NetworkState, read_json
 
 
 class TrafficClass(str, Enum):
@@ -89,6 +88,9 @@ class Lexicon:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Lexicon":
+        if not isinstance(doc, dict):
+            raise ValueError(f"lexicon must be a JSON object, got {type(doc).__name__}")
+
         def pull(key: str) -> tuple[str, ...]:
             value = doc.get(key)
             if not isinstance(value, list) or not all(isinstance(k, str) for k in value):
@@ -104,7 +106,8 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Load a lexicon file; every defect of the file raises ValueError."""
+        return cls.from_dict(read_json(path, "lexicon", ValueError))
 
 
 @dataclass(frozen=True)

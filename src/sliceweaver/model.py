@@ -1,6 +1,7 @@
 """Network state model: RAN sectors, core UPF nodes, the latency matrix, and
 slice configurations, plus validated JSON loading, canonical serialization,
-and provisioning bookkeeping.
+and provisioning bookkeeping. `read_json` is the one reader of a JSON input
+file; the other modules' loaders call it with their own error type.
 
 States are immutable values: the sector map, the node map and each node's
 latency row are read-only mappings, and every operation returns a new state.
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from pathlib import Path
 from types import MappingProxyType
 
 
@@ -345,6 +347,20 @@ def _slice_from_entry(index: int, entry: dict) -> SliceConfiguration:
         node_id=str(entry["node"]),
         slice_id=None if slice_id is None else str(slice_id),
     )
+
+
+def read_json(path: str | Path, what: str, error: Callable[[str], Exception]):
+    """The JSON document in the file at `path`; a file that cannot be read,
+    or is not JSON text in UTF-8, raises `error` with a message naming
+    `what` and `path`."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    # ValueError covers JSONDecodeError, text that is not UTF-8 and an integer
+    # past Python's digit limit; RecursionError, a document nested too deep.
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def load_state(document: str) -> NetworkState:

@@ -34,6 +34,28 @@ def suite_fixture():
     return SuiteFixture.from_file(bundled.default_suite_fixture_path())
 
 
+# How a JSON input file can fail before its document is read: each case's
+# bytes, or None where the path is missing or names a directory.
+BAD_JSON_FILES = {
+    "missing": None,
+    "directory": None,
+    "not-utf8": b"\xff\xfe{}",
+    "malformed": b'{"a": 1',
+    "deeply-nested": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.fixture(params=list(BAD_JSON_FILES))
+def bad_json_file(request, tmp_path):
+    """A path that cannot be read as a JSON document, one way per param."""
+    path = tmp_path / "input.json"
+    if request.param == "directory":
+        path.mkdir()
+    elif BAD_JSON_FILES[request.param] is not None:
+        path.write_bytes(BAD_JSON_FILES[request.param])
+    return path
+
+
 @pytest.fixture()
 def harness_config(state, prompts):
     # Function-scoped: a config keeps the referee profiles it classifies, so

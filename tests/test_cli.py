@@ -20,6 +20,7 @@ from sliceweaver import data as bundled
 from sliceweaver.agents import PROMPT_ROLES
 from sliceweaver.cli import main
 from sliceweaver.intent import Lexicon
+from sliceweaver.scoring import round_half_up
 
 
 def run_cli(capsys, *argv):
@@ -363,8 +364,7 @@ COMMAND_FLAGS = {
     "benchmark": {"--system"} | COMMON_FLAGS,
     "compare": COMMON_FLAGS,
     "ablate": COMMON_FLAGS,
-    "oracle": {"--intent", "--top", "--state", "--prompts", "--l-max", "--kappa-max", "--out",
-               "--config"},
+    "oracle": {"--intent", "--top", "--state", "--l-max", "--kappa-max", "--out", "--config"},
     "validate-state": {"--state", "--config"},
     "validate-prompts": {"--allow-missing-markers", "--prompts", "--config"},
 }
@@ -387,7 +387,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         action for command in commands.values() for action in command._actions
         if not isinstance(action, argparse._HelpAction)
     ]
-    assert len(arguments) == 54
+    assert len(arguments) == 53
 
 
 @pytest.mark.parametrize("argv", [
@@ -395,12 +395,15 @@ def test_each_command_takes_only_the_flags_it_reads():
     ["validate-state", "--out", "x"],
     ["validate-prompts", "--state", "x"],
     ["run-intent", "x", "--scenarios", "x"],
-], ids=["oracle-jobs", "validate-state-out", "validate-prompts-state", "run-intent-scenarios"])
+    ["oracle", "--intent", "x", "--prompts", "x"],
+], ids=["oracle-jobs", "validate-state-out", "validate-prompts-state", "run-intent-scenarios",
+        "oracle-prompts"])
 def test_a_flag_the_command_does_not_take_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exited:
         main(argv)
     assert exited.value.code == 2
-    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"sliceweaver {argv[0]}: error: unrecognized arguments: {argv[-2]}" in err
 
 
 def test_config_file_keys_the_command_lacks_are_ignored(capsys, tmp_path):
@@ -409,6 +412,58 @@ def test_config_file_keys_the_command_lacks_are_ignored(capsys, tmp_path):
     code, out, err = run_cli(capsys, "oracle", "--intent", FACTORY_INTENT, "--config", str(config))
     assert (code, err) == (0, "")
     assert "class=URLLC" in out
+
+
+@pytest.mark.parametrize("system", ["oracle", "rule_based"])
+def test_run_intent_referee_systems_read_no_prompts(capsys, system):
+    argv = ["run-intent", FACTORY_INTENT, "--system", system]
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--prompts", "/nonexistent") == plain
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["oracle", "--intent", FACTORY_INTENT], 0),
+    (["run-intent", FACTORY_INTENT, "--system", "oracle"], 0),
+    (["run-intent", FACTORY_INTENT, "--system", "rule_based"], 0),
+    (["compare"], 1),
+], ids=["oracle", "run-intent-oracle", "run-intent-rule_based", "compare"])
+def test_only_the_commands_that_run_agents_load_prompts(capsys, monkeypatch, argv, calls):
+    loaded = []
+
+    def counting_load_prompts(directory, **kwargs):
+        loaded.append(directory)
+        return bundled.load_prompts(directory, **kwargs)
+
+    monkeypatch.setattr(cli, "load_prompts", counting_load_prompts)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(loaded) == calls
+
+
+@pytest.mark.parametrize("flags, feasible", [([], True), (["--kappa-max", "1"], False)],
+                         ids=["feasible", "infeasible-fallback"])
+def test_run_intent_rule_based_out_holds_the_printed_decision(capsys, tmp_path, flags, feasible):
+    intent_text = "ultra-low latency loop at industrial_park_a"
+    argv = ["run-intent", intent_text, "--system", "rule_based", *flags]
+    out_file = tmp_path / "decision.json"
+    plain = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--out", str(out_file)) == plain
+    doc = json.loads(out_file.read_text())
+    # The worked example's decision and sub-scores, as the decision line prints them.
+    assert doc == {
+        "intent": intent_text,
+        "configuration": {
+            "sector": "industrial_park_a", "band": "mid_band", "node": "mec_industrial_1"
+        },
+        "utility": doc["utility"],
+        "sub_scores": {"latency": 1.0, "resource": 1.0, "congestion": 0.4},
+        "feasible": feasible,
+        "iterations": 0,
+        "total_tokens": 0,
+    }
+    assert round_half_up(doc["utility"], 2) == 0.94
+    assert "U=0.94" in plain[1]
+    assert plain[1].rstrip().endswith("[infeasible fallback]") is not feasible
 
 
 def test_bundled_experiment_inputs_load_once_per_process(capsys, monkeypatch):
@@ -558,8 +613,7 @@ def state_with_sector(sector_id: str) -> str:
             pytest.param(command, [*args, "--prompts", "/nonexistent"], None, "/nonexistent",
                          id=f"{command}-prompts-missing")
             for command, args in [
-                ("benchmark", []), ("compare", []), ("ablate", []),
-                ("oracle", ["--intent", "x"]), ("run-intent", ["x"]),
+                ("benchmark", []), ("compare", []), ("ablate", []), ("run-intent", ["x"]),
             ]
         ),
         pytest.param("benchmark", ["--prompts", "{dir}"], "no markers here",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -128,6 +129,13 @@ def test_suite_fixture_lookup_and_missing_key():
         fixture.backend_for("esports_stadium", "no_such_system")
     with pytest.raises(ScriptError):
         fixture.backend_for("no_such_scenario", "multi_agent")
+
+
+@pytest.mark.parametrize("load", [load_script, SuiteFixture.from_file],
+                         ids=["load_script", "SuiteFixture.from_file"])
+def test_fixture_loaders_raise_only_script_error_naming_the_file(load, bad_json_file):
+    with pytest.raises(ScriptError, match=re.escape(str(bad_json_file))):
+        load(bad_json_file)
 
 
 class FakeResponse:

@@ -354,6 +354,12 @@ def test_benchmark_rejects_empty_suite(harness_config):
         run_benchmark([], "oracle", None, harness_config)
 
 
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_config_rejects_repeats_below_one(harness_config, repeats):
+    with pytest.raises(ValueError, match=f"repeats must be a positive integer, got {repeats}"):
+        dataclasses.replace(harness_config, repeats=repeats)
+
+
 def test_benchmark_parallel_jobs_match_serial(scenarios, harness_config):
     serial = run_benchmark(scenarios, "oracle", None, harness_config)
     parallel_config = dataclasses.replace(harness_config, jobs=4)

@@ -240,6 +240,19 @@ def test_lexicon_rejects_keywords_without_a_letter_or_digit(keyword):
         Lexicon(urllc=(), mmtc=(keyword,), bandwidth_high=(), bandwidth_low=())
 
 
+def test_lexicon_from_file_raises_only_value_error_naming_the_file(bad_json_file):
+    with pytest.raises(ValueError, match=re.escape(str(bad_json_file))) as raised:
+        Lexicon.from_file(bad_json_file)
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors too.
+    assert raised.type is ValueError
+
+
+@pytest.mark.parametrize("doc", [[], "urllc", None], ids=["list", "string", "null"])
+def test_lexicon_from_dict_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match="lexicon must be a JSON object"):
+        Lexicon.from_dict(doc)
+
+
 @pytest.mark.parametrize("lexicon_name", ["default", "strict"])
 def test_classify_finds_the_bound_once_and_searches_each_list_once(
     monkeypatch, state, scenarios, lexicon_name
