@@ -193,15 +193,15 @@ def _provider_for(backend_spec: str | None, default_scripted: bool):
 def _write_out(args: argparse.Namespace, doc: dict | list) -> None:
     """Write the machine-format document of a command to --out, if given.
 
-    The suite and oracle commands write it before printing their tables, so
-    an --out that cannot be written fails them with nothing on stdout.
+    Every command writes it before printing, so an --out that cannot be
+    written fails the command with nothing on stdout.
     """
     if args.out:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         try:
             Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise CliError(f"cannot write --out {args.out}: {exc}") from None
+            raise CliError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 def cmd_run_intent(args: argparse.Namespace) -> int:
@@ -238,20 +238,21 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
         raise CliError("run-intent expects a flat script fixture, not a suite fixture")
     session = ChatSession(backend)
     transcript = run_react(intent_text, state, session, prompts)
+    config_final = transcript.final_configuration  # None after a gateway error
+    if config_final is not None:
+        breakdown = compute_utility(config_final, profile, state)
+        report = check_constraints(config_final, profile, state, thresholds)
+        _write_out(args, _decision_doc(
+            intent_text, config_final, breakdown, report.feasible,
+            iterations=transcript.iterations, total_tokens=transcript.total_tokens,
+        ))
     print(render_trace(transcript), end="")
     if transcript.outcome is Outcome.ERROR:  # run_react stops early only on a gateway error
         raise GatewayError(transcript.error)
-    if transcript.final_configuration is None:
+    if config_final is None:
         print(f"no configuration provisioned (outcome: {transcript.outcome.value})")
         return 1
-    config_final = transcript.final_configuration
-    breakdown = compute_utility(config_final, profile, state)
-    report = check_constraints(config_final, profile, state, thresholds)
     _print_decision(config_final, breakdown.utility, report.feasible)
-    _write_out(args, _decision_doc(
-        intent_text, config_final, breakdown, report.feasible,
-        iterations=transcript.iterations, total_tokens=transcript.total_tokens,
-    ))
     return 0
 
 

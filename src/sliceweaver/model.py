@@ -8,16 +8,24 @@ latency row are read-only mappings, and every operation returns a new state.
 This makes them safe to share across concurrent evaluation workers, and it
 lets a state encode its canonical text once, on the first `serialize_state`
 call, and keep it.
+
+`load_state` checks a latency row at a time, not a value at a time: a row
+whose values are all finite floats, as the canonical text writes them, is
+taken in one check, and the loader scans value by value only to convert
+integers or to name a bad value, so its messages do not depend on the bulk
+check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -149,6 +157,10 @@ class CoreNode:
                 f"node {self.id!r}: compute_load_percent {self.compute_load_percent} "
                 "outside [0, 100]"
             )
+        # One pass in C over the row (`min` would skip a NaN that is not
+        # first); the scan below only names the culprit.
+        if all(map(operator.gt, self.latency_to_sector.values(), repeat(0))):
+            return
         for sector_id, value in self.latency_to_sector.items():
             if not value > 0:
                 raise StateValidationError(
@@ -229,11 +241,13 @@ def latency(state: NetworkState, sector_id: str, node_id: str) -> float:
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise StateValidationError(f"duplicate id or key {key!r} in state document")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) < len(pairs):  # only then name the first repeated key
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise StateValidationError(f"duplicate id or key {key!r} in state document")
+            seen.add(key)
     return out
 
 
@@ -251,8 +265,25 @@ def _require_number(value: object, where: str) -> float:
     return number
 
 
-def _check_keys(entry: dict, required: set[str], optional: set[str], where: str) -> None:
-    keys = set(entry)
+# The fields of each object in the state document: required, then optional.
+_STATE_FIELDS = frozenset({"sectors", "nodes"}), frozenset({"provisioned_slices"})
+_SECTOR_FIELDS = (
+    frozenset({"active_users", "load_percentage", "spectrum_available_mhz"}),
+    frozenset({"description"}),
+)
+_NODE_FIELDS = (
+    frozenset({"type", "latency_to_ran_ms", "compute_load_percent"}),
+    frozenset({"description"}),
+)
+_SLICE_FIELDS = frozenset({"sector", "band", "node"}), frozenset({"slice_id"})
+_SPECTRUM_KEYS = frozenset(BAND_JSON_KEYS.values())
+
+
+def _check_keys(entry: dict, fields: tuple[frozenset, frozenset], where: str) -> None:
+    required, optional = fields
+    keys = entry.keys()
+    if keys == required:  # the common shape; the rest only names the culprit
+        return
     missing = required - keys
     if missing:
         raise StateValidationError(f"{where}: missing field(s) {sorted(missing)}")
@@ -261,26 +292,41 @@ def _check_keys(entry: dict, required: set[str], optional: set[str], where: str)
         raise StateValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+def _require_text(entry: dict, key: str, where: str, default: str | None = None) -> str:
+    """`entry[key]`, which must be a string; `default` where the key is absent."""
+    value = entry.get(key, default)
+    if not isinstance(value, str):
+        raise StateValidationError(f"{where}: {key} must be a string, got {value!r}")
+    return value
+
+
+def _latency_row(latencies: dict, where: str) -> dict[str, float]:
+    """The latency row as floats. A row of finite floats, which is what the
+    canonical text holds, is taken as it is; otherwise each value goes
+    through `_require_number`, which names the first bad one."""
+    values = latencies.values()
+    if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
+        return latencies
+    return {
+        sector_id: _require_number(value, f"{where} latency to {sector_id!r}")
+        for sector_id, value in latencies.items()
+    }
+
+
 def _sector_from_entry(sector_id: str, entry: dict) -> RanSector:
     where = f"sector {sector_id!r}"
     if not isinstance(entry, dict):
         raise StateValidationError(f"{where}: entry must be an object")
-    _check_keys(
-        entry,
-        {"active_users", "load_percentage", "spectrum_available_mhz"},
-        {"description"},
-        where,
-    )
+    _check_keys(entry, _SECTOR_FIELDS, where)
     users = entry["active_users"]
     if isinstance(users, bool) or not isinstance(users, int):
         raise StateValidationError(f"{where}: active_users must be an integer")
     spectrum_entry = entry["spectrum_available_mhz"]
     if not isinstance(spectrum_entry, dict):
         raise StateValidationError(f"{where}: spectrum_available_mhz must be an object")
-    expected = {key for key in BAND_JSON_KEYS.values()}
-    if set(spectrum_entry) != expected:
+    if spectrum_entry.keys() != _SPECTRUM_KEYS:
         raise StateValidationError(
-            f"{where}: spectrum_available_mhz must have exactly keys {sorted(expected)}"
+            f"{where}: spectrum_available_mhz must have exactly keys {sorted(_SPECTRUM_KEYS)}"
         )
     spectrum = SpectrumBands(
         mmwave_mhz=_require_number(spectrum_entry["mmWave"], f"{where} mmWave"),
@@ -292,7 +338,7 @@ def _sector_from_entry(sector_id: str, entry: dict) -> RanSector:
         active_users=users,
         load_percent=_require_number(entry["load_percentage"], f"{where} load_percentage"),
         spectrum=spectrum,
-        context=str(entry.get("description", "")),
+        context=_require_text(entry, "description", where, default=""),
     )
 
 
@@ -300,14 +346,9 @@ def _node_from_entry(node_id: str, entry: dict) -> CoreNode:
     where = f"node {node_id!r}"
     if not isinstance(entry, dict):
         raise StateValidationError(f"{where}: entry must be an object")
-    _check_keys(
-        entry,
-        {"type", "latency_to_ran_ms", "compute_load_percent"},
-        {"description"},
-        where,
-    )
+    _check_keys(entry, _NODE_FIELDS, where)
     tier_raw = entry["type"]
-    if tier_raw not in _TIER_ALIASES:
+    if not isinstance(tier_raw, str) or tier_raw not in _TIER_ALIASES:
         raise StateValidationError(
             f"{where}: type must be one of {sorted(_TIER_ALIASES)}, got {tier_raw!r}"
         )
@@ -320,11 +361,8 @@ def _node_from_entry(node_id: str, entry: dict) -> CoreNode:
         compute_load_percent=_require_number(
             entry["compute_load_percent"], f"{where} compute_load_percent"
         ),
-        latency_to_sector={
-            sector_id: _require_number(value, f"{where} latency to {sector_id!r}")
-            for sector_id, value in latencies.items()
-        },
-        context=str(entry.get("description", "")),
+        latency_to_sector=_latency_row(latencies, where),
+        context=_require_text(entry, "description", where, default=""),
     )
 
 
@@ -332,20 +370,22 @@ def _slice_from_entry(index: int, entry: dict) -> SliceConfiguration:
     where = f"provisioned_slices[{index}]"
     if not isinstance(entry, dict):
         raise StateValidationError(f"{where}: entry must be an object")
-    _check_keys(entry, {"sector", "band", "node"}, {"slice_id"}, where)
+    _check_keys(entry, _SLICE_FIELDS, where)
     try:
         band = Band(entry["band"])
     except ValueError:
         raise StateValidationError(f"{where}: unknown band {entry['band']!r}") from None
-    slice_id = entry.get("slice_id")
+    slice_id = entry.get("slice_id")  # null, like an absent key, is no id
+    if slice_id is not None and not isinstance(slice_id, str):
+        raise StateValidationError(f"{where}: slice_id must be a string, got {slice_id!r}")
     if slice_id == "":
         # The wire form omits an empty id, so it would reload as None.
         raise StateValidationError(f"{where}: slice_id must be non-empty")
     return SliceConfiguration(
-        sector_id=str(entry["sector"]),
+        sector_id=_require_text(entry, "sector", where),
         band=band,
-        node_id=str(entry["node"]),
-        slice_id=None if slice_id is None else str(slice_id),
+        node_id=_require_text(entry, "node", where),
+        slice_id=slice_id,
     )
 
 
@@ -373,7 +413,7 @@ def load_state(document: str) -> NetworkState:
         raise StateParseError(f"malformed state document: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateValidationError("state document must be a JSON object")
-    _check_keys(doc, {"sectors", "nodes"}, {"provisioned_slices"}, "state document")
+    _check_keys(doc, _STATE_FIELDS, "state document")
     sectors_entry = doc["sectors"]
     nodes_entry = doc["nodes"]
     if not isinstance(sectors_entry, dict) or not sectors_entry:
@@ -382,10 +422,10 @@ def load_state(document: str) -> NetworkState:
         raise StateValidationError("'nodes' must be a non-empty object")
     sectors = {sid: _sector_from_entry(sid, entry) for sid, entry in sectors_entry.items()}
     nodes = {nid: _node_from_entry(nid, entry) for nid, entry in nodes_entry.items()}
-    slices = tuple(
-        _slice_from_entry(i, entry)
-        for i, entry in enumerate(doc.get("provisioned_slices", []))
-    )
+    slices_entry = doc.get("provisioned_slices", [])
+    if not isinstance(slices_entry, list):
+        raise StateValidationError("'provisioned_slices' must be a list")
+    slices = tuple(_slice_from_entry(i, entry) for i, entry in enumerate(slices_entry))
     state = NetworkState(sectors=sectors, nodes=nodes, provisioned_slices=slices)
     seen_slice_ids: set[str] = set()
     for config in slices:

@@ -466,6 +466,18 @@ def test_run_intent_rule_based_out_holds_the_printed_decision(capsys, tmp_path, 
     assert plain[1].rstrip().endswith("[infeasible fallback]") is not feasible
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run-intent", FACTORY_INTENT, "--backend", trace_backend()], id="agent"),
+    pytest.param(["run-intent", FACTORY_INTENT, "--system", "rule_based"], id="rule-based"),
+    pytest.param(["oracle", "--intent", FACTORY_INTENT], id="oracle"),
+])
+def test_an_unwritable_out_fails_before_anything_is_printed(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write --out {tmp_path}: Is a directory\n"
+
+
 def test_bundled_experiment_inputs_load_once_per_process(capsys, monkeypatch):
     for cached in (bundled.default_lexicon, bundled.strict_lexicon, bundled.generic_prompts):
         cached.cache_clear()

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceweaver import data as bundled
+from sliceweaver import model
 from sliceweaver.model import (
     Band,
     CoreNode,
@@ -16,6 +19,7 @@ from sliceweaver.model import (
     RanSector,
     SliceConfiguration,
     SpectrumBands,
+    StateError,
     StateParseError,
     StateValidationError,
     UnknownIdError,
@@ -484,3 +488,211 @@ def test_for_band_reads_the_band_field(band, field, mhz):
     assert spectrum.for_band(band.value) == mhz  # Band is a str enum
     assert spectrum.available(band) is (mhz > 0)
     assert all(spectrum.for_band(other) == 7.0 for other in Band if other is not band)
+
+
+def bundled_doc() -> dict:
+    return json.loads(bundled.default_state_path().read_text(encoding="utf-8"))
+
+
+def ledger_entry(**fields) -> dict:
+    return {"sector": "city_plaza", "band": "mid_band", "node": "metro_agg_hub", **fields}
+
+
+@pytest.mark.parametrize("value", [None, True, 7, ["x"]], ids=repr)
+@pytest.mark.parametrize("path, where", [
+    pytest.param(("sectors", "city_plaza", "description"), "sector 'city_plaza'",
+                 id="sector-description"),
+    pytest.param(("nodes", "metro_agg_hub", "description"), "node 'metro_agg_hub'",
+                 id="node-description"),
+    pytest.param(("provisioned_slices", 0, "slice_id"), "provisioned_slices[0]", id="slice_id"),
+    pytest.param(("provisioned_slices", 0, "sector"), "provisioned_slices[0]", id="ledger-sector"),
+    pytest.param(("provisioned_slices", 0, "node"), "provisioned_slices[0]", id="ledger-node"),
+])
+def test_a_text_field_that_is_not_a_string_is_rejected(path, where, value):
+    # Such values used to load as their str(): a null description put the
+    # text "None" into every specialist prompt.
+    if path[-1] == "slice_id" and value is None:
+        value = 7  # null, like an absent key, is a slice without an id
+    doc = bundled_doc()
+    doc["provisioned_slices"] = [ledger_entry(slice_id="s_001")]
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    key = path[-1]
+    with pytest.raises(StateValidationError) as excinfo:
+        load_state(json.dumps(doc))
+    assert str(excinfo.value) == f"{where}: {key} must be a string, got {value!r}"
+
+
+def test_a_null_slice_id_is_a_slice_without_an_id():
+    doc = bundled_doc()
+    doc["provisioned_slices"] = [ledger_entry(slice_id=None)]
+    (config,) = load_state(json.dumps(doc)).provisioned_slices
+    assert config.slice_id is None
+
+
+@pytest.mark.parametrize("ledger", [None, 5, "abc", {"a": 1}], ids=repr)
+def test_a_ledger_that_is_not_a_list_is_rejected(ledger):
+    doc = bundled_doc()
+    doc["provisioned_slices"] = ledger
+    with pytest.raises(StateValidationError, match="'provisioned_slices' must be a list"):
+        load_state(json.dumps(doc))
+
+
+def all_float_document(n_sectors: int, n_nodes: int, seed: int = 1) -> dict:
+    """A state document whose every number is a float, as serialize_state
+    writes a loaded state."""
+    rng = random.Random(f"all-float:{seed}:{n_sectors}:{n_nodes}")
+    sector_ids = [f"sector_{i:04d}" for i in range(n_sectors)]
+    return {
+        "sectors": {
+            sid: {
+                "active_users": rng.randint(0, 50000),
+                "load_percentage": round(rng.uniform(0, 100), 1),
+                "spectrum_available_mhz": {
+                    band: rng.choice((0.0, 20.0, 100.0)) for band in ("mmWave", "mid_band", "low_band")
+                },
+            }
+            for sid in sector_ids
+        },
+        "nodes": {
+            f"upf_{j:02d}": {
+                "type": rng.choice(("edge", "metro", "regional")),
+                "latency_to_ran_ms": {sid: round(rng.uniform(1, 45), 1) for sid in sector_ids},
+                "compute_load_percent": round(rng.uniform(0, 100), 1),
+            }
+            for j in range(n_nodes)
+        },
+    }
+
+
+@pytest.fixture()
+def number_checks(monkeypatch):
+    """The `where` of every per-value number check `load_state` makes."""
+    seen: list[str] = []
+    check = model._require_number
+
+    def counting(value, where):
+        seen.append(where)
+        return check(value, where)
+
+    monkeypatch.setattr(model, "_require_number", counting)
+    return seen
+
+
+def test_a_row_of_finite_floats_is_checked_in_bulk(number_checks):
+    doc = all_float_document(50, 12)
+    state = load_state(json.dumps(doc))
+    assert not [where for where in number_checks if " latency to " in where]
+    assert len(number_checks) == 50 * 4 + 12  # the other numbers, one by one
+    assert state_to_dict(state) == doc
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("5", "node 'upf_07' latency to 'sector_0031' must be a number, got '5'"),
+    (None, "node 'upf_07' latency to 'sector_0031' must be a number, got None"),
+    (True, "node 'upf_07' latency to 'sector_0031' must be a number, got True"),
+    (float("nan"), "node 'upf_07' latency to 'sector_0031' must be a finite number, got nan"),
+    (float("inf"), "node 'upf_07' latency to 'sector_0031' must be a finite number, got inf"),
+    (10**400, f"node 'upf_07' latency to 'sector_0031' must be a finite number, got {10**400!r}"),
+    (0.0, "node 'upf_07': latency to 'sector_0031' must be > 0, got 0.0"),
+    (-1.5, "node 'upf_07': latency to 'sector_0031' must be > 0, got -1.5"),
+], ids=["string", "null", "true", "nan", "infinity", "huge-integer", "zero", "negative"])
+def test_one_bad_latency_is_named_as_before(number_checks, bad, message):
+    doc = all_float_document(50, 12)
+    row = doc["nodes"]["upf_07"]["latency_to_ran_ms"]
+    row["sector_0031"] = row["sector_0040"] = bad  # the first in row order is named
+    with pytest.raises(StateValidationError) as excinfo:
+        load_state(json.dumps(doc))
+    assert str(excinfo.value) == message
+    row["sector_0040"] = 3.5
+    row["sector_0031"] = 7  # an integer is a number: the row is checked value by value
+    number_checks.clear()
+    node = load_state(json.dumps(doc)).node("upf_07")
+    assert type(node.latency_to_sector["sector_0031"]) is float
+    assert sum(" latency to " in where for where in number_checks) == 50
+
+
+def test_the_duplicate_named_is_the_first_repeated_key():
+    # Objects are checked innermost first; within one, the first key that
+    # repeats an earlier one is named.
+    text = json.dumps(minimal_doc()).replace(
+        '"s1": 5', '"s1": 5, "a": 1, "b": 2, "b": 3, "a": 4'
+    )
+    with pytest.raises(StateValidationError) as excinfo:
+        load_state(text)
+    assert str(excinfo.value) == "duplicate id or key 'b' in state document"
+
+
+@pytest.mark.parametrize("tier", [[], {}, None, 1])
+def test_a_node_type_that_is_not_a_string_is_rejected(tier):
+    doc = minimal_doc()
+    doc["nodes"]["n1"]["type"] = tier
+    with pytest.raises(StateValidationError, match="type must be one of"):
+        load_state(json.dumps(doc))
+
+
+# Mutation fuzz of the state document: 1-3 edits at random places of a
+# valid document. Placeholders stand for the texts `json.dumps` cannot write.
+_HUGE_FLOAT, _HUGE_INT, _DUPLICATE = "@1e400@", "@5000 digits@", "@dup@"
+_BAD_VALUES = [
+    float("nan"), float("inf"), -float("inf"), _HUGE_FLOAT, _HUGE_INT,
+    True, False, 0, 7, -3, None, "", "x", "é",
+]
+
+
+def _containers(value, path=()):
+    """Every (path, dict or list) in a JSON document."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    yield path, value
+    for key, child in children:
+        yield from _containers(child, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    base = draw(st.sampled_from(["bundled", "all-float"]))
+    doc = bundled_doc() if base == "bundled" else all_float_document(8, 3)
+    if draw(st.booleans()):
+        doc["provisioned_slices"] = [ledger_entry(slice_id="s_001"), ledger_entry()]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        _, container = draw(st.sampled_from(list(_containers(doc))))
+        keys = list(container) if isinstance(container, dict) else list(range(len(container)))
+        edit = draw(st.sampled_from(["replace", "delete", "unknown", "duplicate"]))
+        if not keys or edit == "unknown":
+            if isinstance(container, dict):
+                container["surprise"] = draw(st.sampled_from(_BAD_VALUES))
+            else:
+                container.append(draw(st.sampled_from(_BAD_VALUES)))
+            continue
+        key = draw(st.sampled_from(keys))
+        if edit == "replace":
+            container[key] = draw(st.sampled_from(_BAD_VALUES))
+        elif edit == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            container[_DUPLICATE + key] = container[key]
+        else:
+            container.append(container[key])
+    text = json.dumps(doc, indent=1)
+    return (
+        text.replace(json.dumps(_HUGE_FLOAT), "1e400")
+        .replace(json.dumps(_HUGE_INT), "9" * 5000)
+        .replace('"' + _DUPLICATE, '"')
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_a_mutated_document_raises_only_state_error_or_round_trips(text):
+    try:
+        state = load_state(text)
+    except StateError:
+        return
+    assert load_state(serialize_state(state)) == state

@@ -4,6 +4,7 @@ their users run them."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -54,3 +55,20 @@ def test_benchmark_cases_run():
     # Each case once, untimed, so the per-layer benchmarks cannot rot.
     result = run_with_src("-m", "pytest", "benchmarks", "--benchmark-disable", "-q")
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_benchmark_records_hold_exactly_the_collected_cases():
+    # A re-record that drops or renames a case, or a case added without a
+    # record, shows up here.
+    result = run_with_src("-m", "pytest", "benchmarks", "--collect-only", "-q")
+    assert result.returncode == 0, result.stdout + result.stderr
+    collected: dict[str, set[str]] = {}
+    for line in result.stdout.splitlines():
+        if "::" in line:
+            collected.setdefault(line.split("::", 1)[0], set()).add(line)
+    recorded = {}
+    for record in sorted((ROOT / "benchmarks").glob("BENCH_*.json")):
+        cases = json.loads(record.read_text(encoding="utf-8"))["benchmarks"]
+        module = f"benchmarks/test_{record.stem.removeprefix('BENCH_')}.py"
+        recorded[module] = {case["fullname"] for case in cases}
+    assert recorded == collected
