@@ -10,12 +10,15 @@ A ChatSession wraps a backend and records each completion in `calls`, the
 one usage record: it keeps no totals, and an agent run sums its own share
 of the record into the transcript it returns.
 
-`requests` is imported only by LiveBackend, so hermetic runs never load it.
+A run loads and copies only what it uses. `requests` is imported only by
+LiveBackend, and `hashlib` (which loads OpenSSL) only where a scripted
+exchange checks an `expect_sha256` digest, so hermetic runs load neither.
+ScriptedBackend estimates prompt tokens from the message lengths and renders
+the history as text only for an exchange with a matcher.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
@@ -92,8 +95,14 @@ def _render_history(messages: list[ChatMessage]) -> str:
     return "\n".join(f"{m.role}: {m.content}" for m in messages)
 
 
-def _estimate_tokens(text: str) -> int:
-    return max(1, len(text) // 4)
+def _rendered_length(messages: list[ChatMessage]) -> int:
+    """`len(_render_history(messages))`, without building the text: each
+    message is "role: content", and the messages are joined by newlines."""
+    return sum(len(m.role) + 2 + len(m.content) for m in messages) + len(messages) - 1
+
+
+def _estimate_tokens(chars: int) -> int:
+    return max(1, chars // 4)
 
 
 class ScriptedBackend:
@@ -120,28 +129,17 @@ class ScriptedBackend:
                 )
             exchange = self._exchanges[self._index]
             self._index += 1
-        rendered = _render_history(messages)
-        if exchange.expect_contains is not None and exchange.expect_contains not in rendered:
-            raise ScriptError(
-                f"script {self.backend_id!r} expected prompt containing "
-                f"{exchange.expect_contains!r}, got: {rendered[:200]!r}..."
-            )
-        if exchange.expect_sha256 is not None:
-            digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
-            if digest != exchange.expect_sha256:
-                raise ScriptError(
-                    f"script {self.backend_id!r} expected prompt digest "
-                    f"{exchange.expect_sha256}, got {digest}"
-                )
+        if exchange.expect_contains is not None or exchange.expect_sha256 is not None:
+            self._check_prompt(exchange, _render_history(messages))
         prompt_tokens = (
             exchange.prompt_tokens
             if exchange.prompt_tokens is not None
-            else _estimate_tokens(rendered)
+            else _estimate_tokens(_rendered_length(messages))
         )
         completion_tokens = (
             exchange.completion_tokens
             if exchange.completion_tokens is not None
-            else _estimate_tokens(exchange.response)
+            else _estimate_tokens(len(exchange.response))
         )
         return CompletionResult(
             text=exchange.response,
@@ -149,6 +147,22 @@ class ScriptedBackend:
             completion_tokens=completion_tokens,
             latency_s=0.0,
         )
+
+    def _check_prompt(self, exchange: ScriptedExchange, rendered: str) -> None:
+        if exchange.expect_contains is not None and exchange.expect_contains not in rendered:
+            raise ScriptError(
+                f"script {self.backend_id!r} expected prompt containing "
+                f"{exchange.expect_contains!r}, got: {rendered[:200]!r}..."
+            )
+        if exchange.expect_sha256 is not None:
+            import hashlib
+
+            digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+            if digest != exchange.expect_sha256:
+                raise ScriptError(
+                    f"script {self.backend_id!r} expected prompt digest "
+                    f"{exchange.expect_sha256}, got {digest}"
+                )
 
 
 class LiveBackend:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import statistics
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import fsum
 from pathlib import Path
@@ -398,6 +397,8 @@ def run_benchmark(
         return run_scenario(scenario, system, provider, config)
 
     if config.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a parallel run loads it
+
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             per_scenario = list(pool.map(one, scenarios))
     else:

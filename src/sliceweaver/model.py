@@ -449,6 +449,8 @@ def config_to_dict(config: SliceConfiguration) -> dict:
 
 
 def state_to_dict(state: NetworkState) -> dict:
+    """The state document as plain dicts, in the state's own key order;
+    `serialize_state` sorts the keys as it encodes."""
     doc: dict = {
         "sectors": {
             sector.id: {
@@ -466,7 +468,7 @@ def state_to_dict(state: NetworkState) -> dict:
         "nodes": {
             node.id: {
                 "type": node.tier.value,
-                "latency_to_ran_ms": dict(sorted(node.latency_to_sector.items())),
+                "latency_to_ran_ms": dict(node.latency_to_sector),
                 "compute_load_percent": node.compute_load_percent,
                 **({"description": node.context} if node.context else {}),
             }

@@ -270,28 +270,39 @@ def test_the_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
     assert sha256_of(second) == COMPARE_REPORT_SHA256
 
 
-# Runs `sliceweaver.cli.main(argv)` and fails if `requests` was loaded by the
-# import or by the run itself.
-NO_REQUESTS_SCRIPT = """
+# Runs `sliceweaver.cli.main(argv)`, fails if the import loaded a module a
+# hermetic run has no use for, and prints which of them the run loaded:
+# `hashlib` (OpenSSL) serves only a scripted `expect_sha256`, `requests` only
+# the live backend, and `concurrent.futures` only `--jobs` above 1. It runs
+# in a child process, since this test module imports hashlib and requests.
+UNUSED_MODULES_SCRIPT = """
 import sys
 from sliceweaver.cli import main
-assert "requests" not in sys.modules, "import sliceweaver.cli loaded requests"
+UNUSED = ("hashlib", "_hashlib", "requests", "concurrent.futures")
+loaded = [name for name in UNUSED if name in sys.modules]
+assert not loaded, f"import sliceweaver.cli loaded {loaded}"
 code = main(sys.argv[1:])
-assert "requests" not in sys.modules, "the run loaded requests"
+print("LOADED:", *[name for name in UNUSED if name in sys.modules])
 sys.exit(code)
 """
 
 
-def test_hermetic_runs_do_not_load_requests(tmp_path):
+@pytest.mark.parametrize("jobs,loaded", [
+    ("1", "LOADED:"),
+    ("2", "LOADED: concurrent.futures"),
+], ids=["jobs1", "jobs2"])
+def test_hermetic_compare_loads_only_what_it_uses(tmp_path, jobs, loaded):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     out_file = tmp_path / "compare.json"
     result = subprocess.run(
-        [sys.executable, "-c", NO_REQUESTS_SCRIPT, "compare", "--out", str(out_file)],
+        [sys.executable, "-c", UNUSED_MODULES_SCRIPT, "compare", "--out", str(out_file),
+         "--jobs", jobs],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == loaded
     assert sha256_of(out_file) == COMPARE_REPORT_SHA256
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
+from sliceweaver import gateway
 from sliceweaver.gateway import (
     ChatMessage,
     ChatSession,
@@ -87,6 +88,65 @@ def test_scripted_sha256_matcher():
     bad = ScriptedBackend([ScriptedExchange(response="ok", expect_sha256="0" * 64)])
     with pytest.raises(ScriptError):
         ChatSession(bad).complete(history)
+
+
+# Any message ChatMessage accepts: newlines, an empty assistant text,
+# non-ASCII and astral characters.
+message_text = st.text(
+    st.characters() | st.sampled_from(["\n", "\r", "\u00e9", "\u4e2d", "\U0001f4e1"]),
+    max_size=40,
+)
+chat_messages = st.builds(
+    ChatMessage, role=st.sampled_from(("system", "user")), content=message_text.filter(bool)
+) | st.builds(ChatMessage, role=st.just("assistant"), content=message_text)
+
+
+@given(history=st.lists(chat_messages, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_rendered_length_is_the_length_of_the_rendered_history(history):
+    rendered = gateway._render_history(history)
+    assert gateway._rendered_length(history) == len(rendered)
+    backend = ScriptedBackend([ScriptedExchange(response="ok")])
+    assert backend.complete(history).prompt_tokens == max(1, len(rendered) // 4)
+
+
+def count_renders(monkeypatch) -> list[int]:
+    renders = []
+    render = gateway._render_history
+
+    def counting(messages):
+        renders.append(len(messages))
+        return render(messages)
+
+    monkeypatch.setattr(gateway, "_render_history", counting)
+    return renders
+
+
+def test_a_script_without_matchers_never_renders_the_history(monkeypatch):
+    renders = count_renders(monkeypatch)
+    session = ChatSession(ScriptedBackend([ScriptedExchange(response="ok")] * 3))
+    for text in ("one", "three", "a longer one"):
+        session.complete(messages(text))
+    assert renders == []
+    # "system: sys\nuser: <text>" is 21, 23 and 30 characters long.
+    assert [call.prompt_tokens for call in session.calls] == [5, 5, 7]
+
+
+def test_a_script_with_matchers_renders_once_per_completion(monkeypatch):
+    import hashlib
+
+    history = messages("pinned")
+    digest = hashlib.sha256(gateway._render_history(history).encode()).hexdigest()
+    renders = count_renders(monkeypatch)
+    session = ChatSession(ScriptedBackend([
+        ScriptedExchange(response="a", expect_contains="pinned"),
+        ScriptedExchange(response="b", expect_sha256=digest),
+        ScriptedExchange(response="c", expect_contains="pinned", expect_sha256=digest),
+        ScriptedExchange(response="d"),
+    ]))
+    for _ in range(4):
+        session.complete(history)
+    assert renders == [2, 2, 2]
 
 
 def test_session_history_contract():
