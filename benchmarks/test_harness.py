@@ -15,6 +15,12 @@ first system. The CLI cases load the state, prompts, suite and fixture from
 disk each round, as a user run does (the lexicons and generic prompts are
 read once per process), and write the report to `--out` in a temporary
 directory.
+
+`test_out_document_text` times `json_text`, the writer of every `--out`
+document, alone: on the `compare` and `ablate` reports of the bundled suite
+and on the full `oracle --out` ranking of an untargeted intent at 400
+sectors x 12 UPF nodes (11k rows). Each document is built once, outside the
+timed region.
 """
 
 from __future__ import annotations
@@ -26,15 +32,21 @@ import pytest
 
 from sliceweaver import data as bundled
 from sliceweaver.agents import load_prompts
-from sliceweaver.cli import main
+from sliceweaver.cli import _ranking_doc, main
 from sliceweaver.gateway import SuiteFixture
 from sliceweaver.harness import (
     ABLATION_VARIANTS,
     COMPARE_SYSTEMS,
     HarnessConfig,
     load_scenarios,
+    report_to_dict,
+    run_ablation,
     run_benchmark,
+    run_compare,
 )
+from sliceweaver.intent import BandwidthCategory, IntentProfile, TrafficClass
+from sliceweaver.model import json_text
+from sliceweaver.oracle import solve
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +78,29 @@ def test_cli_suite_command(benchmark, tmp_path, command, systems):
     code = benchmark(main, [command, "--out", str(out)])
     assert code == 0
     assert sorted(json.loads(out.read_text(encoding="utf-8"))) == sorted(systems)
+
+
+def out_document(name, suite, topology):
+    """The `--out` document of `compare`, `ablate` or an untargeted `oracle`."""
+    scenarios, fixture, config = suite
+    if name == "compare":
+        reports = run_compare(scenarios, fixture, dataclasses.replace(config))
+    elif name == "ablate":
+        config = dataclasses.replace(config)
+        reports = {v: run_ablation(v, scenarios, fixture, config) for v in ABLATION_VARIANTS}
+    else:
+        untargeted = IntentProfile(
+            raw_text="plain connectivity",
+            traffic_class=TrafficClass.EMBB,
+            bandwidth_category=BandwidthCategory.MEDIUM,
+            tau_req_ms=50.0,
+        )
+        return _ranking_doc(solve(topology(400, 12), untargeted))
+    return {system: report_to_dict(report) for system, report in reports.items()}
+
+
+@pytest.mark.parametrize("name", ["compare", "ablate", "ranking-400-12"])
+def test_out_document_text(benchmark, suite, topology, name):
+    doc = out_document(name, suite, topology)
+    text = benchmark(json_text, doc)
+    assert text == json.dumps(doc, indent=2, sort_keys=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -44,7 +43,7 @@ from .harness import (
     run_compare,
 )
 from .intent import classify_intent
-from .model import NetworkState, StateError, config_to_dict, load_state, read_json
+from .model import NetworkState, StateError, config_to_dict, json_text, load_state, read_json
 from .oracle import OracleError, rule_based_provision, solve
 from .scoring import ScoreBreakdown, Thresholds, check_constraints, compute_utility, round_half_up
 
@@ -197,7 +196,7 @@ def _write_out(args: argparse.Namespace, doc: dict | list) -> None:
     written fails the command with nothing on stdout.
     """
     if args.out:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json_text(doc) + "\n"
         try:
             Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:

@@ -585,7 +585,7 @@ def test_a_row_of_finite_floats_is_checked_in_bulk(number_checks):
     doc = all_float_document(50, 12)
     state = load_state(json.dumps(doc))
     assert not [where for where in number_checks if " latency to " in where]
-    assert len(number_checks) == 50 * 4 + 12  # the other numbers, one by one
+    assert len(number_checks) == 12  # each node's compute load, one by one
     assert state_to_dict(state) == doc
 
 
@@ -612,6 +612,81 @@ def test_one_bad_latency_is_named_as_before(number_checks, bad, message):
     node = load_state(json.dumps(doc)).node("upf_07")
     assert type(node.latency_to_sector["sector_0031"]) is float
     assert sum(" latency to " in where for where in number_checks) == 50
+
+
+_SECTOR_NUMBERS = {
+    # field in the document: (path to it, its name in messages)
+    "load_percentage": ((), "load_percentage"),
+    "mmWave": (("spectrum_available_mhz",), "mmWave"),
+    "mid_band": (("spectrum_available_mhz",), "mid_band"),
+    "low_band": (("spectrum_available_mhz",), "low_band"),
+}
+_BELOW_ZERO = {
+    "load_percentage": "sector 'sector_0031': load_percent -1.0 outside [0, 100]",
+    "mmWave": "spectrum mmwave_mhz must be >= 0, got -1.0",
+    "mid_band": "spectrum mid_band_mhz must be >= 0, got -1.0",
+    "low_band": "spectrum low_band_mhz must be >= 0, got -1.0",
+}
+
+
+@pytest.mark.parametrize("field", sorted(_SECTOR_NUMBERS))
+@pytest.mark.parametrize("bad, problem", [
+    ("5", "must be a number, got '5'"),
+    (float("nan"), "must be a finite number, got nan"),
+    (True, "must be a number, got True"),
+    (-1, None),
+    (10**400, f"must be a finite number, got {10**400!r}"),
+], ids=["string", "nan", "true", "negative", "huge-integer"])
+def test_one_bad_sector_number_is_named_as_before(number_checks, field, bad, problem):
+    doc = all_float_document(50, 12)
+    path, name = _SECTOR_NUMBERS[field]
+    holder = doc["sectors"]["sector_0031"]
+    for key in path:
+        holder = holder[key]
+    holder[field] = bad
+    with pytest.raises(StateValidationError) as excinfo:
+        load_state(json.dumps(doc))
+    expected = _BELOW_ZERO[field] if problem is None else f"sector 'sector_0031' {name} {problem}"
+    assert str(excinfo.value) == expected
+    # No sector before the bad one was checked number by number.
+    assert {where.split(" ")[1] for where in number_checks} <= {"'sector_0031'"}
+
+
+@pytest.mark.parametrize("users, message", [
+    ("5", "sector 'sector_0031': active_users must be an integer"),
+    (True, "sector 'sector_0031': active_users must be an integer"),
+    (2.0, "sector 'sector_0031': active_users must be an integer"),
+    (-1, "sector 'sector_0031': active_users must be >= 0"),
+], ids=["string", "true", "float", "negative"])
+def test_one_bad_user_count_is_named_as_before(users, message):
+    doc = all_float_document(50, 12)
+    doc["sectors"]["sector_0031"]["active_users"] = users
+    with pytest.raises(StateValidationError) as excinfo:
+        load_state(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+def test_a_sector_of_integers_or_with_a_description_loads_as_floats(number_checks):
+    doc = all_float_document(5, 2)
+    sector = doc["sectors"]["sector_0003"]
+    sector["load_percentage"] = 40
+    sector["spectrum_available_mhz"] = {"mmWave": 0, "mid_band": 20, "low_band": 1e308}
+    doc["sectors"]["sector_0004"]["description"] = "a described sector"
+    doc["sectors"]["sector_0002"]["spectrum_available_mhz"].update(mmWave=1e308, mid_band=1e308)
+    state = load_state(json.dumps(doc))
+    for sector_id in ("sector_0002", "sector_0003", "sector_0004"):
+        loaded = state.sector(sector_id)
+        numbers = (loaded.load_percent, loaded.spectrum.mmwave_mhz,
+                   loaded.spectrum.mid_band_mhz, loaded.spectrum.low_band_mhz)
+        assert {type(number) for number in numbers} == {float}
+    assert state.sector("sector_0003").load_percent == 40.0
+    assert state.sector("sector_0004").context == "a described sector"
+    # A sector of integers is one check; a described sector, and one whose
+    # finite numbers sum past the float range, go field by field.
+    checked = {sector_id: sum(where.startswith(f"sector {sector_id!r}") for where in number_checks)
+               for sector_id in doc["sectors"]}
+    assert checked == {"sector_0000": 0, "sector_0001": 0, "sector_0002": 4,
+                       "sector_0003": 0, "sector_0004": 4}
 
 
 def test_the_duplicate_named_is_the_first_repeated_key():
@@ -696,3 +771,62 @@ def test_a_mutated_document_raises_only_state_error_or_round_trips(text):
     except StateError:
         return
     assert load_state(serialize_state(state)) == state
+
+
+# Pieces of keys and strings that a `%` template, a JSON escape or an ASCII
+# encoding could get wrong.
+_TRICKY_TEXT = ["%", "%s", "%%", "%(key)s", "{}", "{0}", '"', "\\", "\x00", "\n", "\x1f",
+                "\x7f", "é", "€", "\U0001f600", "\ud800"]
+_json_strings = st.lists(
+    st.one_of(st.sampled_from(_TRICKY_TEXT), st.text(max_size=3)), max_size=4
+).map("".join)
+_json_numbers = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.floats(),
+    st.sampled_from([0, -1, 10**299, -(10**299), 0.0, -0.0, 5e-324, 1e16, 1e-7,
+                     float("inf"), float("-inf"), float("nan")]),
+)
+_json_documents = st.recursive(
+    st.one_of(st.none(), _json_numbers, _json_strings),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_json_strings, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_documents)
+def test_json_text_is_json_dumps(doc):
+    assert model.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_text_keeps_empty_containers_and_json_spellings_at_every_depth():
+    doc = {"a": [], "b": {}, "c": [[], {}, [{}], {"d": []}], "e": [True, 1, 1.0, None, -0.0],
+           "f": {"%s": float("nan"), "%": float("inf"), "%%": float("-inf")}}
+    assert model.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert model.json_text([]) == "[]" and model.json_text({}) == "{}"
+
+
+def test_json_text_raises_as_json_dumps_on_an_integer_past_the_digit_limit():
+    for doc in ([10**5000], {"n": 10**5000}):
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(ValueError):
+            model.json_text(doc)
+
+
+@pytest.mark.parametrize("value", [(1, 2), Band.MMWAVE, NodeTier.EDGE, {1, 2}, b"x", object()],
+                         ids=["tuple", "band", "tier", "set", "bytes", "object"])
+def test_json_text_takes_only_the_seven_json_types(value):
+    for doc in (value, [value], {"k": value}):
+        with pytest.raises(TypeError):
+            model.json_text(doc)
+
+
+def test_json_text_takes_only_string_keys():
+    with pytest.raises(TypeError):
+        model.json_text({"a": {1: "one"}})
