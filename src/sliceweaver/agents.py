@@ -241,8 +241,11 @@ def format_action(action: AgentAction) -> str:
     return " | ".join(parts)
 
 
-def parse_slice_configs(ran_config: str, core_config: str) -> tuple[Band, str, str]:
-    """Split "band@sector" / "UPF@node" into (band, sector_id, node_id)."""
+def parse_slice_configs(
+    ran_config: str, core_config: str, slice_id: str | None = None
+) -> SliceConfiguration:
+    """The configuration named by "band@sector" and "UPF@node", labelled
+    `slice_id`."""
     if "@" not in ran_config:
         raise ActionParseError("ran_config must look like band@sector", ran_config)
     band_token, _, sector_id = ran_config.partition("@")
@@ -259,7 +262,7 @@ def parse_slice_configs(ran_config: str, core_config: str) -> tuple[Band, str, s
     node_id = node_id.strip()
     if not prefix.strip() or not node_id:
         raise ActionParseError("empty segment in core_config", core_config)
-    return band, sector_id, node_id
+    return SliceConfiguration(sector_id, band, node_id, slice_id)
 
 
 def load_prompts(directory: str | Path, require_markers: bool = True) -> dict[str, str]:
@@ -362,6 +365,8 @@ def run_react(
     """
     if not intent_text.strip():
         raise ValueError("intent text must be non-empty")
+    if k_max < 1:  # the loop would end at once as an iteration limit
+        raise ValueError(f"k_max must be a positive integer, got {k_max}")
     alone = system_prompt is not None
     if alone:
         user_text = f"{intent_text}\n\nCURRENT NETWORK STATE:\n{serialize_state(state)}"
@@ -436,12 +441,8 @@ def run_react(
                     observations.append(reply)
             elif action.kind is ActionKind.PROVISION_SLICE:
                 try:
-                    band, sector_id, node_id = parse_slice_configs(
-                        action.ran_config or "", action.core_config or ""
-                    )
-                    config = SliceConfiguration(
-                        sector_id=sector_id, band=band, node_id=node_id,
-                        slice_id=action.slice_id,
+                    config = parse_slice_configs(
+                        action.ran_config or "", action.core_config or "", action.slice_id
                     )
                     working_state = apply_provisioning(working_state, config)
                 except (ActionParseError, ProvisioningError) as exc:
@@ -450,7 +451,7 @@ def run_react(
                     last_provisioned = config
                     observations.append(
                         f"Provisioned slice {config.slice_id or '(unnamed)'}: "
-                        f"{band.value}@{sector_id} via {node_id}"
+                        f"{config.band.value}@{config.sector_id} via {config.node_id}"
                     )
             elif action.kind is ActionKind.FINISH:
                 if last_provisioned is not None:

@@ -47,7 +47,15 @@ from .agents import (
 )
 from .gateway import ChatSession
 from .intent import BandwidthCategory, IntentProfile, TrafficClass, classify_intent
-from .model import Band, NetworkState, SliceConfiguration, UnknownIdError, config_to_dict, read_json
+from .model import (
+    NetworkState,
+    SliceConfiguration,
+    StateError,
+    config_from_dict,
+    config_to_dict,
+    read_json,
+    validate_config,
+)
 from .oracle import rule_based_provision, solve
 from .scoring import DEFAULT_THRESHOLDS, Thresholds, compute_utility, round_half_up
 
@@ -147,11 +155,14 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         if self.repeats < 1:  # run_scenario would return no record to report
             raise ValueError(f"repeats must be a positive integer, got {self.repeats}")
+        if self.jobs < 1:  # run_benchmark would quietly run serially
+            raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
 
 
 def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
     """Load a scenario suite and check it against `state`; every defect of
-    the file raises HarnessError."""
+    the file raises HarnessError. A golden is read by `config_from_dict`, as
+    a ledger entry is, and checked by `validate_config`."""
     doc = read_json(path, "scenario suite", HarnessError)
     if not isinstance(doc, list) or not doc:
         raise HarnessError(f"{path}: scenario suite must be a non-empty JSON list")
@@ -166,15 +177,8 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
             for key in ("notes", "provenance"):
                 if not isinstance(entry.get(key, ""), str):
                     raise TypeError(f"{key!r} must be a string")
-            golden_entry = entry["golden"]
-            golden = SliceConfiguration(
-                sector_id=golden_entry["sector"],
-                band=Band(golden_entry["band"]),
-                node_id=golden_entry["node"],
-            )
-            # Golden standards must be valid against the bundled topology.
-            sector = state.sector(golden.sector_id)
-            state.node(golden.node_id)
+            golden = config_from_dict(entry["golden"], "golden")
+            validate_config(state, golden)
             scenario = Scenario(
                 id=entry["id"],
                 category=TrafficClass(entry["category"]),
@@ -186,13 +190,8 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
             )
         except KeyError as exc:
             raise HarnessError(f"{path}: scenario entry {index} has no {exc} field") from None
-        except (TypeError, ValueError, UnknownIdError) as exc:
+        except (TypeError, ValueError, StateError) as exc:
             raise HarnessError(f"{path}: scenario entry {index}: {exc}") from None
-        if not sector.spectrum.available(golden.band):
-            raise HarnessError(
-                f"scenario {scenario.id!r}: golden band {golden.band.value!r} has no "
-                f"spectrum at {golden.sector_id!r}"
-            )
         if scenario.id in seen:
             raise HarnessError(f"duplicate scenario id {scenario.id!r}")
         seen.add(scenario.id)

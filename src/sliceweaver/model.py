@@ -1,7 +1,10 @@
 """Network state model: RAN sectors, core UPF nodes, the latency matrix, and
 slice configurations, plus validated JSON loading, canonical serialization,
-and provisioning bookkeeping. `read_json` is the one reader of a JSON input
-file; the other modules' loaders call it with their own error type.
+and provisioning bookkeeping. `config_to_dict` writes a configuration's
+wire form and `config_from_dict` reads it; `validate_config` is the one
+check of a configuration against a state. `read_json` is the one reader of
+a JSON input file; the other modules' loaders call it with their own error
+type.
 `json_text` is the one writer of a command's `--out` document: the text of
 `json.dumps(doc, indent=2, sort_keys=True)`, in about half the time.
 
@@ -394,29 +397,6 @@ def _node_from_entry(node_id: str, entry: dict) -> CoreNode:
     )
 
 
-def _slice_from_entry(index: int, entry: dict) -> SliceConfiguration:
-    where = f"provisioned_slices[{index}]"
-    if not isinstance(entry, dict):
-        raise StateValidationError(f"{where}: entry must be an object")
-    _check_keys(entry, _SLICE_FIELDS, where)
-    try:
-        band = Band(entry["band"])
-    except ValueError:
-        raise StateValidationError(f"{where}: unknown band {entry['band']!r}") from None
-    slice_id = entry.get("slice_id")  # null, like an absent key, is no id
-    if slice_id is not None and not isinstance(slice_id, str):
-        raise StateValidationError(f"{where}: slice_id must be a string, got {slice_id!r}")
-    if slice_id == "":
-        # The wire form omits an empty id, so it would reload as None.
-        raise StateValidationError(f"{where}: slice_id must be non-empty")
-    return SliceConfiguration(
-        sector_id=_require_text(entry, "sector", where),
-        band=band,
-        node_id=_require_text(entry, "node", where),
-        slice_id=slice_id,
-    )
-
-
 def read_json(path: str | Path, what: str, error: Callable[[str], Exception]):
     """The JSON document in the file at `path`; a file that cannot be read,
     or is not JSON text in UTF-8, raises `error` with a message naming
@@ -519,11 +499,12 @@ def load_state(document: str) -> NetworkState:
     slices_entry = doc.get("provisioned_slices", [])
     if not isinstance(slices_entry, list):
         raise StateValidationError("'provisioned_slices' must be a list")
-    slices = tuple(_slice_from_entry(i, entry) for i, entry in enumerate(slices_entry))
+    slices = tuple(config_from_dict(entry, f"provisioned_slices[{i}]")
+                   for i, entry in enumerate(slices_entry))
     state = NetworkState(sectors=sectors, nodes=nodes, provisioned_slices=slices)
     seen_slice_ids: set[str] = set()
     for config in slices:
-        _validate_config(state, config)
+        validate_config(state, config)
         if config.slice_id is not None:
             if config.slice_id in seen_slice_ids:
                 raise StateValidationError(
@@ -540,6 +521,31 @@ def config_to_dict(config: SliceConfiguration) -> dict:
     if config.slice_id:
         doc["slice_id"] = config.slice_id
     return doc
+
+
+def config_from_dict(entry: object, where: str) -> SliceConfiguration:
+    """The configuration whose wire form is `entry`, the inverse of
+    `config_to_dict`; any other form raises StateValidationError naming
+    `where`. It checks no id against a state; `validate_config` does."""
+    if not isinstance(entry, dict):
+        raise StateValidationError(f"{where}: entry must be an object")
+    _check_keys(entry, _SLICE_FIELDS, where)
+    try:
+        band = Band(entry["band"])
+    except ValueError:
+        raise StateValidationError(f"{where}: unknown band {entry['band']!r}") from None
+    slice_id = entry.get("slice_id")  # null, like an absent key, is no id
+    if slice_id is not None and not isinstance(slice_id, str):
+        raise StateValidationError(f"{where}: slice_id must be a string, got {slice_id!r}")
+    if slice_id == "":
+        # The wire form omits an empty id, so it would reload as None.
+        raise StateValidationError(f"{where}: slice_id must be non-empty")
+    return SliceConfiguration(
+        sector_id=_require_text(entry, "sector", where),
+        band=band,
+        node_id=_require_text(entry, "node", where),
+        slice_id=slice_id,
+    )
 
 
 def state_to_dict(state: NetworkState) -> dict:
@@ -585,7 +591,10 @@ def serialize_state(state: NetworkState) -> str:
     return state._canonical_text
 
 
-def _validate_config(state: NetworkState, config: SliceConfiguration) -> None:
+def validate_config(state: NetworkState, config: SliceConfiguration) -> None:
+    """The one check that `config` can exist in `state`: an unknown sector or
+    node raises UnknownIdError; a band that is not a `Band`, or has no
+    spectrum at the sector, raises ProvisioningError."""
     sector = state.sector(config.sector_id)
     state.node(config.node_id)
     if not isinstance(config.band, Band):
@@ -604,7 +613,7 @@ def apply_provisioning(state: NetworkState, config: SliceConfiguration) -> Netwo
     provisioning decision, not load feedback.
     """
     try:
-        _validate_config(state, config)
+        validate_config(state, config)
     except UnknownIdError as exc:
         raise ProvisioningError(str(exc)) from exc
     if config.slice_id is not None:

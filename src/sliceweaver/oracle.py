@@ -17,16 +17,18 @@ feasible, on that node's best band) and returns the least of them. Each
 sector's nearest node, and its nearest node within `kappa_max`, depend on
 the state alone: the first `solve` for a `kappa_max` finds them in one scan
 of the latency matrix and keeps them on the (immutable) state, so each later
-head takes one pass over the sectors. Nothing that depends on the profile
-is kept. `solve` returns a read-only `Ranking` that builds the other rows
-only when a read needs them, by one factored scan: utility and feasibility
-split into parts that depend on the sector, the node, the (sector, node)
-latency or the band alone, so each part is computed once where it changes,
-and candidates with equal parts share one frozen ScoreBreakdown or
-ConstraintReport. The rows are sorted once, and a row's configuration and
-ranked object are built when the row is read. `enumerate_candidates` scored candidate by candidate with
-`compute_utility` and `check_constraints` stays the reference both must
-equal.
+head takes one pass over the sectors. Nothing that depends on the profile is
+kept. The head is scored by the reference functions, `compute_utility` and
+`check_constraints`, so a ranking's head carries exactly what they report
+for its configuration. `solve` returns a read-only `Ranking` that builds the
+other rows only when a read needs them, by one factored scan: utility and
+feasibility split into parts that depend on the sector, the node, the
+(sector, node) latency or the band alone, so each part is computed once
+where it changes, and candidates with equal parts share one frozen
+ScoreBreakdown or ConstraintReport. The rows are sorted once, and a row's
+configuration and ranked object are built when the row is read.
+`enumerate_candidates` scored candidate by candidate with `compute_utility`
+and `check_constraints` stays the reference both must equal.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from .scoring import (
     ConstraintReport,
     ScoreBreakdown,
     Thresholds,
+    check_constraints,
+    compute_utility,
     score_congestion,
     score_latency,
     score_resource,
@@ -191,7 +195,8 @@ def solve(
     otherwise. Both nearest nodes depend on the state alone: the first call
     for a `kappa_max` finds them with one latency lookup per (sector, node)
     and keeps them on the state, and every call takes one pass over the
-    sectors, with one S_latency per sector.
+    sectors, with one S_latency per sector. The head is then scored by
+    `compute_utility` and `check_constraints`.
     """
     if profile.target_sector is not None:
         state.sector(profile.target_sector)  # UnknownIdError for an unknown id
@@ -233,24 +238,10 @@ def solve(
         row = (infeasible, neg_utility, tau, load, sector_id, band_rank, node_id)
         if head is None or row < head:
             head = row
-    _, _, tau, load, sector_id, band_rank, node_id = head
-    s_lat, s_res, s_con = score_latency(tau), s_resource[band_rank], score_congestion(load)
-    breakdown = ScoreBreakdown(
-        s_latency=s_lat,
-        s_resource=s_res,
-        s_congestion=s_con,
-        weights=weights,
-        utility=weighted_utility(weights, s_lat, s_res, s_con),
-    )
-    report = ConstraintReport(
-        load_ok=load <= l_max,
-        band_ok=True,
-        compute_ok=state.nodes[node_id].compute_load_percent <= kappa_max,
-        latency_ok=tau <= tau_req,
-        l_max=l_max,
-        kappa_max=kappa_max,
-        tau_req_ms=tau_req,
-    )
+    *_, sector_id, band_rank, node_id = head
+    config = SliceConfiguration(sector_id, RANKED_BANDS[band_rank], node_id)
+    breakdown = compute_utility(config, profile, state)
+    report = check_constraints(config, profile, state, thresholds)
     build_rows = partial(_candidate_rows, state, sectors, profile, thresholds)
     return Ranking(head + (breakdown, report), count, build_rows)
 

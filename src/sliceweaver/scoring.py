@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .intent import BandwidthCategory, IntentProfile, weights_for
-from .model import Band, NetworkState, ProvisioningError, SliceConfiguration, latency
+from .model import Band, NetworkState, SliceConfiguration, latency, validate_config
 
 
 @dataclass(frozen=True)
@@ -129,16 +129,12 @@ def compute_utility(
 ) -> ScoreBreakdown:
     """Score a configuration against an intent profile and network state.
 
-    Raises on unknown ids and on a band with no spectrum at the sector
-    (structurally invalid, as opposed to merely infeasible).
+    A configuration that `validate_config` refuses (an unknown id, a band
+    with no spectrum at the sector) raises its error: it is structurally
+    invalid, as opposed to merely infeasible.
     """
-    sector = state.sector(config.sector_id)
-    state.node(config.node_id)
-    if not sector.spectrum.available(config.band):
-        raise ProvisioningError(
-            f"band {config.band.value!r} has no available spectrum at sector "
-            f"{config.sector_id!r}"
-        )
+    validate_config(state, config)
+    sector = state.sectors[config.sector_id]
     weights = weights_for(profile.traffic_class)
     s_lat = score_latency(latency(state, config.sector_id, config.node_id))
     s_res = score_resource(config.band, profile.bandwidth_category)

@@ -26,7 +26,7 @@ from sliceweaver.agents import (
 )
 from sliceweaver.gateway import ChatSession, ScriptedBackend, ScriptedExchange, load_script
 from sliceweaver.intent import classify_intent
-from sliceweaver.model import Band, serialize_state
+from sliceweaver.model import Band, SliceConfiguration, serialize_state
 from sliceweaver.oracle import solve
 
 PROVISION_FINISH_TURN = """THOUGHT: Both specialists agree, so I can provision the slice now.
@@ -139,10 +139,14 @@ def test_parse_action_malformed_pairs_carry_the_line():
 
 
 def test_parse_slice_configs_examples():
-    band, sector, node = parse_slice_configs("mid-band@industrial_park_a", "UPF@mec_industrial_1")
-    assert band is Band.MID_BAND
-    assert sector == "industrial_park_a"
-    assert node == "mec_industrial_1"
+    config = parse_slice_configs("mid-band@industrial_park_a", "UPF@mec_industrial_1")
+    assert config.dimensions() == ("industrial_park_a", Band.MID_BAND, "mec_industrial_1")
+    assert config.slice_id is None
+
+
+def test_parse_slice_configs_carries_slice_id():
+    config = parse_slice_configs("low-band@a", "UPF@n", slice_id="iot_7")
+    assert config == SliceConfiguration("a", Band.LOW_BAND, "n", slice_id="iot_7")
 
 
 @pytest.mark.parametrize(
@@ -159,8 +163,7 @@ def test_parse_slice_configs_examples():
     ],
 )
 def test_band_alias_map(token, expected):
-    band, _, _ = parse_slice_configs(f"{token}@sector_x", "UPF@node_y")
-    assert band is expected
+    assert parse_slice_configs(f"{token}@sector_x", "UPF@node_y").band is expected
 
 
 def test_parse_slice_configs_errors():
@@ -262,6 +265,14 @@ def test_consult_specialist_rejects_non_specialists(state, prompts):
 
 
 # --- the ReAct loop ----------------------------------------------------------
+
+@pytest.mark.parametrize("k_max", [0, -2])
+def test_react_rejects_k_max_below_one(state, prompts, k_max):
+    session = scripted_session("ACTION: FINISH | summary=never reached")
+    with pytest.raises(ValueError, match=f"k_max must be a positive integer, got {k_max}"):
+        run_react("any intent", state, session, prompts, k_max=k_max)
+    assert session.calls == []
+
 
 def test_react_replays_bundled_trace(state, prompts, factory_intent):
     script = load_script(bundled.industrial_trace_fixture_path())

@@ -552,11 +552,14 @@ NOT_UTF8 = b"\xff\xfe{}"
 DEEPLY_NESTED = "[" * 100000 + "]" * 100000
 
 
+GOLDEN = {"sector": "industrial_park_a", "band": "mid_band", "node": "mec_industrial_1"}
+
+
 def one_scenario_suite(**fields) -> str:
     """A one-entry suite, valid on the bundled state unless `fields` say otherwise."""
     entry = {
         "id": "x", "category": "URLLC", "intent_text": "t", "declared_beta": "high",
-        "golden": {"sector": "industrial_park_a", "band": "mid_band", "node": "mec_industrial_1"},
+        "golden": GOLDEN,
     }
     return json.dumps([{**entry, **fields}])
 
@@ -714,6 +717,19 @@ def state_with_sector(sector_id: str) -> str:
                 ("notes-list", {"notes": ["x"]}, "'notes' must be a string"),
                 ("provenance-null", {"provenance": None}, "'provenance' must be a string"),
                 ("intent-blank", {"intent_text": " \n\t"}, "'intent_text' must not be blank"),
+                ("golden-unknown-key", {"golden": {**GOLDEN, "weight": 1}},
+                 "golden: unknown field(s) ['weight']"),
+                ("golden-string", {"golden": "industrial_park_a"},
+                 "golden: entry must be an object"),
+                ("golden-sector-number", {"golden": {**GOLDEN, "sector": 5}},
+                 "golden: sector must be a string, got 5"),
+                ("golden-band-json-key", {"golden": {**GOLDEN, "band": "mmWave"}},
+                 "golden: unknown band 'mmWave'"),
+                ("golden-band-without-spectrum",
+                 {"golden": {**GOLDEN, "sector": "rural_highway", "band": "mmwave"}},
+                 "band 'mmwave' has no available spectrum at sector 'rural_highway'"),
+                ("golden-no-node", {"golden": {"sector": "industrial_park_a", "band": "mid_band"}},
+                 "golden: missing field(s) ['node']"),
             ]
         ),
     ],

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from math import fsum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
 from sliceweaver import harness
@@ -26,6 +29,7 @@ from sliceweaver.harness import (
     ablation_table,
     compare_table,
     emit_report,
+    load_scenarios,
     referee_profile,
     report_to_dict,
     run_ablation,
@@ -74,6 +78,72 @@ def test_goldens_are_oracle_heads(scenarios, state, lexicon):
         profile = classify_intent(scenario.intent_text, state, lexicon)
         head = solve(state, profile)[0]
         assert semantic_accuracy(head.config, scenario.golden) == 1.0, scenario.id
+
+
+# A 5000-digit integer, past Python's int/str digit limit: json.dumps cannot
+# write it, so its digits are spliced into the text after encoding.
+BIG_INT = "<5000-digit integer>"
+SWAP_VALUES = [None, True, 1e400, "", "-", [], {}, BIG_INT]
+
+
+def json_nodes(doc, path=()):
+    """Every (path, node) of `doc`, the root first; a path is a tuple of keys
+    and indices."""
+    yield path, doc
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from json_nodes(value, path + (key,))
+
+
+def edit_suite(doc, data):
+    """`doc` after one random edit: an unknown key added to an object, or a
+    node deleted or swapped for one of SWAP_VALUES."""
+    kind = data.draw(st.sampled_from(["add", "delete", "swap"]))
+    if kind == "add":
+        objects = [node for _, node in json_nodes(doc) if isinstance(node, dict)]
+        if objects:
+            data.draw(st.sampled_from(objects))["unknown_key"] = 1
+        return doc
+    paths = [path for path, _ in json_nodes(doc) if path or kind == "swap"]
+    if not paths:  # the whole document was swapped for a scalar
+        return doc
+    path = data.draw(st.sampled_from(paths))
+    if not path:
+        return copy.deepcopy(data.draw(st.sampled_from(SWAP_VALUES)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(SWAP_VALUES)))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutated_suite_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "suite.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_mutated_suite_raises_only_harness_error(state, mutated_suite_path, data):
+    # One to three edits of the bundled suite, so that a bad field sits inside
+    # an otherwise valid document; a suite that still loads is fine.
+    doc = json.loads(bundled.default_scenarios_path().read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = edit_suite(doc, data)
+    text = json.dumps(doc).replace(json.dumps(BIG_INT), "7" * 5000)
+    mutated_suite_path.write_text(text, encoding="utf-8")
+    try:
+        load_scenarios(mutated_suite_path, state)
+    except HarnessError:
+        pass
 
 
 # --- semantic accuracy -------------------------------------------------------
@@ -358,6 +428,12 @@ def test_benchmark_rejects_empty_suite(harness_config):
 def test_config_rejects_repeats_below_one(harness_config, repeats):
     with pytest.raises(ValueError, match=f"repeats must be a positive integer, got {repeats}"):
         dataclasses.replace(harness_config, repeats=repeats)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_config_rejects_jobs_below_one(harness_config, jobs):
+    with pytest.raises(ValueError, match=f"jobs must be a positive integer, got {jobs}"):
+        dataclasses.replace(harness_config, jobs=jobs)
 
 
 def test_benchmark_parallel_jobs_match_serial(scenarios, harness_config):

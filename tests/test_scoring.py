@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceweaver.intent import BandwidthCategory, TrafficClass, classify_intent
-from sliceweaver.model import Band, ProvisioningError, SliceConfiguration, UnknownIdError
+from sliceweaver.model import (
+    Band,
+    ProvisioningError,
+    SliceConfiguration,
+    UnknownIdError,
+    validate_config,
+)
 from sliceweaver.scoring import (
     Thresholds,
     check_constraints,
@@ -168,6 +174,26 @@ def test_compute_utility_errors(state, lexicon, factory_intent):
             profile,
             state,
         )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SliceConfiguration("nowhere", Band.MID_BAND, "mec_industrial_1"),
+        SliceConfiguration("industrial_park_a", Band.MID_BAND, "nowhere"),
+        SliceConfiguration("rural_highway", Band.MMWAVE, "metro_agg_hub"),
+    ],
+    ids=["unknown-sector", "unknown-node", "band-without-spectrum"],
+)
+def test_compute_utility_refuses_what_validate_config_refuses(
+    state, lexicon, factory_intent, config
+):
+    with pytest.raises((UnknownIdError, ProvisioningError)) as expected:
+        validate_config(state, config)
+    with pytest.raises(type(expected.value)) as raised:
+        compute_utility(config, profile_for(factory_intent, state, lexicon), state)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_constraints_factory_profile_filtering(state, lexicon, factory_intent):

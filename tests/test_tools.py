@@ -1,8 +1,9 @@
-"""The fixture generator, the demos and the per-layer benchmarks, run as
-their users run them."""
+"""The fixture generator, the demos, the per-layer benchmarks and the span
+tracer's names, run or loaded as their users run or load them."""
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import json
 import os
@@ -31,6 +32,26 @@ def test_make_fixtures_rebuilds_the_committed_fixtures(tmp_path, monkeypatch, ca
         bundled.industrial_trace_fixture_path(), bundled.default_suite_fixture_path()
     ):
         assert (tmp_path / committed.name).read_bytes() == committed.read_bytes(), committed.name
+
+
+def test_span_tracer_names_exist_where_it_wraps_them():
+    # perfbench/spans.py wraps each name at the module or class attribute its
+    # callers look up; a refactor that moves an import or a method must keep
+    # every one of them, or the traced benchmark run fails.
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in spans.FUNCTIONS
+        if attr not in importlib.import_module(f"sliceweaver.{module}").__dict__
+    ]
+    missing += [
+        f"{module}.{cls}.{attr}"
+        for module, cls, attr, *_ in spans.METHODS
+        if attr not in getattr(importlib.import_module(f"sliceweaver.{module}"), cls).__dict__
+    ]
+    assert missing == []
 
 
 def run_with_src(*argv: str) -> subprocess.CompletedProcess:
