@@ -175,6 +175,7 @@ class LiveBackend:
     deterministic = False
 
     MAX_ATTEMPTS = 3
+    TIMEOUT_S = 60.0  # per HTTP request
     BACKOFF_START_S = 0.5
     # A 429 or 503 may name its own wait in whole seconds (Retry-After); it
     # replaces the backoff, up to this cap.
@@ -186,13 +187,11 @@ class LiveBackend:
         base_url: str | None = None,
         model: str | None = None,
         api_key: str | None = None,
-        timeout_s: float = 60.0,
         session: requests.Session | None = None,
     ):
         self.base_url = (base_url or os.environ.get(ENV_BASE_URL, "")).rstrip("/")
         self.model = model or os.environ.get(ENV_MODEL, "")
         self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
-        self.timeout_s = timeout_s
         self._session = session
         self._local = threading.local()
         if not self.base_url or not self.model:
@@ -226,7 +225,7 @@ class LiveBackend:
             start = time.perf_counter()
             try:
                 response = http.post(
-                    url, json=payload, headers=headers, timeout=self.timeout_s
+                    url, json=payload, headers=headers, timeout=self.TIMEOUT_S
                 )
             except requests.RequestException as exc:
                 last_error = TransportError(f"transport failure calling {url}: {exc}")

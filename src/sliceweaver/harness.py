@@ -31,10 +31,9 @@ aborting the harness.
 from __future__ import annotations
 
 import dataclasses
-import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, isqrt
 from pathlib import Path
 
 from . import data as bundled
@@ -366,14 +365,47 @@ def run_scenario(
     return [_run_once(scenario, row, provider, config, profile, i) for i in indices]
 
 
+# Bits of the integer square root in `_pstdev`: 2 * 53 + 3 for a double, as
+# in CPython's `statistics._float_sqrt_of_frac`.
+_SQRT_BITS = 109
+
+
+def _pstdev(values: list[float]) -> float:
+    """Population standard deviation (divide by N) of a non-empty list,
+    correctly rounded: the value `statistics.pstdev` returns on Python 3.11
+    and later, on every Python (3.10 rounds the variance to a float before
+    its square root, so its last digit can differ).
+
+    Each float is p / 2**k, so over the largest such denominator d all
+    values are integers, and the variance is exactly
+    (n * sum(p*p) - sum(p)**2) / (n * d)**2. Its integer square root is
+    taken to 2 bits more than a float holds and rounded to odd, so the one
+    rounding to a float, by an exact integer division, is correct.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    d = max(q for _, q in ratios)
+    scaled = [p * (d // q) for p, q in ratios]
+    total = sum(scaled)
+    n = len(scaled)
+    num = n * sum(p * p for p in scaled) - total * total
+    den = (n * d) ** 2
+    shift = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = isqrt(num // den)
+    root |= root * root * den != num  # round to odd: the last bit marks an inexact root
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def _summarise(records: tuple[EvaluationRecord, ...]) -> dict[str, ColumnStats]:
     def stats(values: list[float]) -> ColumnStats:
         if not values:
             return ColumnStats(mean=0.0, std=0.0)
         mean = fsum(values) / len(values)
         # Population standard deviation (divide by N); noted in report footers.
-        std = statistics.pstdev(values) if len(values) > 1 else 0.0
-        return ColumnStats(mean=mean, std=std)
+        return ColumnStats(mean=mean, std=_pstdev(values))
 
     return {
         "semantic_accuracy": stats([r.semantic_accuracy for r in records]),

@@ -5,8 +5,9 @@ wire form and `config_from_dict` reads it; `validate_config` is the one
 check of a configuration against a state. `read_json` is the one reader of
 a JSON input file; the other modules' loaders call it with their own error
 type.
-`json_text` is the one writer of a command's `--out` document: the text of
-`json.dumps(doc, indent=2, sort_keys=True)`, in about half the time.
+`json_text` is the one writer of JSON text: a command's `--out` document and
+a state's canonical text alike are the text of
+`json.dumps(doc, indent=2, sort_keys=True)`, written in about half the time.
 
 States are immutable values: the sector map, the node map and each node's
 latency row are read-only mappings, and every operation returns a new state.
@@ -237,7 +238,7 @@ class NetworkState:
 
     @cached_property
     def _canonical_text(self) -> str:
-        return json.dumps(state_to_dict(self), indent=2, sort_keys=True) + "\n"
+        return json_text(state_to_dict(self)) + "\n"
 
 
 def latency(state: NetworkState, sector_id: str, node_id: str) -> float:
@@ -469,6 +470,8 @@ def json_text(doc) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True)`, character for character,
     for a document of dicts with string keys, lists, strings, ints, floats,
     bools and None; any other type, subclasses included, raises TypeError.
+    It writes every JSON text of the package: each `--out` document and,
+    through `serialize_state`, each state's canonical text.
 
     Each object is one `%` template, built once per sorted key set and
     depth, filled by the C leaf encoders json itself uses; each array is
@@ -586,6 +589,12 @@ def serialize_state(state: NetworkState) -> str:
     """Canonical textual form: sorted keys, stable layout, trailing newline.
 
     Round-trips: load_state(serialize_state(s)) is structurally equal to s.
+    The text is `json_text(state_to_dict(s))` plus a newline, so it equals
+    `json.dumps(..., indent=2, sort_keys=True)` of the same dict. Like
+    `json_text`, it takes exact JSON types only: a value of a subclass (a
+    `str` enum, a `numpy.float64`) raises TypeError where
+    `json.dumps` would encode it. A state from `load_state` holds exact
+    floats, ints and strings; a state built directly must hold them too.
     The text is encoded on a state's first call and kept on the state.
     """
     return state._canonical_text

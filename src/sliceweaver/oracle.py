@@ -20,13 +20,14 @@ of the latency matrix and keeps them on the (immutable) state, so each later
 head takes one pass over the sectors. Nothing that depends on the profile is
 kept. The head is scored by the reference functions, `compute_utility` and
 `check_constraints`, so a ranking's head carries exactly what they report
-for its configuration. `solve` returns a read-only `Ranking` that builds the
-other rows only when a read needs them, by one factored scan: utility and
-feasibility split into parts that depend on the sector, the node, the
-(sector, node) latency or the band alone, so each part is computed once
-where it changes, and candidates with equal parts share one frozen
-ScoreBreakdown or ConstraintReport. The rows are sorted once, and a row's
-configuration and ranked object are built when the row is read.
+for its configuration; the ranking keeps that scored head. `solve` returns
+a read-only `Ranking` that builds the other rows only when a read needs
+them, by one factored scan: utility and feasibility split into parts that
+depend on the sector, the node, the (sector, node) latency or the band
+alone, so each part is computed once where it changes, and candidates with
+equal parts share one frozen ScoreBreakdown or ConstraintReport. The rows
+are sorted once, and any other row's configuration and ranked object are
+built when the row is read.
 `enumerate_candidates` scored candidate by candidate with `compute_utility`
 and `check_constraints` stays the reference both must equal.
 """
@@ -80,17 +81,20 @@ class RankedConfiguration:
 class Ranking(Sequence[RankedConfiguration]):
     """The result of `solve`: a read-only sequence of ranked rows, best first.
 
-    It holds the head key row that `solve` found, the candidate count and a
-    builder for every candidate's key row. The head alone (`ranking[0]`)
-    needs no other row; any other read (another or a negative index, a
-    slice, iteration) builds the rows and sorts them once. The
-    RankedConfiguration at an index (rank = index + 1) is built each time
-    that index is read; slicing returns a list.
+    It holds the head that `solve` found and scored, the candidate count and
+    a builder for every candidate's key row. The head alone (`ranking[0]`)
+    needs no other row and is the same object on every read; any other read
+    (another or a negative index, a slice, iteration) builds the rows and
+    sorts them once. Any other RankedConfiguration at an index (rank =
+    index + 1) is built each time that index is read; slicing returns a
+    list.
     """
 
     __slots__ = ("_head", "_count", "_build_rows", "_rows")
 
-    def __init__(self, head: tuple, count: int, build_rows: Callable[[], list[tuple]]) -> None:
+    def __init__(
+        self, head: RankedConfiguration, count: int, build_rows: Callable[[], list[tuple]]
+    ) -> None:
         self._head = head
         self._count = count
         self._build_rows = build_rows
@@ -113,7 +117,7 @@ class Ranking(Sequence[RankedConfiguration]):
             return [_ranked(rows[i], i + 1) for i in range(*index.indices(len(rows)))]
         index = operator.index(index)  # a float is refused before the head shortcut
         if index == 0:
-            return _ranked(self._head, 1)
+            return self._head
         rows = self._sorted_rows()
         row = rows[index]  # raises IndexError before the rank is taken
         return _ranked(row, index % len(rows) + 1)
@@ -175,9 +179,10 @@ def solve(
 ) -> Ranking:
     """Rank every candidate configuration; the head is the arg-max.
 
-    The result is a read-only `Ranking`. Its head is found here, without a
-    row per candidate; the other rows are built and sorted on the first read
-    past the head, and each RankedConfiguration is built when it is read.
+    The result is a read-only `Ranking`. Its head is found and scored here,
+    without a row per candidate; the other rows are built and sorted on the
+    first read past the head, and each of their RankedConfigurations is
+    built when it is read.
 
     When no candidate is feasible the head is the best-ranked infeasible one,
     flagged through its ConstraintReport rather than raised, so callers can
@@ -243,7 +248,7 @@ def solve(
     breakdown = compute_utility(config, profile, state)
     report = check_constraints(config, profile, state, thresholds)
     build_rows = partial(_candidate_rows, state, sectors, profile, thresholds)
-    return Ranking(head + (breakdown, report), count, build_rows)
+    return Ranking(RankedConfiguration(config, breakdown, report, 1), count, build_rows)
 
 
 # The ranks of a sector's available bands, by whether its mmWave, mid-band

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .intent import BandwidthCategory, IntentProfile, weights_for
-from .model import Band, NetworkState, SliceConfiguration, latency, validate_config
+from .model import Band, NetworkState, SliceConfiguration, validate_config
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,9 @@ def compute_utility(
     """
     validate_config(state, config)
     sector = state.sectors[config.sector_id]
+    node = state.nodes[config.node_id]
     weights = weights_for(profile.traffic_class)
-    s_lat = score_latency(latency(state, config.sector_id, config.node_id))
+    s_lat = score_latency(node.latency_to_sector[config.sector_id])
     s_res = score_resource(config.band, profile.bandwidth_category)
     s_con = score_congestion(sector.load_percent)
     return ScoreBreakdown(
@@ -157,7 +158,7 @@ def check_constraints(
     """Evaluate the four feasibility constraints for a configuration."""
     sector = state.sector(config.sector_id)
     node = state.node(config.node_id)
-    tau = latency(state, config.sector_id, config.node_id)
+    tau = node.latency_to_sector[config.sector_id]
     return ConstraintReport(
         load_ok=sector.load_percent <= thresholds.l_max,
         band_ok=sector.spectrum.available(config.band),

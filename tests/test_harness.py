@@ -3,10 +3,16 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
+import statistics
+import struct
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from math import fsum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
@@ -509,6 +515,53 @@ def test_table_report_empty_records_is_header_only():
     lines = [line for line in table.splitlines() if line]
     assert any("Scenario" in line for line in lines)
     assert not any("URLLC" in line for line in lines)
+
+
+def fraction_pstdev(values: list[float]) -> float:
+    """The float nearest the square root of the exact population variance,
+    ties to even, found by exact comparisons against the midpoints between
+    neighbouring floats."""
+    exact = [Fraction(value) for value in values]
+    mean = sum(exact, Fraction(0)) / len(exact)
+    variance = sum(((x - mean) ** 2 for x in exact), Fraction(0)) / len(exact)
+    with localcontext() as context:
+        context.prec = 60
+        root = float((Decimal(variance.numerator) / variance.denominator).sqrt())
+
+    def above(low: float, high: float) -> bool:
+        """The exact root rounds to `high` rather than to `low`, its neighbour."""
+        midpoint_squared = ((Fraction(low) + Fraction(high)) / 2) ** 2
+        odd = struct.unpack("<Q", struct.pack("<d", low))[0] & 1
+        return variance > midpoint_squared or (variance == midpoint_squared and odd)
+
+    while above(root, math.nextafter(root, math.inf)):
+        root = math.nextafter(root, math.inf)
+    while root > 0 and not above(math.nextafter(root, 0), root):
+        root = math.nextafter(root, 0)
+    return root
+
+
+_report_values = st.lists(
+    st.one_of(
+        st.floats(min_value=-1e100, max_value=1e100),
+        st.floats(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=10**6).map(float),
+        st.sampled_from([0.0, 0.33, 0.5, 0.67, 1.0]),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_values)
+@example([6.711019412234766e99, -2.9537811918015785e99])  # the root is a midpoint: ties to even
+def test_pstdev_is_correctly_rounded_on_every_python(values):
+    # statistics.pstdev is correctly rounded from Python 3.11 on; 3.10 takes
+    # math.sqrt of a variance already rounded to a float.
+    std = harness._pstdev(values)
+    assert std == fraction_pstdev(values)
+    if sys.version_info >= (3, 11):
+        assert std == statistics.pstdev(values)
 
 
 # --- compare and ablation ----------------------------------------------------

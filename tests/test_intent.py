@@ -114,6 +114,21 @@ def test_extract_target_sector(state, factory_intent):
     )
 
 
+@pytest.mark.parametrize("order", [("a", "a_b"), ("a_b", "a")])
+def test_a_tie_goes_to_the_sector_that_comes_first_in_state_order(order):
+    # Both ids match at the start of "a_b" ("_" is no letter or digit), so
+    # the two matches tie on position and the earlier sector wins.
+    sectors = {
+        sid: RanSector(id=sid, active_users=1, load_percent=10.0,
+                       spectrum=SpectrumBands(0.0, 50.0, 0.0))
+        for sid in order
+    }
+    node = CoreNode(id="upf", tier=NodeTier.EDGE, compute_load_percent=10.0,
+                    latency_to_sector=dict.fromkeys(order, 5.0))
+    state = NetworkState(sectors=sectors, nodes={"upf": node})
+    assert extract_target_sector("serve a_b now", state) == order[0]
+
+
 def test_extract_target_sector_tolerates_spacing_and_case(state):
     assert extract_target_sector("cover Industrial Park A tomorrow", state) == "industrial_park_a"
     assert extract_target_sector("RURAL_HIGHWAY units", state) == "rural_highway"
@@ -245,6 +260,15 @@ def test_lexicon_from_file_raises_only_value_error_naming_the_file(bad_json_file
         Lexicon.from_file(bad_json_file)
     # JSONDecodeError and UnicodeDecodeError are ValueErrors too.
     assert raised.type is ValueError
+
+
+@pytest.mark.parametrize("value", ["abc", ["urllc", 1], None], ids=["string", "mixed", "null"])
+def test_lexicon_from_dict_rejects_a_field_that_is_not_a_list_of_strings(value):
+    # A string is iterable: read as keywords it would be "a", "b" and "c".
+    doc = dict.fromkeys(LEXICON_FIELDS, ["x"])
+    doc["urllc"] = value
+    with pytest.raises(ValueError, match="lexicon field 'urllc' must be a list of strings"):
+        Lexicon.from_dict(doc)
 
 
 @pytest.mark.parametrize("doc", [[], "urllc", None], ids=["list", "string", "null"])

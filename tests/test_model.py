@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -473,6 +474,29 @@ def test_cached_text_is_never_stale(chain):
     assert serialize_state(child) != serialize_state(parent)
     bare = dataclasses.replace(parent, provisioned_slices=())
     assert serialize_state(bare) == serialize_state(chain[0])
+
+
+def _built_state(sector_id, node_id, context, users, load, spectrum, compute, tau):
+    sector = RanSector(id=sector_id, active_users=users, load_percent=load,
+                       spectrum=SpectrumBands(*spectrum), context=context)
+    node = CoreNode(id=node_id, tier=NodeTier.METRO, compute_load_percent=compute,
+                    latency_to_sector={sector_id: tau, "cell_2": 7}, context=context)
+    other = RanSector(id="cell_2", active_users=0, load_percent=0,
+                      spectrum=SpectrumBands(0, 20, 0))
+    return NetworkState(sectors={sector_id: sector, "cell_2": other}, nodes={node_id: node})
+
+
+# States built directly, not loaded: their values keep the type the caller
+# passed, so ints, bools and infinities reach the encoder as they are.
+@pytest.mark.parametrize("state", [
+    _built_state("zone_ü", "upf_北", "café ☕ \"quoted\" 100%", 3, 50, (0, 80, 10), 20, 4),
+    _built_state("区域1", "nœud", "\U0001f600\n%s", True, True, (True, False, 1.5), False, True),
+    _built_state("cell_1", "upf_1", "", 0, 12.5, (math.inf, 0.0, 5), 85, math.inf),
+], ids=["ints", "bools", "inf"])
+def test_a_built_state_serializes_as_json_dumps(state):
+    assert serialize_state(state) == (
+        json.dumps(state_to_dict(state), indent=2, sort_keys=True) + "\n"
+    )
 
 
 @pytest.mark.parametrize("band, field", [

@@ -470,6 +470,15 @@ def test_a_float_index_is_refused_in_either_read_order(state, lexicon):
     assert fresh[0] == read[0]
 
 
+def test_the_head_is_built_once_and_is_the_first_row(state, lexicon):
+    profile = classify_intent("plain connectivity request", state, lexicon)
+    ranking = solve(state, profile)
+    head = ranking[0]
+    assert ranking[0] is head
+    assert list(ranking)[0] == head
+    assert ranking[0] is head
+
+
 # Each sector's nearest nodes are kept on the state by kappa_max.
 
 def head_of(ranking):
