@@ -108,8 +108,6 @@ def _estimate_tokens(chars: int) -> int:
 class ScriptedBackend:
     """Replays exchanges strictly in order; safe for concurrent callers."""
 
-    deterministic = True
-
     def __init__(self, exchanges: list[ScriptedExchange], backend_id: str = "scripted"):
         self.backend_id = backend_id
         self._exchanges = list(exchanges)
@@ -350,10 +348,11 @@ def load_script(path: str | Path) -> list[ScriptedExchange]:
 class SuiteFixture:
     """A fixture bundling scripts per (scenario, system) for whole-suite runs."""
 
+    deterministic = True
+
     def __init__(self, scripts: dict[str, dict[str, list[ScriptedExchange]]], name: str):
         self._scripts = scripts
         self.name = name
-        self.deterministic = True
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SuiteFixture":

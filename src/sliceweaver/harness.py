@@ -50,6 +50,7 @@ from .model import (
     NetworkState,
     SliceConfiguration,
     StateError,
+    _check_keys,
     config_from_dict,
     config_to_dict,
     read_json,
@@ -158,10 +159,19 @@ class HarnessConfig:
             raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
 
 
+# The required and optional keys of a scenario suite entry.
+_SCENARIO_FIELDS = (
+    frozenset({"id", "category", "intent_text", "declared_beta", "golden"}),
+    frozenset({"notes", "provenance"}),
+)
+
+
 def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
     """Load a scenario suite and check it against `state`; every defect of
-    the file raises HarnessError. A golden is read by `config_from_dict`, as
-    a ledger entry is, and checked by `validate_config`."""
+    the file raises HarnessError. An entry's keys are checked by
+    `model._check_keys`, as a state document's are; a golden is read by
+    `config_from_dict`, as a ledger entry is, and checked by
+    `validate_config`."""
     doc = read_json(path, "scenario suite", HarnessError)
     if not isinstance(doc, list) or not doc:
         raise HarnessError(f"{path}: scenario suite must be a non-empty JSON list")
@@ -169,6 +179,9 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
     seen: set[str] = set()
     for index, entry in enumerate(doc):
         try:
+            if not isinstance(entry, dict):
+                raise TypeError("entry must be an object")
+            _check_keys(entry, _SCENARIO_FIELDS, "entry")
             if not isinstance(entry["id"], str) or not isinstance(entry["intent_text"], str):
                 raise TypeError("'id' and 'intent_text' must be strings")
             if not entry["intent_text"].strip():
@@ -187,8 +200,6 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
                 notes=entry.get("notes", ""),
                 provenance=entry.get("provenance", "authored"),
             )
-        except KeyError as exc:
-            raise HarnessError(f"{path}: scenario entry {index} has no {exc} field") from None
         except (TypeError, ValueError, StateError) as exc:
             raise HarnessError(f"{path}: scenario entry {index}: {exc}") from None
         if scenario.id in seen:
@@ -495,11 +506,8 @@ def report_to_dict(report: BenchmarkReport) -> dict:
     }
 
 
-def _fmt_mean_std(stats: ColumnStats, places: int = 3) -> str:
-    return (
-        f"{round_half_up(stats.mean, places):.{places}f} "
-        f"± {round_half_up(stats.std, places):.{places}f}"
-    )
+def _fmt_mean_std(stats: ColumnStats) -> str:
+    return f"{round_half_up(stats.mean, 3):.3f} ± {round_half_up(stats.std, 3):.3f}"
 
 
 def emit_report(report: BenchmarkReport) -> str:

@@ -20,14 +20,14 @@ of the latency matrix and keeps them on the (immutable) state, so each later
 head takes one pass over the sectors. Nothing that depends on the profile is
 kept. The head is scored by the reference functions, `compute_utility` and
 `check_constraints`, so a ranking's head carries exactly what they report
-for its configuration; the ranking keeps that scored head. `solve` returns
-a read-only `Ranking` that builds the other rows only when a read needs
-them, by one factored scan: utility and feasibility split into parts that
-depend on the sector, the node, the (sector, node) latency or the band
-alone, so each part is computed once where it changes, and candidates with
-equal parts share one frozen ScoreBreakdown or ConstraintReport. The rows
-are sorted once, and any other row's configuration and ranked object are
-built when the row is read.
+for its configuration. `solve` returns a read-only `Ranking` that holds
+that head and builds the other rows only when a read needs them, by one
+factored scan over the same per-state index: utility and feasibility split
+into parts that depend on the sector, the node, the (sector, node) latency
+or the band alone, so each part is computed once where it changes, and
+candidates with equal parts share one frozen ScoreBreakdown or
+ConstraintReport. Past the head, the ranking is one list: the rows are
+sorted and ranked once, with the scored head as its first element.
 `enumerate_candidates` scored candidate by candidate with `compute_utility`
 and `check_constraints` stays the reference both must equal.
 """
@@ -39,12 +39,12 @@ import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, product
+from itertools import islice
 from typing import NamedTuple
 
 from . import data as bundled
 from .intent import IntentProfile, classify_intent, weights_for
-from .model import Band, NetworkState, SliceConfiguration
+from .model import Band, CoreNode, NetworkState, SliceConfiguration
 from .scoring import (
     DEFAULT_THRESHOLDS,
     ConstraintReport,
@@ -83,11 +83,11 @@ class Ranking(Sequence[RankedConfiguration]):
 
     It holds the head that `solve` found and scored, the candidate count and
     a builder for every candidate's key row. The head alone (`ranking[0]`)
-    needs no other row and is the same object on every read; any other read
-    (another or a negative index, a slice, iteration) builds the rows and
-    sorts them once. Any other RankedConfiguration at an index (rank =
-    index + 1) is built each time that index is read; slicing returns a
-    list.
+    needs no other row. The first read past it (another or a negative index,
+    a slice, iteration) builds, sorts and ranks every row once, into one list
+    of RankedConfiguration whose element 0 is the head; every read then
+    returns that list's objects, so `ranking[i] is ranking[i]` for every
+    `i`. Slicing returns a list.
     """
 
     __slots__ = ("_head", "_count", "_build_rows", "_rows")
@@ -98,43 +98,41 @@ class Ranking(Sequence[RankedConfiguration]):
         self._head = head
         self._count = count
         self._build_rows = build_rows
-        self._rows: list[tuple] | None = None
+        self._rows: list[RankedConfiguration] | None = None
 
     def __len__(self) -> int:
         return self._count
 
-    def _sorted_rows(self) -> list[tuple]:
+    def _all_rows(self) -> list[RankedConfiguration]:
         rows = self._rows
         if rows is None:
+            keyed = sorted(self._build_rows())  # keyed[0] is the head's row
+            rows = [self._head]
+            rows += [
+                RankedConfiguration(
+                    SliceConfiguration(sector_id, RANKED_BANDS[band_rank], node_id),
+                    breakdown,
+                    report,
+                    rank,
+                )
+                for rank, (*_, sector_id, band_rank, node_id, breakdown, report)
+                in enumerate(islice(keyed, 1, None), 2)
+            ]
             # A new list swapped in whole, so a concurrent reader never sees
-            # a half-built or half-sorted one.
-            rows = self._rows = sorted(self._build_rows())
+            # a half-built one; threads that race here each build an equal
+            # list, and the last one stored is read from then on.
+            self._rows = rows
         return rows
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            rows = self._sorted_rows()
-            return [_ranked(rows[i], i + 1) for i in range(*index.indices(len(rows)))]
-        index = operator.index(index)  # a float is refused before the head shortcut
-        if index == 0:
-            return self._head
-        rows = self._sorted_rows()
-        row = rows[index]  # raises IndexError before the rank is taken
-        return _ranked(row, index % len(rows) + 1)
+        if not isinstance(index, slice):
+            index = operator.index(index)  # a float is refused before the head shortcut
+            if index == 0:
+                return self._head
+        return self._all_rows()[index]
 
     def __iter__(self) -> Iterator[RankedConfiguration]:
-        rows = self._sorted_rows()
-        return map(_ranked, rows, range(1, len(rows) + 1))
-
-
-def _ranked(row: tuple, rank: int) -> RankedConfiguration:
-    _, _, _, _, sector_id, band_rank, node_id, breakdown, report = row
-    return RankedConfiguration(
-        SliceConfiguration(sector_id, RANKED_BANDS[band_rank], node_id),
-        breakdown,
-        report,
-        rank,
-    )
+        return iter(self._all_rows())
 
 
 @dataclass(frozen=True)
@@ -180,9 +178,9 @@ def solve(
     """Rank every candidate configuration; the head is the arg-max.
 
     The result is a read-only `Ranking`. Its head is found and scored here,
-    without a row per candidate; the other rows are built and sorted on the
-    first read past the head, and each of their RankedConfigurations is
-    built when it is read.
+    without a row per candidate; the first read past the head builds,
+    sorts and ranks every row once, into one list that starts with this
+    head.
 
     When no candidate is feasible the head is the best-ranked infeasible one,
     flagged through its ConstraintReport rather than raised, so callers can
@@ -247,50 +245,47 @@ def solve(
     config = SliceConfiguration(sector_id, RANKED_BANDS[band_rank], node_id)
     breakdown = compute_utility(config, profile, state)
     report = check_constraints(config, profile, state, thresholds)
-    build_rows = partial(_candidate_rows, state, sectors, profile, thresholds)
+    build_rows = partial(_candidate_rows, nearest, sectors, weights, s_resource, tau_req,
+                         thresholds)
     return Ranking(RankedConfiguration(config, breakdown, report, 1), count, build_rows)
 
 
-# The ranks of a sector's available bands, by whether its mmWave, mid-band
-# and low-band spectrum is > 0.
-_BAND_RANKS: dict[tuple[bool, bool, bool], tuple[int, ...]] = {
-    available: tuple(band_rank for band_rank, ok in enumerate(available) if ok)
-    for available in product((False, True), repeat=3)
-}
-
-
 class _NearestNodes(NamedTuple):
-    """The part of `solve`'s head search that depends on the state and
-    `kappa_max` alone, kept on the state by `kappa_max`."""
+    """The part of `solve`'s search that depends on the state and `kappa_max`
+    alone, kept on the state by `kappa_max`."""
 
     # Sector id -> (sector id, load, band ranks, nearest node's latency and
     # id, nearest compute-ok node's latency and id or (inf, None)), by id,
     # for every sector with an available band.
     sectors: dict[str, tuple[str, float, tuple[int, ...], float, str, float, str | None]]
     candidates: int  # the untargeted candidate count
+    # (node id, node, compute load <= kappa_max) for every node, by id.
+    nodes: list[tuple[str, CoreNode, bool]]
 
 
 def _nearest_nodes(state: NetworkState, kappa_max: float) -> _NearestNodes:
     """Each sector's nearest node and nearest node within `kappa_max`, by
     one latency lookup per (sector, node); ties go to the lower node id."""
-    node_ids = sorted(state.nodes)
-    nodes = [state.nodes[node_id] for node_id in node_ids]
-    compute_ok = [node.compute_load_percent <= kappa_max for node in nodes]
+    nodes = [
+        (node_id, node, node.compute_load_percent <= kappa_max)
+        for node_id, node in sorted(state.nodes.items())
+    ]
     # Each search starts at its first node, so an infinite latency is still found.
-    first_ok_id = next(compress(node_ids, compute_ok), None)
+    first_ok_id = next((node_id for node_id, _, ok in nodes if ok), None)
     sectors = {}
     candidates = 0
     for sector_id in sorted(state.sectors):
         sector = state.sectors[sector_id]
-        spectrum = sector.spectrum
-        band_ranks = _BAND_RANKS[
-            spectrum.mmwave_mhz > 0, spectrum.mid_band_mhz > 0, spectrum.low_band_mhz > 0
-        ]
+        band_ranks = tuple(
+            band_rank
+            for band_rank, band in enumerate(RANKED_BANDS)
+            if sector.spectrum.available(band)
+        )
         if not band_ranks:
             continue
-        # node_ids is sorted, so a strict `<` keeps the lower id on a latency tie.
-        near_tau, near_id, ok_tau, ok_id = math.inf, node_ids[0], math.inf, first_ok_id
-        for node_id, node, node_compute_ok in zip(node_ids, nodes, compute_ok):
+        # nodes is sorted by id, so a strict `<` keeps the lower id on a latency tie.
+        near_tau, near_id, ok_tau, ok_id = math.inf, nodes[0][0], math.inf, first_ok_id
+        for node_id, node, node_compute_ok in nodes:
             tau = node.latency_to_sector[sector_id]
             if tau < near_tau:
                 near_tau, near_id = tau, node_id
@@ -300,20 +295,23 @@ def _nearest_nodes(state: NetworkState, kappa_max: float) -> _NearestNodes:
             sector_id, sector.load_percent, band_ranks, near_tau, near_id, ok_tau, ok_id
         )
         candidates += len(nodes) * len(band_ranks)
-    return _NearestNodes(sectors, candidates)
+    return _NearestNodes(sectors, candidates, nodes)
 
 
 def _candidate_rows(
-    state: NetworkState,
+    nearest: _NearestNodes,
     sectors: Iterable[tuple],
-    profile: IntentProfile,
+    weights: tuple[float, float, float],
+    s_resource: Sequence[float],
+    tau_req: float,
     thresholds: Thresholds,
 ) -> list[tuple]:
     """Every candidate's key row, in scan order, for the sectors `solve`
     searched.
 
-    `sectors` are `_NearestNodes` sector rows; only their id, load and band
-    ranks are read.
+    `sectors` are `nearest`'s sector rows; only their id, load and band
+    ranks are read. `weights`, the per-band-rank resource scores `s_resource`
+    and `tau_req` are the ones `solve` took from the profile.
 
     One factored scan over the candidates of `enumerate_candidates`, equal
     row for row to scoring each with `compute_utility` and
@@ -323,11 +321,6 @@ def _candidate_rows(
     Candidates with equal sub-scores share one (frozen) ScoreBreakdown, and
     equal checks one ConstraintReport, so at most 8 reports are built.
     """
-    node_ids = sorted(state.nodes)
-    nodes = [state.nodes[node_id] for node_id in node_ids]
-    compute_ok = [node.compute_load_percent <= thresholds.kappa_max for node in nodes]
-    weights = weights_for(profile.traffic_class)
-    s_resource = [score_resource(band, profile.bandwidth_category) for band in RANKED_BANDS]
     breakdowns: dict[tuple[float, float, float], ScoreBreakdown] = {}
     reports: dict[tuple[bool, bool, bool], ConstraintReport] = {}
     rows = []
@@ -336,10 +329,10 @@ def _candidate_rows(
         load_ok = load <= thresholds.l_max
         # S_latency -> [(band rank, -utility, breakdown)] for this sector.
         scored: dict[float, list[tuple[int, float, ScoreBreakdown]]] = {}
-        for node_id, node, node_compute_ok in zip(node_ids, nodes, compute_ok):
+        for node_id, node, node_compute_ok in nearest.nodes:
             tau = node.latency_to_sector[sector_id]
             s_lat = score_latency(tau)
-            latency_ok = tau <= profile.tau_req_ms
+            latency_ok = tau <= tau_req
             report = reports.get((load_ok, node_compute_ok, latency_ok))
             if report is None:
                 report = reports[load_ok, node_compute_ok, latency_ok] = ConstraintReport(
@@ -349,7 +342,7 @@ def _candidate_rows(
                     latency_ok=latency_ok,
                     l_max=thresholds.l_max,
                     kappa_max=thresholds.kappa_max,
-                    tau_req_ms=profile.tau_req_ms,
+                    tau_req_ms=tau_req,
                 )
             infeasible = 0 if report.feasible else 1
             per_band = scored.get(s_lat)

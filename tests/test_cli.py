@@ -730,7 +730,15 @@ def state_with_sector(sector_id: str) -> str:
                  "band 'mmwave' has no available spectrum at sector 'rural_highway'"),
                 ("golden-no-node", {"golden": {"sector": "industrial_park_a", "band": "mid_band"}},
                  "golden: missing field(s) ['node']"),
+                ("unknown-key", {"provenence": "authored"},
+                 "scenario entry 0: entry: unknown field(s) ['provenence']"),
             ]
+        ),
+        *(
+            pytest.param("benchmark", ["--system", "oracle", "--scenarios", "{file}"],
+                         json.dumps([entry]), "scenario entry 0: entry must be an object",
+                         id=f"scenarios-entry-{case}")
+            for case, entry in [("string", "x"), ("null", None), ("list", [])]
         ),
     ],
 )

@@ -371,6 +371,12 @@ def test_every_read_of_the_ranking_agrees(case, data):
     for index in (n, -n - 1):
         with pytest.raises(IndexError):
             ranking[index]
+    # Past the head the ranking is one list, so every read returns its objects.
+    index = data.draw(st.integers(0, n - 1))
+    assert ranking[index] is ranking[index]
+    assert ranking[index - n] is ranking[index]
+    assert rows[0] is ranking[0]
+    assert ranking[:2][-1] is ranking[min(1, n - 1)]
 
 
 def build_state(loads, nodes):
@@ -585,5 +591,32 @@ def test_threads_taking_the_first_solve_get_the_serial_heads(state, lexicon, sce
                 results = [pool.submit(heads) for _ in range(3)]
                 assert [result.result(timeout=10) for result in results] == [serial] * 3
             assert set(fresh._nearest_nodes) == {85.0}
+    finally:
+        sys.setswitchinterval(switch_interval)
+
+
+def test_threads_taking_the_first_full_read_get_the_serial_rows(state, lexicon):
+    # Threads that share one ranking and race to be its first read past the
+    # head each see every row, ranked, and one list is kept.
+    profile = classify_intent("plain connectivity request", state, lexicon)
+    serial = list(solve(state, profile))
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            ranking = solve(state, profile)
+            barrier = threading.Barrier(3, timeout=10)
+
+            def rows():
+                barrier.wait()
+                return ranking[1:], list(ranking)
+
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results = [pool.submit(rows) for _ in range(3)]
+                for result in results:
+                    sliced, full = result.result(timeout=10)
+                    assert full == serial and sliced == serial[1:]
+            kept = list(ranking)
+            assert all(row is ranking[index] for index, row in enumerate(kept))
     finally:
         sys.setswitchinterval(switch_interval)
