@@ -8,11 +8,15 @@ slice. Actions are parsed from plain assistant text:
     ACTION: PROVISION_SLICE | slice_id=<id> | ran_config=<band>@<sector> | core_config=UPF@<node>
     ACTION: FINISH | summary=<free text>
 
-`request=` and `summary=` consume the remainder of the line (they may contain
-'|' and '='); the other keys are single tokens. Models often restate planned
-actions inside their reasoning, so when a turn contains several ACTION lines
-only the last one is operative, except that a PROVISION_SLICE followed by
-FINISH in the same turn executes sequentially.
+The keys of an action line are the fields of `AgentAction` other than
+`kind`; any other key is a parse error. `request=` and `summary=` are free
+text: each consumes the remainder of the line (it may contain '|' and '='),
+so `format_action` writes it last. The other keys (`agent_name`, `slice_id`,
+`ran_config`, `core_config`) are single tokens, written in their declared
+order. Models often restate planned actions inside their reasoning, so when
+a turn contains several ACTION lines only the last one is operative, except
+that a PROVISION_SLICE followed by FINISH in the same turn executes
+sequentially.
 
 Specialist consultations are stateless one-shot completions: each one gets a
 fresh history of [specialist system prompt, request + full serialized network
@@ -34,7 +38,7 @@ the `AgentTranscript` it returns: tokens, completion latency and iterations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -152,7 +156,14 @@ class AgentTranscript:
         return self.prompt_tokens + self.completion_tokens
 
 
-_REMAINDER_KEY_RE = re.compile(r"(?:^|\|)\s*(request|summary)\s*=")
+# The keys of an action line in wire order: the single-token fields of
+# `AgentAction`, as declared, then the free-text keys that take the rest of
+# the line.
+_REMAINDER_KEYS = ("request", "summary")
+_ACTION_KEYS = tuple(
+    f.name for f in fields(AgentAction) if f.name != "kind" and f.name not in _REMAINDER_KEYS
+) + _REMAINDER_KEYS
+_REMAINDER_KEY_RE = re.compile(r"(?:^|\|)\s*(" + "|".join(_REMAINDER_KEYS) + r")\s*=")
 
 
 def _parse_action_line(line: str) -> AgentAction:
@@ -167,13 +178,13 @@ def _parse_action_line(line: str) -> AgentAction:
         raise ActionParseError(f"unknown action kind {kind_token!r}", line) from None
     if kind is ActionKind.NONE:
         raise ActionParseError("NONE is not an emittable action", line)
-    fields: dict[str, str] = {}
+    values: dict[str, str] = {}
     # Free-text fields consume the remainder of the line, '|' included, so
     # they are sliced off the raw text before the single-token fields are
     # split on separators.
     tail = _REMAINDER_KEY_RE.search(rest)
     if tail:
-        fields[tail.group(1)] = rest[tail.end():].strip()
+        values[tail.group(1)] = rest[tail.end():].strip()
         rest = rest[: tail.start()]
     for part in rest.split("|"):
         if not part.strip():
@@ -182,20 +193,13 @@ def _parse_action_line(line: str) -> AgentAction:
         key = key.strip()
         if not eq or not key:
             raise ActionParseError(f"malformed key=value pair {part.strip()!r}", line)
-        if key in fields:
+        if key in values:
             raise ActionParseError(f"duplicate key {key!r}", line)
-        fields[key] = value.strip()
-    action = AgentAction(
-        kind=kind,
-        agent_name=fields.pop("agent_name", None),
-        request=fields.pop("request", None),
-        slice_id=fields.pop("slice_id", None),
-        ran_config=fields.pop("ran_config", None),
-        core_config=fields.pop("core_config", None),
-        summary=fields.pop("summary", None),
-    )
-    if fields:
-        raise ActionParseError(f"unknown key(s) {sorted(fields)}", line)
+        values[key] = value.strip()
+    unknown = values.keys() - _ACTION_KEYS
+    if unknown:
+        raise ActionParseError(f"unknown key(s) {sorted(unknown)}", line)
+    action = AgentAction(kind=kind, **values)
     if kind is ActionKind.CALL_AGENT and (not action.agent_name or not action.request):
         raise ActionParseError("CALL_AGENT needs agent_name and request", line)
     if kind is ActionKind.PROVISION_SLICE and not (
@@ -230,12 +234,8 @@ def format_action(action: AgentAction) -> str:
     if action.kind is ActionKind.NONE:
         raise ValueError("cannot format a NONE action")
     parts = [f"ACTION: {action.kind.value}"]
-    single = [("agent_name", action.agent_name), ("slice_id", action.slice_id),
-              ("ran_config", action.ran_config), ("core_config", action.core_config)]
-    for key, value in single:
-        if value is not None:
-            parts.append(f"{key}={value}")
-    for key, value in (("request", action.request), ("summary", action.summary)):
+    for key in _ACTION_KEYS:
+        value = getattr(action, key)
         if value is not None:
             parts.append(f"{key}={value}")
     return " | ".join(parts)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -303,11 +303,13 @@ class ChatSession:
         return result
 
 
+_EXCHANGE_KEYS = frozenset(f.name for f in fields(ScriptedExchange))
+
+
 def exchange_from_dict(entry: dict) -> ScriptedExchange:
     if not isinstance(entry, dict) or "response" not in entry:
         raise ScriptError(f"script entry must be an object with 'response': {entry!r}")
-    known = {"response", "prompt_tokens", "completion_tokens", "expect_contains", "expect_sha256"}
-    unknown = set(entry) - known
+    unknown = entry.keys() - _EXCHANGE_KEYS
     if unknown:
         raise ScriptError(f"script entry has unknown field(s) {sorted(unknown)}")
     if not isinstance(entry["response"], str):
@@ -322,13 +324,7 @@ def exchange_from_dict(entry: dict) -> ScriptedExchange:
         value = entry.get(key)
         if value is not None and not isinstance(value, str):
             raise ScriptError(f"script entry {key!r} must be a string: {value!r}")
-    return ScriptedExchange(
-        response=entry["response"],
-        prompt_tokens=entry.get("prompt_tokens"),
-        completion_tokens=entry.get("completion_tokens"),
-        expect_contains=entry.get("expect_contains"),
-        expect_sha256=entry.get("expect_sha256"),
-    )
+    return ScriptedExchange(**entry)
 
 
 def script_from_doc(doc, name: str) -> list[ScriptedExchange]:

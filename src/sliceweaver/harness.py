@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from math import fsum, isqrt
 from pathlib import Path
 
@@ -159,10 +159,11 @@ class HarnessConfig:
             raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
 
 
-# The required and optional keys of a scenario suite entry.
+# The required and optional keys of a scenario suite entry: the fields of
+# `Scenario` without a default and with one.
 _SCENARIO_FIELDS = (
-    frozenset({"id", "category", "intent_text", "declared_beta", "golden"}),
-    frozenset({"notes", "provenance"}),
+    frozenset(f.name for f in fields(Scenario) if f.default is MISSING),
+    frozenset(f.name for f in fields(Scenario) if f.default is not MISSING),
 )
 
 
@@ -186,8 +187,9 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
                 raise TypeError("'id' and 'intent_text' must be strings")
             if not entry["intent_text"].strip():
                 raise ValueError("'intent_text' must not be blank")
-            for key in ("notes", "provenance"):
-                if not isinstance(entry.get(key, ""), str):
+            optional = {key: value for key, value in entry.items() if key in _SCENARIO_FIELDS[1]}
+            for key, value in optional.items():
+                if not isinstance(value, str):
                     raise TypeError(f"{key!r} must be a string")
             golden = config_from_dict(entry["golden"], "golden")
             validate_config(state, golden)
@@ -197,8 +199,7 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
                 intent_text=entry["intent_text"],
                 golden=golden,
                 declared_beta=BandwidthCategory(entry["declared_beta"]).value,
-                notes=entry.get("notes", ""),
-                provenance=entry.get("provenance", "authored"),
+                **optional,
             )
         except (TypeError, ValueError, StateError) as exc:
             raise HarnessError(f"{path}: scenario entry {index}: {exc}") from None
@@ -476,21 +477,14 @@ def run_ablation(
 
 
 def record_to_dict(record: EvaluationRecord) -> dict:
-    return {
-        "scenario_id": record.scenario_id,
-        "category": record.category,
-        "system": record.system,
-        "run_index": record.run_index,
-        "produced": None if record.produced is None else config_to_dict(record.produced),
-        "semantic_accuracy": record.semantic_accuracy,
-        "utility": record.utility,
-        "hybrid_success": record.hybrid_success,
-        "prompt_tokens": record.prompt_tokens,
-        "completion_tokens": record.completion_tokens,
-        "wall_seconds": record.wall_seconds,
-        "iterations": record.iterations,
-        "error": record.error,
-    }
+    """The record's own fields by name, with `produced` in the wire form of
+    `config_to_dict`, or None. It copies the instance dict, which keeps the
+    key table all records share: `report_to_dict` holds one such dict per
+    record."""
+    doc = vars(record).copy()
+    if record.produced is not None:
+        doc["produced"] = config_to_dict(record.produced)
+    return doc
 
 
 def report_to_dict(report: BenchmarkReport) -> dict:
@@ -500,7 +494,7 @@ def report_to_dict(report: BenchmarkReport) -> dict:
         "system": report.system,
         "records": [record_to_dict(r) for r in report.records],
         "summary": {
-            name: {"mean": stats.mean, "std": stats.std, "std_kind": "population"}
+            name: {**vars(stats), "std_kind": "population"}
             for name, stats in report.summary.items()
         },
     }

@@ -88,8 +88,13 @@ class Lexicon:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Lexicon":
+        """The lexicon of a parsed document: one list of strings per field
+        of `Lexicon`; any other key raises ValueError."""
         if not isinstance(doc, dict):
             raise ValueError(f"lexicon must be a JSON object, got {type(doc).__name__}")
+        unknown = doc.keys() - _LEXICON_KEYS
+        if unknown:
+            raise ValueError(f"lexicon has unknown field(s) {sorted(unknown)}")
 
         def pull(key: str) -> tuple[str, ...]:
             value = doc.get(key)
@@ -97,17 +102,15 @@ class Lexicon:
                 raise ValueError(f"lexicon field {key!r} must be a list of strings")
             return tuple(value)
 
-        return cls(
-            urllc=pull("urllc"),
-            mmtc=pull("mmtc"),
-            bandwidth_high=pull("bandwidth_high"),
-            bandwidth_low=pull("bandwidth_low"),
-        )
+        return cls(**{key: pull(key) for key in _LEXICON_KEYS})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load a lexicon file; every defect of the file raises ValueError."""
         return cls.from_dict(read_json(path, "lexicon", ValueError))
+
+
+_LEXICON_KEYS = tuple(f.name for f in fields(Lexicon))
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,26 @@ def test_parse_format_round_trip_corpus():
         assert parsed == action
 
 
+@pytest.mark.parametrize(
+    "kind", [ActionKind.CALL_AGENT, ActionKind.PROVISION_SLICE, ActionKind.FINISH]
+)
+def test_every_key_round_trips_on_every_kind(kind):
+    # Every single-token key set, plus one free-text key: that key takes the
+    # rest of the line, so a line can carry only one of them. A CALL_AGENT
+    # needs its request.
+    single = dict(
+        agent_name="ran_specialist", slice_id="slice_7",
+        ran_config="mid-band@sector_a", core_config="UPF@node_x",
+    )
+    for free_text in ("request",) if kind is ActionKind.CALL_AGENT else ("request", "summary"):
+        action = AgentAction(kind=kind, **single, **{free_text: "why? x=1 | a"})
+        [parsed] = parse_action(format_action(action))
+        assert parsed == action
+    both = AgentAction(kind=kind, **single, request="q", summary="s")
+    [parsed] = parse_action(format_action(both))
+    assert (parsed.request, parsed.summary) == ("q | summary=s", None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     summary=st.text(

@@ -86,6 +86,21 @@ def test_goldens_are_oracle_heads(scenarios, state, lexicon):
         assert semantic_accuracy(head.config, scenario.golden) == 1.0, scenario.id
 
 
+def test_an_entry_without_optional_keys_loads_with_the_scenario_defaults(state, tmp_path):
+    # Every bundled entry carries `notes` and `provenance`; the defaults are
+    # written only in `Scenario`.
+    [entry] = [
+        e for e in json.loads(bundled.default_scenarios_path().read_text(encoding="utf-8"))
+        if e["id"] == "industrial_automation"
+    ]
+    del entry["notes"], entry["provenance"]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    [scenario] = load_scenarios(path, state)
+    assert (scenario.notes, scenario.provenance) == ("", "authored")
+    assert scenario.golden == GOLDEN_INDUSTRIAL
+
+
 # A 5000-digit integer, past Python's int/str digit limit: json.dumps cannot
 # write it, so its digits are spliced into the text after encoding.
 BIG_INT = "<5000-digit integer>"

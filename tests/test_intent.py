@@ -255,6 +255,16 @@ def test_lexicon_rejects_keywords_without_a_letter_or_digit(keyword):
         Lexicon(urllc=(), mmtc=(keyword,), bandwidth_high=(), bandwidth_low=())
 
 
+def test_lexicon_refuses_a_key_that_is_not_a_field():
+    # A fifth list was loaded and silently dropped.
+    for path in (bundled.default_lexicon_path(), bundled.strict_lexicon_path()):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert Lexicon.from_dict(doc) == Lexicon.from_file(path)
+        doc["embb"] = ["video"]
+        with pytest.raises(ValueError, match=re.escape("unknown field(s) ['embb']")):
+            Lexicon.from_dict(doc)
+
+
 def test_lexicon_from_file_raises_only_value_error_naming_the_file(bad_json_file):
     with pytest.raises(ValueError, match=re.escape(str(bad_json_file))) as raised:
         Lexicon.from_file(bad_json_file)

@@ -10,16 +10,20 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "sliceweaver" / "data" / "fixtures"
+DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "sliceweaver" / "data"
+OUT_DIR = DATA_DIR / "fixtures"
+
+# The intent text of each scenario of the bundled suite, by scenario id.
+SUITE = json.loads((DATA_DIR / "scenarios" / "benchmark12.json").read_text(encoding="utf-8"))
+INTENTS = {entry["id"]: entry["intent_text"] for entry in SUITE}
 
 BAND_WIRE = {"mmwave": "mmWave", "mid_band": "mid-band", "low_band": "low-band"}
 
-# Per-scenario multi-agent replay: intents, the configuration each scripted
-# run provisions, specialist request/response flavour text, and the total
-# token budget the five calls must add up to.
+# Per-scenario multi-agent replay: the configuration each scripted run
+# provisions, specialist request/response flavour text, and the total token
+# budget the five calls must add up to. The intents come from the suite.
 SCENARIOS = {
     "esports_stadium": dict(
-        intent="Host the e-sports championship finals at stadium_central: competitive real-time gaming with 4K match video feeds to the arena floor screens; keep end-to-end latency below 8 ms.",
         produced=("stadium_central", "mmwave", "mec_stadium_1"),
         slice_id="esports_finals_001",
         ran_reason="800 MHz of mmWave is free at the venue and the short indoor paths suit it; mid-band is nearly exhausted (20 MHz)",
@@ -28,13 +32,8 @@ SCENARIOS = {
         tokens=13363,
     ),
     # multi_agent for this scenario replays the verbatim audit trace; the
-    # intent/produced fields below only feed the degraded-variant scripts.
+    # fields below only feed the degraded-variant scripts.
     "industrial_automation": dict(
-        intent=(
-            "Configure network slice for automated robotic assembly line at industrial_park_a. "
-            "Requires ultra-low latency (<5ms) for real-time control and high reliability for "
-            "safety-critical operations."
-        ),
         produced=("industrial_park_a", "mid_band", "mec_industrial_1"),
         slice_id="industrial_autonomy_001",
         ran_reason="mid-band balances capacity and penetration for the factory floor",
@@ -42,7 +41,6 @@ SCENARIOS = {
         tokens=13573,
     ),
     "connected_ambulance_rural": dict(
-        intent="Connected ambulance corridor on rural_highway: paramedics run real-time video consultation with the trauma team while en route, so the slice must hold up along the whole stretch.",
         produced=("rural_highway", "mid_band", "metro_agg_hub"),
         slice_id="ambulance_corridor_001",
         ran_reason="rural_highway has no mmWave; mid-band (20 MHz) carries video better than low-band along the corridor",
@@ -50,7 +48,6 @@ SCENARIOS = {
         tokens=13617,
     ),
     "ar_maintenance_industrial": dict(
-        intent="Technicians at industrial_park_a wear augmented-reality headsets that overlay live machine telemetry during repairs; interaction must feel real-time for hands-on safety.",
         produced=("industrial_park_a", "low_band", "mec_industrial_1"),
         slice_id="ar_maintenance_001",
         ran_reason="telemetry overlays are low-rate and low-band penetrates the factory floor machinery best",
@@ -58,7 +55,6 @@ SCENARIOS = {
         tokens=12989,
     ),
     "stadium_4k_streaming": dict(
-        intent="Provide 4K streaming of the stadium championship to spectators at the park-and-ride fan zones along rural_highway.",
         produced=("rural_highway", "low_band", "metro_agg_hub"),
         slice_id="fanzone_stream_001",
         ran_reason="the fan zones stretch along the highway and low-band has the most free spectrum there (50 MHz) for wide coverage",
@@ -66,7 +62,6 @@ SCENARIOS = {
         tokens=12587,
     ),
     "suburban_fixed_wireless": dict(
-        intent="Expand fixed wireless broadband for homes across suburban_residential; households expect smooth evening-peak capacity for entertainment and remote work.",
         produced=("suburban_residential", "low_band", "metro_agg_hub"),
         slice_id="fwa_suburban_001",
         ran_reason="without mmWave at the sector, low-band's propagation reaches indoor CPEs across the estate",
@@ -74,7 +69,6 @@ SCENARIOS = {
         tokens=13731,
     ),
     "highway_patrol_video": dict(
-        intent="Provision bodycam and dashcam video upload for highway patrol units along rural_highway; officers file high-definition evidence clips from the roadside.",
         produced=("city_plaza", "mid_band", "metro_agg_hub"),
         slice_id="patrol_video_001",
         ran_reason="patrol units file most evidence from the downtown precinct around the plaza, where mid-band has 80 MHz free",
@@ -82,7 +76,6 @@ SCENARIOS = {
         tokens=13101,
     ),
     "plaza_public_wifi": dict(
-        intent="Deploy a public Wi-Fi offload slice at city_plaza for the street festival crowds; visitors expect effortless photo uploads and pop-up broadband across the square.",
         produced=("city_plaza", "mmwave", "regional_dc_north"),
         slice_id="plaza_wifi_001",
         ran_reason="the square is dense and open, ideal for the 800 MHz of free mmWave",
@@ -90,7 +83,6 @@ SCENARIOS = {
         tokens=13799,
     ),
     "smart_meters_suburban": dict(
-        intent="Connect the massive devices programme across suburban_residential: hundreds of thousands of battery-powered smart utility endpoints and IoT gadgets, each checking in hourly with tiny payloads.",
         produced=("suburban_residential", "low_band", "metro_agg_hub"),
         slice_id="utility_endpoints_001",
         ran_reason="low-band maximises battery life and indoor reach for tiny hourly payloads",
@@ -98,7 +90,6 @@ SCENARIOS = {
         tokens=13085,
     ),
     "agricultural_iot_rural": dict(
-        intent="Connect soil-moisture probes and livestock tracking sensors across the farmland along rural_highway; battery-powered IoT nodes report telemetry a few times a day.",
         produced=("rural_highway", "mid_band", "mec_industrial_1"),
         slice_id="agri_iot_001",
         ran_reason="mid-band balances the sparse 20 MHz budget against gateway backhaul capacity",
@@ -106,7 +97,6 @@ SCENARIOS = {
         tokens=13021,
     ),
     "stadium_crowd_analytics": dict(
-        intent="Stand up crowd analytics for stadium event days: vehicle counters and footfall sensors along the rural_highway park-and-ride corridor feed the events command centre.",
         produced=("rural_highway", "mid_band", "metro_agg_hub"),
         slice_id="crowd_analytics_001",
         ran_reason="mid-band covers the corridor counters with capacity to spare on the 15%-loaded sector",
@@ -114,7 +104,6 @@ SCENARIOS = {
         tokens=13557,
     ),
     "environmental_monitoring": dict(
-        intent="Register the citywide air-quality monitoring stations around city_plaza; each station reports particulate sensor readings every few minutes.",
         produced=("city_plaza", "mid_band", "regional_dc_north"),
         slice_id="air_quality_001",
         ran_reason="mid-band at the plaza has 80 MHz free and reaches street-level stations reliably",
@@ -160,12 +149,6 @@ DIRECT_TOKENS = [1128, 1163, 1171, 1102, 1119, 1188, 1146, 1203, 1133, 1125, 118
 # Single-pass ablation: two scenarios stall without a decision, the rest
 # behave like the monolithic agent.
 NO_REACT_NO_DECISION = {"connected_ambulance_rural", "smart_meters_suburban"}
-
-FACTORY_INTENT = (
-    "Configure network slice for automated robotic assembly line at industrial_park_a. "
-    "Requires ultra-low latency (<5ms) for real-time control and high reliability for "
-    "safety-critical operations."
-)
 
 TRACE_RESPONSES = [
     # Iteration 1: intent parsing and RAN consultation.
@@ -268,7 +251,7 @@ def multi_agent_script(scenario_id: str, spec: dict) -> list[dict]:
     band_wire = BAND_WIRE[band]
     ran_request = (
         f"Which spectrum band should carry this service at {sector}, given the "
-        f"current load and available spectrum? Intent: {spec['intent']}"
+        f"current load and available spectrum? Intent: {INTENTS[scenario_id]}"
     )
     core_request = (
         f"Given {band_wire} allocation at {sector}, which UPF node should anchor "
@@ -317,14 +300,14 @@ def multi_agent_script(scenario_id: str, spec: dict) -> list[dict]:
             "completion_tokens": completion_tokens,
         }
         if i == 0:
-            entry["expect_contains"] = spec["intent"][:60]
+            entry["expect_contains"] = INTENTS[scenario_id][:60]
         script.append(entry)
     return script
 
 
 def canonical_trace_script() -> list[dict]:
     expects = [
-        FACTORY_INTENT[:60],
+        INTENTS["industrial_automation"][:60],
         "ORCHESTRATOR REQUEST:\nCan industrial_park_a support ultra-low latency",
         "Observation:",
         "Given mid-band allocation at industrial_park_a",
