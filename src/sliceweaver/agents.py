@@ -11,12 +11,12 @@ slice. Actions are parsed from plain assistant text:
 The keys of an action line are the fields of `AgentAction` other than
 `kind`; any other key is a parse error. `request=` and `summary=` are free
 text: each consumes the remainder of the line (it may contain '|' and '='),
-so `format_action` writes it last. The other keys (`agent_name`, `slice_id`,
-`ran_config`, `core_config`) are single tokens, written in their declared
-order. Models often restate planned actions inside their reasoning, so when
-a turn contains several ACTION lines only the last one is operative, except
-that a PROVISION_SLICE followed by FINISH in the same turn executes
-sequentially.
+so a line carries at most one of them and `format_action` writes it last.
+The other keys (`agent_name`, `slice_id`, `ran_config`, `core_config`) are
+single tokens, written in their declared order. Models often restate
+planned actions inside their reasoning, so when a turn contains several
+ACTION lines only the last one is operative, except that a PROVISION_SLICE
+followed by FINISH in the same turn executes sequentially.
 
 Specialist consultations are stateless one-shot completions: each one gets a
 fresh history of [specialist system prompt, request + full serialized network
@@ -230,9 +230,15 @@ def parse_action(text: str) -> list[AgentAction]:
 
 
 def format_action(action: AgentAction) -> str:
-    """Render an action back to its wire line (inverse of parse_action)."""
+    """Render an action back to its wire line (inverse of parse_action).
+
+    ValueError for a NONE action, and for one with both `request` and
+    `summary`: each takes the rest of the line, so no line carries both.
+    """
     if action.kind is ActionKind.NONE:
         raise ValueError("cannot format a NONE action")
+    if action.request is not None and action.summary is not None:
+        raise ValueError("cannot format an action with both request and summary")
     parts = [f"ACTION: {action.kind.value}"]
     for key in _ACTION_KEYS:
         value = getattr(action, key)

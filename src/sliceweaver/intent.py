@@ -9,8 +9,8 @@ interpretation.
 Classification is keyword-driven against a lexicon loaded from a data file,
 so the strict/frozen-lexicon brittleness experiments stay reproducible.
 `classify_intent` holds every decision rule: one pass finds the latency bound
-once, searches each lexicon list at most once and derives the whole profile
-from those hits.
+once, reads the text's words once, looks each lexicon list up in those words
+at most once and derives the whole profile from those hits.
 """
 
 from __future__ import annotations
@@ -69,8 +69,11 @@ class Lexicon:
     """Keyword lists driving classification. Matching is case-insensitive,
     word-bounded, space/hyphen/underscore tolerant, with optional plural 's'.
 
-    Every keyword needs a letter or digit: one made only of spaces or
-    separators would match text that holds no keyword at all.
+    Once stripped, a keyword is ASCII letter/digit words separated by
+    spaces, hyphens or underscores ("ultra-low latency", "4K"), the words
+    that `keyword_hits` can find in a text's word scan. Anything else raises
+    ValueError naming the field and the keyword: one with no letter or digit
+    would match text that holds no keyword at all.
     """
 
     urllc: tuple[str, ...]
@@ -81,10 +84,10 @@ class Lexicon:
     def __post_init__(self) -> None:
         for field in fields(self):
             for keyword in getattr(self, field.name):
-                if not any(ch.isalnum() for ch in keyword):
-                    raise ValueError(
-                        f"lexicon field {field.name!r}: keyword {keyword!r} has no letter or digit"
-                    )
+                try:
+                    _keyword_words(keyword)
+                except ValueError as exc:
+                    raise ValueError(f"lexicon field {field.name!r}: {exc}") from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Lexicon":
@@ -129,22 +132,83 @@ class IntentProfile:
             raise ValueError(f"tau_req_ms must be > 0, got {self.tau_req_ms}")
 
 
-# Unbounded: its keys are the lexicon keywords and sector ids of the inputs a
-# process loads, and a bound below a topology's sector count would evict each
+# Unbounded: its keys are the sector ids of the states a process classifies
+# against, and a bound below a topology's sector count would evict each
 # pattern before its next use, so every classify would recompile them all.
 @cache
 def _keyword_pattern(keyword: str) -> re.Pattern:
-    # Word-bounded, separator-tolerant ("mid band" ~ "mid-band"), optional
-    # trailing plural so "sensors" matches "sensor" but "metering" does not
-    # match "meter".
+    # For sector ids: word-bounded, separator-tolerant ("industrial park a" ~
+    # "industrial_park_a"), optional trailing plural, case-insensitive.
+    # `keyword_hits` applies the same rules to lexicon keywords by word scan.
     escaped = re.escape(keyword.lower().strip())
     flexible = re.sub(r"(?:\\ |\\-|_)+", r"[\\s_-]+", escaped)
     return re.compile(rf"(?<![a-z0-9]){flexible}s?(?![a-z0-9])", re.IGNORECASE)
 
 
+# The letters that re.IGNORECASE matches to an ASCII letter but str.lower()
+# does not lower to one ("İ".lower() is "i" and a combining dot).
+_IGNORECASE_TO_ASCII = str.maketrans(
+    {"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"}
+)
+# A word, or a run of what is neither a word nor a separator (whitespace, "_",
+# "-"). Separators fall between tokens, so two words are neighbours in the
+# token list exactly when only separators part them in the text.
+_TOKEN_RE = re.compile(r"[a-z0-9]+|[^a-z0-9\s_-]+")
+_KEYWORD_RE = re.compile(r"[A-Za-z0-9]+(?:[ _-]+[A-Za-z0-9]+)*")
+
+
+def _keyword_words(keyword: str) -> str:
+    """The keyword's lowercased words joined by single spaces; ValueError for
+    a keyword that is not ASCII letter/digit words parted by separators."""
+    stripped = keyword.strip()
+    if not _KEYWORD_RE.fullmatch(stripped):
+        if not any(ch.isalnum() for ch in stripped):
+            raise ValueError(f"keyword {keyword!r} has no letter or digit")
+        raise ValueError(
+            f"keyword {keyword!r} is not ASCII letter or digit words separated by "
+            "spaces, hyphens or underscores"
+        )
+    return " ".join(_TOKEN_RE.findall(stripped.lower()))
+
+
+@cache
+def _keyword_probes(keywords: tuple[str, ...]) -> tuple[tuple[str, bool, str, str], ...]:
+    """Per keyword: (keyword, whether it is one word, what to look up, the
+    same with a plural "s")."""
+    probes = []
+    for keyword in keywords:
+        words = _keyword_words(keyword)
+        if " " in words:
+            probes.append((keyword, False, f" {words} ", f" {words}s "))
+        else:
+            probes.append((keyword, True, words, words + "s"))
+    return tuple(probes)
+
+
+def _scan_words(text: str) -> tuple[frozenset[str], str]:
+    """The text's tokens, read once: as a set, and as one line of tokens
+    parted by single spaces with a space at each end."""
+    tokens = _TOKEN_RE.findall(text.translate(_IGNORECASE_TO_ASCII).lower())
+    return frozenset(tokens), f" {' '.join(tokens)} "
+
+
+def _hits_in(words: tuple[frozenset[str], str], keywords: tuple[str, ...]) -> list[str]:
+    """Keywords from the list found in a text's `_scan_words`: a one-word
+    keyword is a token, a longer one a run of neighbouring tokens."""
+    tokens, line = words
+    hits = []
+    for keyword, one_word, probe, plural in _keyword_probes(keywords):
+        where = tokens if one_word else line
+        if probe in where or plural in where:
+            hits.append(keyword)
+    return hits
+
+
 def keyword_hits(text: str, keywords: tuple[str, ...]) -> list[str]:
-    """Keywords from the list that occur in the text."""
-    return [kw for kw in keywords if _keyword_pattern(kw).search(text)]
+    """Keywords from the list that occur in the text: case-insensitive, as
+    whole words, any run of separators standing for one, an "s" allowed
+    after the last word. A keyword `Lexicon` refuses raises ValueError."""
+    return _hits_in(_scan_words(text), keywords)
 
 
 def explicit_latency_bound(text: str) -> tuple[float, str] | None:
@@ -189,9 +253,10 @@ def classify_intent(
 ) -> IntentProfile:
     """Build the full profile for an intent. Pure and deterministic.
 
-    One pass: the latency bound is found once and each lexicon list searched
-    at most once (`mmtc` only when the intent is not URLLC, `bandwidth_low`
-    only when `bandwidth_high` has no hit). The profile follows from those:
+    One pass: the latency bound is found once, the words are read once, and
+    each lexicon list is looked up in them at most once (`mmtc` only when the
+    intent is not URLLC, `bandwidth_low` only when `bandwidth_high` has no
+    hit). The profile follows from those:
 
     - class: URLLC on an explicit bound <= URLLC_BOUND_MS or a URLLC keyword,
       then mMTC on a massive-IoT keyword, else eMBB;
@@ -207,19 +272,20 @@ def classify_intent(
 
         lexicon = default_lexicon()
     bound = explicit_latency_bound(text)
-    matched = keyword_hits(text, lexicon.urllc)
+    words = _scan_words(text)
+    matched = _hits_in(words, lexicon.urllc)
     if bound is not None and bound[0] <= URLLC_BOUND_MS:
         matched.append(bound[1])
     if matched:
         traffic_class = TrafficClass.URLLC
     else:
-        matched = keyword_hits(text, lexicon.mmtc)
+        matched = _hits_in(words, lexicon.mmtc)
         traffic_class = TrafficClass.MMTC if matched else TrafficClass.EMBB
-    bandwidth_hits = keyword_hits(text, lexicon.bandwidth_high)
+    bandwidth_hits = _hits_in(words, lexicon.bandwidth_high)
     if bandwidth_hits:
         bandwidth = BandwidthCategory.HIGH
     else:
-        bandwidth_hits = keyword_hits(text, lexicon.bandwidth_low)
+        bandwidth_hits = _hits_in(words, lexicon.bandwidth_low)
         bandwidth = BandwidthCategory.LOW if bandwidth_hits else BandwidthCategory.MEDIUM
     return IntentProfile(
         raw_text=text,

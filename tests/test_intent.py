@@ -187,12 +187,88 @@ def test_matched_keywords_nonempty_and_present_in_text(state, lexicon, scenarios
             assert keyword.lower().replace("_", " ") in text.lower().replace("_", " ")
 
 
+def reference_hits(text, keywords):
+    """`keyword_hits` as one case-insensitive, word-bounded regex per keyword,
+    separator runs standing for one another and an optional plural 's'."""
+    found = []
+    for keyword in keywords:
+        escaped = re.escape(keyword.lower().strip())
+        flexible = re.sub(r"(?:\\ |\\-|_)+", r"[\\s_-]+", escaped)
+        if re.search(rf"(?<![a-z0-9]){flexible}s?(?![a-z0-9])", text, re.IGNORECASE):
+            found.append(keyword)
+    return found
+
+
 def test_keyword_matching_uses_word_boundaries(lexicon):
-    assert keyword_hits("fifty kilometers of fibre", ("meter",)) == []
-    assert keyword_hits("roll out smart meters", ("meter",)) == ["meter"]
-    assert keyword_hits("advanced metering estate", ("meter", "metering")) == ["metering"]
-    assert keyword_hits("the IoT fleet", ("iot",)) == ["iot"]
-    assert keyword_hits("patriot units", ("iot",)) == []
+    cases = [
+        ("fifty kilometers of fibre", ("meter",), []),
+        ("roll out smart meters", ("meter",), ["meter"]),
+        ("advanced metering estate", ("meter", "metering"), ["metering"]),
+        ("the IoT fleet", ("iot",), ["iot"]),
+        ("patriot units", ("iot",), []),
+        # The letters re.IGNORECASE matches to an ASCII one: long s, dotted
+        # capital I, dotless i, Kelvin sign.
+        ("\u017fensors", ("sensor",), ["sensor"]),
+        ("\u0130oT", ("iot",), ["iot"]),
+        ("\u0131ot and 4\u212a", ("iot", "4k"), ["iot", "4k"]),
+        ("ultra low\u2003latency", ("ultra-low latency",), ["ultra-low latency"]),
+        ("ultra-low, latency", ("ultra-low latency",), []),
+        ("real-time\u017f", ("real time",), ["real time"]),
+        ("a a b", ("a b", "a a b", "b a"), ["a b", "a a b"]),
+    ]
+    for text, keywords, expected in cases:
+        assert keyword_hits(text, keywords) == expected, text
+        assert reference_hits(text, keywords) == expected, text
+
+
+SCAN_WORDS = ("a", "b", "s", "k", "i", "iot", "meter", "metering", "sensor", "5g", "4k")
+SCAN_SEPARATORS = " -_\t\n\u00a0\u2003"
+SCAN_PUNCTUATION = (",", ".", "(", ")", "+", "/", "|", "\u00e9")
+# Each letter with every letter re.IGNORECASE matches to it.
+SPELLINGS = {
+    "i": ("i", "I", "\u0130", "\u0131"),
+    "k": ("k", "K", "\u212a"),
+    "s": ("s", "S", "\u017f"),
+}
+scan_keywords = st.builds(
+    str.join,
+    st.sampled_from((" ", "-", "_", " - ", "__")),
+    st.lists(st.sampled_from(SCAN_WORDS), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def scan_cases(draw):
+    """(text, keywords): texts of keyword and word spellings (any case, any
+    separators or a punctuation mark between words, a plural s), punctuation,
+    and joins that run words together."""
+    keywords = tuple(draw(st.lists(scan_keywords, min_size=1, max_size=4)))
+    pieces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(("keyword", "word", "punctuation")))
+        if kind == "punctuation":
+            pieces.append(draw(st.sampled_from(SCAN_PUNCTUATION)))
+            continue
+        if kind == "keyword":
+            words = re.split(r"[ _-]+", draw(st.sampled_from(keywords)))
+        else:
+            words = [draw(st.sampled_from(SCAN_WORDS))]
+        gaps = st.text(alphabet=SCAN_SEPARATORS + ",.", min_size=1, max_size=2)
+        spelled = words[0] + "".join(draw(gaps) + word for word in words[1:])
+        spelled = "".join(
+            draw(st.sampled_from(SPELLINGS.get(c, (c, c.upper())))) for c in spelled
+        )
+        pieces.append(spelled + draw(st.sampled_from(("", "s", "S", "\u017f"))))
+    joins = st.text(alphabet=SCAN_SEPARATORS + "".join(SCAN_PUNCTUATION), max_size=2)
+    text = "".join(piece + draw(joins) for piece in pieces)
+    return text, keywords
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_keyword_hits_equals_one_regex_per_keyword(case):
+    text, keywords = case
+    assert keyword_hits(text, keywords) == reference_hits(text, keywords)
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,6 +315,27 @@ def test_profile_rejects_a_latency_bound_that_is_not_positive(tau_req_ms):
 
 
 LEXICON_FIELDS = ("urllc", "mmtc", "bandwidth_high", "bandwidth_low")
+
+
+@pytest.mark.parametrize("keyword", ["caf\u00e9", "5G+", "a\tb", "-video", "x.y", "4\u212a"])
+def test_lexicon_rejects_keywords_outside_the_word_alphabet(keyword):
+    # The word scan reads only ASCII letter/digit words parted by
+    # separators, so a keyword it could not find is refused at load.
+    message = re.escape(f"lexicon field 'bandwidth_high': keyword {keyword!r} is not ASCII")
+    for path in (bundled.default_lexicon_path(), bundled.strict_lexicon_path()):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["bandwidth_high"].append(keyword)
+        with pytest.raises(ValueError, match=message):
+            Lexicon.from_dict(doc)
+    with pytest.raises(ValueError, match=message):
+        Lexicon(urllc=(), mmtc=(), bandwidth_high=(keyword,), bandwidth_low=())
+    with pytest.raises(ValueError, match=re.escape(f"keyword {keyword!r} is not ASCII")):
+        keyword_hits("video", (keyword,))
+
+
+def test_lexicon_takes_keywords_with_surrounding_whitespace():
+    lexicon = Lexicon(urllc=(" real time\t",), mmtc=(), bandwidth_high=(), bandwidth_low=())
+    assert classify_intent("REAL-TIMES", lexicon=lexicon).matched_keywords == (" real time\t",)
 
 
 @pytest.mark.parametrize("keyword", ["", "  ", "-", "_"])
@@ -292,25 +389,37 @@ def test_classify_finds_the_bound_once_and_searches_each_list_once(
     monkeypatch, state, scenarios, lexicon_name
 ):
     lexicon = getattr(bundled, f"{lexicon_name}_lexicon")()
-    searched, bounds = [], []
-    real_hits, real_bound = intent.keyword_hits, intent.explicit_latency_bound
+    scans, searched, bounds = [], [], []
+    real_scan, real_hits, real_bound = (
+        intent._scan_words, intent._hits_in, intent.explicit_latency_bound
+    )
 
-    def recording_hits(text, keywords):
+    def recording_scan(text):
+        scans.append(text)
+        return real_scan(text)
+
+    def recording_hits(words, keywords):
         searched.append(keywords)
-        return real_hits(text, keywords)
+        return real_hits(words, keywords)
 
     def recording_bound(text):
         bounds.append(text)
         return real_bound(text)
 
-    monkeypatch.setattr(intent, "keyword_hits", recording_hits)
+    monkeypatch.setattr(intent, "_scan_words", recording_scan)
+    monkeypatch.setattr(intent, "_hits_in", recording_hits)
     monkeypatch.setattr(intent, "explicit_latency_bound", recording_bound)
     assert len(scenarios) == 12
     for scenario in scenarios:
+        scans.clear()
         searched.clear()
         bounds.clear()
         classify_intent(scenario.intent_text, state, lexicon)
         assert len(bounds) == 1, scenario.id
+        assert scans == [scenario.intent_text], scenario.id
+        # `urllc` and `bandwidth_high` are always looked up.
+        assert searched[0] is lexicon.urllc, scenario.id
+        assert any(kw is lexicon.bandwidth_high for kw in searched), scenario.id
         for name in LEXICON_FIELDS:
             keywords = getattr(lexicon, name)
             assert sum(kw is keywords for kw in searched) <= 1, (scenario.id, name)
