@@ -37,8 +37,7 @@ the `AgentTranscript` it returns: tokens, completion latency and iterations.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -163,36 +162,38 @@ _REMAINDER_KEYS = ("request", "summary")
 _ACTION_KEYS = tuple(
     f.name for f in fields(AgentAction) if f.name != "kind" and f.name not in _REMAINDER_KEYS
 ) + _REMAINDER_KEYS
-_REMAINDER_KEY_RE = re.compile(r"(?:^|\|)\s*(" + "|".join(_REMAINDER_KEYS) + r")\s*=")
+_ACTION_PREFIX = "ACTION:"
+_ACTION_KINDS = {kind.value: kind for kind in ActionKind}
 
 
 def _parse_action_line(line: str) -> AgentAction:
-    body = line.split(":", 1)[1].strip()
+    """The action of one stripped line that starts with "ACTION:"."""
+    body = line[len(_ACTION_PREFIX):].strip()
     if not body:
         raise ActionParseError("empty ACTION line", line)
     head, _, rest = body.partition("|")
     kind_token = head.strip().upper()
-    try:
-        kind = ActionKind(kind_token)
-    except ValueError:
-        raise ActionParseError(f"unknown action kind {kind_token!r}", line) from None
+    kind = _ACTION_KINDS.get(kind_token)
+    if kind is None:
+        raise ActionParseError(f"unknown action kind {kind_token!r}", line)
     if kind is ActionKind.NONE:
         raise ActionParseError("NONE is not an emittable action", line)
     values: dict[str, str] = {}
-    # Free-text fields consume the remainder of the line, '|' included, so
-    # they are sliced off the raw text before the single-token fields are
-    # split on separators.
-    tail = _REMAINDER_KEY_RE.search(rest)
-    if tail:
-        values[tail.group(1)] = rest[tail.end():].strip()
-        rest = rest[: tail.start()]
+    offset = 0  # where `part` starts in `rest`
     for part in rest.split("|"):
-        if not part.strip():
-            continue
         key, eq, value = part.partition("=")
         key = key.strip()
+        if eq and key in _REMAINDER_KEYS:
+            # The first free-text key takes the rest of the line after its
+            # '=', '|' and '=' included, so no later part is read as a key.
+            values[key] = rest[offset + len(part) - len(value):].strip()
+            break
+        offset += len(part) + 1
+        part = part.strip()
+        if not part:
+            continue
         if not eq or not key:
-            raise ActionParseError(f"malformed key=value pair {part.strip()!r}", line)
+            raise ActionParseError(f"malformed key=value pair {part!r}", line)
         if key in values:
             raise ActionParseError(f"duplicate key {key!r}", line)
         values[key] = value.strip()
@@ -218,7 +219,7 @@ def parse_action(text: str) -> list[AgentAction]:
     lines, the last one wins; if the last is FINISH, any PROVISION_SLICE lines
     in the same text are kept ahead of it in textual order so both execute.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip().startswith("ACTION:")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln.startswith(_ACTION_PREFIX)]
     if not lines:
         return [AgentAction(kind=ActionKind.NONE)]
     parsed = [_parse_action_line(ln) for ln in lines]
@@ -494,10 +495,10 @@ def run_single_pass(
         intent_text, state, session, {}, k_max=1, system_prompt=system_prompt
     )
     if transcript.outcome is Outcome.ITERATION_LIMIT:
-        return replace(
-            transcript, outcome=Outcome.ERROR,
-            error="single-pass turn did not provision and finish",
-        )
+        return AgentTranscript(**{
+            **vars(transcript), "outcome": Outcome.ERROR,
+            "error": "single-pass turn did not provision and finish",
+        })
     return transcript
 
 

@@ -304,9 +304,23 @@ class ChatSession:
 
 
 _EXCHANGE_KEYS = frozenset(f.name for f in fields(ScriptedExchange))
+# The keys of the common exchange: a response with both token counts set.
+_COUNTED_EXCHANGE_KEYS = frozenset(("response", "prompt_tokens", "completion_tokens"))
 
 
 def exchange_from_dict(entry: dict) -> ScriptedExchange:
+    """The exchange whose wire form is `entry`; any other form raises
+    ScriptError naming the first bad field."""
+    # The common shape is taken in one check; any other entry goes through
+    # the per-field path below, which names the culprit.
+    if type(entry) is dict and entry.keys() == _COUNTED_EXCHANGE_KEYS:
+        response = entry["response"]
+        prompt_tokens = entry["prompt_tokens"]
+        completion_tokens = entry["completion_tokens"]
+        if (type(response) is str and type(prompt_tokens) is int
+                and type(completion_tokens) is int
+                and prompt_tokens >= 0 and completion_tokens >= 0):
+            return ScriptedExchange(response, prompt_tokens, completion_tokens)
     if not isinstance(entry, dict) or "response" not in entry:
         raise ScriptError(f"script entry must be an object with 'response': {entry!r}")
     unknown = entry.keys() - _EXCHANGE_KEYS

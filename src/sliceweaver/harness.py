@@ -23,14 +23,15 @@ first use, and every row run with that config is scored against the same
 profile, so `compare` and `ablate` classify the suite once for all their
 systems. Each run is scored once, into its `EvaluationRecord`. A
 deterministic run (a referee system, or any scripted backend) runs once per
-scenario and its record is copied for every repeat; a live LLM run is
-repeated. Failures of a run are recorded as zero-accuracy rows rather than
-aborting the harness.
+scenario: its scored record is run 1, and each later repeat is built by the
+`EvaluationRecord` constructor from that record's fields with only
+`run_index` changed. A live LLM run is repeated. Failures of a run are
+recorded as zero-accuracy rows rather than aborting the harness.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 from math import fsum, isqrt
@@ -363,18 +364,24 @@ def run_scenario(
     """Evaluate one scenario `config.repeats` times.
 
     A deterministic run (a referee system, or any scripted backend) runs and
-    is scored once, and its record is copied for each repeat; a live LLM
-    system runs and is scored once per repeat, each in its own session.
+    is scored once: its record is run 1, and each later run is that record
+    with its `run_index` changed. A live LLM system runs and is scored once
+    per repeat, each in its own session.
     """
     row = SYSTEM_TABLE.get(system)
     if row is None:
         raise HarnessError(f"unknown system {system!r}")
     profile = referee_profile(scenario, config)
-    indices = range(1, config.repeats + 1)
     if row.script is None or provider.deterministic:
         record = _run_once(scenario, row, provider, config, profile, run_index=1)
-        return [dataclasses.replace(record, run_index=i) for i in indices]
-    return [_run_once(scenario, row, provider, config, profile, i) for i in indices]
+        scored = vars(record)
+        return [record] + [
+            EvaluationRecord(**{**scored, "run_index": i}) for i in range(2, config.repeats + 1)
+        ]
+    return [
+        _run_once(scenario, row, provider, config, profile, i)
+        for i in range(1, config.repeats + 1)
+    ]
 
 
 # Bits of the integer square root in `_pstdev`: 2 * 53 + 3 for a double, as
@@ -392,14 +399,16 @@ def _pstdev(values: list[float]) -> float:
     values are integers, and the variance is exactly
     (n * sum(p*p) - sum(p)**2) / (n * d)**2. Its integer square root is
     taken to 2 bits more than a float holds and rounded to odd, so the one
-    rounding to a float, by an exact integer division, is correct.
+    rounding to a float, by an exact integer division, is correct. The sums
+    run over the distinct values, each weighted by its count: a report
+    column repeats few values, and the integers are the same exact ones.
     """
-    ratios = [value.as_integer_ratio() for value in values]
-    d = max(q for _, q in ratios)
-    scaled = [p * (d // q) for p, q in ratios]
-    total = sum(scaled)
-    n = len(scaled)
-    num = n * sum(p * p for p in scaled) - total * total
+    counts = [(value.as_integer_ratio(), count) for value, count in Counter(values).items()]
+    d = max(q for (_, q), _ in counts)
+    scaled = [(p * (d // q), count) for (p, q), count in counts]
+    total = sum(p * count for p, count in scaled)
+    n = len(values)
+    num = n * sum(p * p * count for p, count in scaled) - total * total
     den = (n * d) ** 2
     shift = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
     if shift >= 0:

@@ -29,7 +29,7 @@ import json
 import math
 import operator
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -197,7 +197,7 @@ class NetworkState:
     provisioned_slices: tuple[SliceConfiguration, ...] = ()
     # The oracle's per-sector nearest nodes by kappa_max, filled by the first
     # `solve` (oracle._nearest_nodes). Exact because the state is immutable;
-    # a `dataclasses.replace` copy starts empty.
+    # a new state, such as the one `apply_provisioning` returns, starts empty.
     _nearest_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -629,4 +629,7 @@ def apply_provisioning(state: NetworkState, config: SliceConfiguration) -> Netwo
         for existing in state.provisioned_slices:
             if existing.slice_id == config.slice_id:
                 raise ProvisioningError(f"slice id {config.slice_id!r} already provisioned")
-    return replace(state, provisioned_slices=state.provisioned_slices + (config,))
+    return NetworkState(
+        sectors=state.sectors, nodes=state.nodes,
+        provisioned_slices=state.provisioned_slices + (config,),
+    )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,165 @@ def test_parse_action_total_over_arbitrary_text(text):
         return
     assert actions
     assert all(isinstance(a, AgentAction) for a in actions)
+
+
+# The parser as it stood before the free-text keys were found by splitting
+# on '|', with `ActionKind` looked up by value and each line stripped twice:
+# the reference `parse_action` must agree with, result for result and error
+# message for error message.
+_REFERENCE_REMAINDER_KEYS = ("request", "summary")
+_REFERENCE_ACTION_KEYS = ("agent_name", "slice_id", "ran_config", "core_config", "request", "summary")
+_REFERENCE_REMAINDER_KEY_RE = re.compile(
+    r"(?:^|\|)\s*(" + "|".join(_REFERENCE_REMAINDER_KEYS) + r")\s*="
+)
+
+
+def _reference_parse_action_line(line: str) -> AgentAction:
+    body = line.split(":", 1)[1].strip()
+    if not body:
+        raise ActionParseError("empty ACTION line", line)
+    head, _, rest = body.partition("|")
+    kind_token = head.strip().upper()
+    try:
+        kind = ActionKind(kind_token)
+    except ValueError:
+        raise ActionParseError(f"unknown action kind {kind_token!r}", line) from None
+    if kind is ActionKind.NONE:
+        raise ActionParseError("NONE is not an emittable action", line)
+    values: dict[str, str] = {}
+    tail = _REFERENCE_REMAINDER_KEY_RE.search(rest)
+    if tail:
+        values[tail.group(1)] = rest[tail.end():].strip()
+        rest = rest[: tail.start()]
+    for part in rest.split("|"):
+        if not part.strip():
+            continue
+        key, eq, value = part.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise ActionParseError(f"malformed key=value pair {part.strip()!r}", line)
+        if key in values:
+            raise ActionParseError(f"duplicate key {key!r}", line)
+        values[key] = value.strip()
+    unknown = values.keys() - _REFERENCE_ACTION_KEYS
+    if unknown:
+        raise ActionParseError(f"unknown key(s) {sorted(unknown)}", line)
+    action = AgentAction(kind=kind, **values)
+    if kind is ActionKind.CALL_AGENT and (not action.agent_name or not action.request):
+        raise ActionParseError("CALL_AGENT needs agent_name and request", line)
+    if kind is ActionKind.PROVISION_SLICE and not (
+        action.slice_id and action.ran_config and action.core_config
+    ):
+        raise ActionParseError(
+            "PROVISION_SLICE needs slice_id, ran_config and core_config", line
+        )
+    return action
+
+
+def reference_parse_action(text: str) -> list[AgentAction]:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip().startswith("ACTION:")]
+    if not lines:
+        return [AgentAction(kind=ActionKind.NONE)]
+    parsed = [_reference_parse_action_line(ln) for ln in lines]
+    last = parsed[-1]
+    if last.kind is ActionKind.FINISH:
+        provisions = [a for a in parsed[:-1] if a.kind is ActionKind.PROVISION_SLICE]
+        return provisions + [last]
+    return [last]
+
+
+# ASCII and Unicode whitespace, mostly none or one space; U+0085 and U+2028
+# also end a line.
+_SPACES = st.sampled_from(
+    ["", " "] * 6 + ["  ", "\t", "\x0b", "\x1f", "\xa0", "\u2003", "\u3000", "\x85", "\u2028"]
+)
+_KIND_NAMES = ["CALL_AGENT", "PROVISION_SLICE", "FINISH"]
+_KINDS = st.one_of(
+    st.sampled_from(_KIND_NAMES),
+    st.sampled_from(_KIND_NAMES + ["NONE", "FINISHED", "CALL", "", "ACTION"]),
+).flatmap(
+    lambda kind: st.lists(st.booleans(), min_size=len(kind), max_size=len(kind)).map(
+        lambda lower: "".join(c.lower() if flip else c for c, flip in zip(kind, lower))
+    )
+)
+# The keys each kind needs, so that lines that parse are drawn often.
+_NEEDED_KEYS = {
+    "CALL_AGENT": ["agent_name", "request"],
+    "PROVISION_SLICE": ["slice_id", "ran_config", "core_config"],
+    "FINISH": ["summary"],
+}
+_KEYS = st.one_of(
+    st.sampled_from(["agent_name", "request", "slice_id", "ran_config", "core_config", "summary"]),
+    st.sampled_from(["kind", "Request", "requests", "bogus", ""]),
+)
+_VALUES = st.one_of(
+    st.sampled_from(["ran_specialist", "mid-band@city_plaza", "UPF@metro_agg_hub", "s1"]),
+    st.sampled_from(["x | summary=y", "q | request = r", "a=b=c", "request", "summary="]),
+    st.text(alphabet="ab@-=| \t\xa0", min_size=1, max_size=10),
+)
+
+
+@st.composite
+def _action_pair(draw, key):
+    shape = draw(st.sampled_from(["pair"] * 6 + ["no-equals", "empty"]))
+    if shape == "empty":
+        return draw(_SPACES)
+    value = draw(_VALUES)
+    if shape == "no-equals":
+        return key + draw(_SPACES) + value
+    return key + draw(_SPACES) + "=" + draw(_SPACES) + value
+
+
+@st.composite
+def _action_lines(draw):
+    kind = draw(_KINDS)
+    keys = draw(st.lists(_KEYS, max_size=2))
+    order = draw(st.sampled_from(["random", "wire", "wire"]))
+    if order == "wire":  # the needed keys last, a free-text key at the end
+        keys += _NEEDED_KEYS.get(kind.upper(), [])
+    else:  # duplicates and unknown keys stay possible
+        keys = draw(st.permutations(keys + _NEEDED_KEYS.get(kind.upper(), [])))
+    head = draw(st.sampled_from(["ACTION:", "ACTION:", "ACTION:", "action:", "ACTION :"]))
+    line = draw(_SPACES) + head + draw(_SPACES) + kind
+    for key in keys:
+        line += draw(_SPACES) + "|" + draw(_SPACES) + draw(_action_pair(key))
+    return line + draw(_SPACES)
+
+
+# Several lines per text, ACTION lines and others, on one line separator.
+_action_texts = st.lists(
+    st.one_of(
+        _action_lines(), _action_lines(), _action_lines(),
+        st.sampled_from(["THOUGHT: thinking", "", "note: ACTION: inside"]),
+    ),
+    min_size=1, max_size=4,
+).flatmap(lambda lines: st.sampled_from(["\n", "\r\n", "\u2028"]).map(lambda sep: sep.join(lines)))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ActionParseError as exc:
+        return ("ActionParseError", str(exc), exc.line)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_action_texts)
+def test_parse_action_equals_the_reference_parser(text):
+    assert _parse_outcome(parse_action, text) == _parse_outcome(reference_parse_action, text)
+
+
+@pytest.mark.parametrize("text", [
+    "ACTION: CALL_AGENT | agent_name=a | request = q | summary=s | x",
+    "ACTION: FINISH | slice_id=s | summary | request=r",
+    "ACTION: FINISH |\xa0summary\u3000= a | b",
+    "ACTION: call_agent|request=|agent_name=a",
+    "ACTION: FINISH | summary=a | slice_id=x | slice_id=y",
+    "ACTION: FINISH | slice_id=x | slice_id=y | summary=a",
+    "ACTION: PROVISION_SLICE | requests=1 | slice_id=s",
+])
+def test_parse_action_equals_the_reference_parser_on_edge_lines(text):
+    assert _parse_outcome(parse_action, text) == _parse_outcome(reference_parse_action, text)
 
 
 # --- specialist consultation -------------------------------------------------

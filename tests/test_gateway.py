@@ -198,6 +198,102 @@ def test_fixture_loaders_raise_only_script_error_naming_the_file(load, bad_json_
         load(bad_json_file)
 
 
+# Mutation fuzz of the bundled suite fixture: 1-3 edits to each of 1-3 of
+# its exchange entries. `SuiteFixture.from_doc` must load what a per-field
+# validator loads, value for value and type for type, or raise ScriptError.
+_FIXTURE_DOC = json.loads(bundled.default_suite_fixture_path().read_text(encoding="utf-8"))
+_FIXTURE_ENTRIES = [
+    (scenario_id, system, index)
+    for scenario_id, systems in _FIXTURE_DOC["scenarios"].items()
+    for system, script in systems.items()
+    for index in range(len(script))
+]
+_EXCHANGE_FIELDS = ("response", "prompt_tokens", "completion_tokens", "expect_contains", "expect_sha256")
+
+
+def reference_exchange(entry) -> ScriptedExchange:
+    """The exchange of a script entry, each field checked on its own."""
+    if not isinstance(entry, dict):
+        raise ScriptError("not an object")
+    if set(entry) - set(_EXCHANGE_FIELDS):
+        raise ScriptError("unknown field")
+    if not isinstance(entry.get("response"), str):
+        raise ScriptError("response")
+    for key in ("prompt_tokens", "completion_tokens"):
+        value = entry.get(key)
+        if value is not None and (type(value) is not int or value < 0):
+            raise ScriptError(key)
+    for key in ("expect_contains", "expect_sha256"):
+        value = entry.get(key)
+        if value is not None and type(value) is not str:
+            raise ScriptError(key)
+    return ScriptedExchange(**entry)
+
+
+def typed_scripts(scripts) -> dict:
+    """Each exchange as its (field, type, value) triples, so that `True` or
+    `1.0` loaded where `1` belongs does not compare equal."""
+    return {
+        scenario_id: {
+            system: [[(key, type(value), value) for key, value in vars(exchange).items()]
+                     for exchange in script]
+            for system, script in systems.items()
+        }
+        for scenario_id, systems in scripts.items()
+    }
+
+
+def edit_exchange(entry, data):
+    """`entry` after one edit: a key dropped or added, a token count or a
+    matcher swapped for a value of the wrong kind, or a non-object."""
+    if not isinstance(entry, dict):
+        return entry
+    entry = dict(entry)
+    edit = data.draw(st.sampled_from(["drop", "add", "count", "matcher", "non-object"]))
+    if edit == "drop":
+        if entry:
+            del entry[data.draw(st.sampled_from(sorted(entry)))]
+    elif edit == "add":
+        key = data.draw(st.sampled_from(["surprise", *_EXCHANGE_FIELDS]))
+        entry[key] = data.draw(st.sampled_from([None, 1, "ACTION:"]))
+    elif edit == "count":
+        key = data.draw(st.sampled_from(["prompt_tokens", "completion_tokens"]))
+        entry[key] = data.draw(st.sampled_from([True, -1, 1.0, None]))
+    elif edit == "matcher":
+        key = data.draw(st.sampled_from(["expect_contains", "expect_sha256"]))
+        entry[key] = data.draw(st.sampled_from([None, 0, "ACTION:"]))
+    else:
+        return data.draw(st.sampled_from(["x", None, []]))
+    return entry
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_a_mutated_suite_fixture_loads_as_the_reference_or_raises_script_error(data):
+    scenarios = {
+        scenario_id: {system: list(script) for system, script in systems.items()}
+        for scenario_id, systems in _FIXTURE_DOC["scenarios"].items()
+    }
+    where = data.draw(st.lists(st.sampled_from(_FIXTURE_ENTRIES), min_size=1, max_size=3))
+    for scenario_id, system, index in where:
+        script = scenarios[scenario_id][system]
+        for _ in range(data.draw(st.integers(1, 3))):
+            script[index] = edit_exchange(script[index], data)
+    doc = {"scenarios": scenarios}
+    try:
+        expected = {
+            scenario_id: {system: [reference_exchange(e) for e in script]
+                          for system, script in systems.items()}
+            for scenario_id, systems in scenarios.items()
+        }
+    except ScriptError:
+        with pytest.raises(ScriptError):
+            SuiteFixture.from_doc(doc, "fuzz")
+        return
+    fixture = SuiteFixture.from_doc(doc, "fuzz")
+    assert typed_scripts(fixture._scripts) == typed_scripts(expected)
+
+
 class FakeResponse:
     def __init__(self, status_code=200, body=None, text="", headers=None):
         self.status_code = status_code

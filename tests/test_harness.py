@@ -262,6 +262,29 @@ def test_deterministic_run_is_scored_once_per_scenario(
     assert len(calls) == len(produced)
 
 
+@pytest.mark.parametrize("system", list(harness.SYSTEM_TABLE))
+def test_a_deterministic_row_repeats_its_scored_record(
+    monkeypatch, scenarios, suite_fixture, harness_config, system
+):
+    # Run 1 is the record `_run_once` scored; every later run is that record
+    # with its run index changed and nothing else.
+    scored = []
+    run_once = harness._run_once
+
+    def keeping(*args, **kwargs):
+        scored.append(run_once(*args, **kwargs))
+        return scored[-1]
+
+    monkeypatch.setattr(harness, "_run_once", keeping)
+    for scenario in scenarios:
+        scored.clear()
+        records = run_scenario(scenario, system, suite_fixture, harness_config)
+        assert len(scored) == 1 and records[0] is scored[0]
+        assert len(records) == harness_config.repeats == 3
+        for run_index, record in enumerate(records, 1):
+            assert record == dataclasses.replace(records[0], run_index=run_index)
+
+
 def test_oracle_row_classifies_once_per_scenario(monkeypatch, scenarios, harness_config):
     calls = counting(monkeypatch, "classify_intent")
     run_benchmark(scenarios, "oracle", None, harness_config)
@@ -556,14 +579,19 @@ def fraction_pstdev(values: list[float]) -> float:
     return root
 
 
-_report_values = st.lists(
-    st.one_of(
-        st.floats(min_value=-1e100, max_value=1e100),
-        st.floats(min_value=0, max_value=1),
-        st.integers(min_value=0, max_value=10**6).map(float),
-        st.sampled_from([0.0, 0.33, 0.5, 0.67, 1.0]),
+_report_floats = st.one_of(
+    st.floats(min_value=-1e100, max_value=1e100),
+    st.floats(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=10**6).map(float),
+    st.sampled_from([0.0, -0.0, 0.33, 0.5, 0.67, 1.0]),
+)
+# Lists of any values, and lists drawn from a few values, each repeated as a
+# report column repeats its values, so `_pstdev`'s counts are checked too.
+_report_values = st.one_of(
+    st.lists(_report_floats, min_size=1, max_size=30),
+    st.lists(_report_floats, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
     ),
-    min_size=1, max_size=30,
 )
 
 

@@ -213,6 +213,14 @@ def test_rule_based_reports_an_infeasible_fallback(state):
     assert rule_based_provision(text, state).feasible is True
 
 
+def test_rule_based_rationale_names_the_target_sector_or_a_dash(state):
+    named = rule_based_provision("ultra-low latency control loop at stadium_central", state)
+    assert "target_sector=stadium_central" in named.rationale
+    unnamed = rule_based_provision("ultra-low latency control loop somewhere", state)
+    assert unnamed.profile.target_sector is None
+    assert "target_sector=-" in unnamed.rationale
+
+
 def test_rule_based_empty_intent_defaults_to_embb(state):
     result = rule_based_provision("", state)
     assert result.profile.traffic_class is TrafficClass.EMBB

@@ -281,6 +281,16 @@ def test_round_half_up(value, places, expected):
     assert round_half_up(value, places) == expected
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_round_half_up_returns_an_infinity_unchanged(value):
+    # Decimal cannot quantize an infinity, so it must not get that far.
+    assert round_half_up(value, 2) == value
+
+
+def test_round_half_up_returns_nan_unchanged():
+    assert math.isnan(round_half_up(math.nan, 2))
+
+
 @pytest.mark.parametrize("name", ["l_max", "kappa_max"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, -1])
 def test_thresholds_reject_a_bad_limit(name, value):

@@ -93,3 +93,40 @@ def test_benchmark_records_hold_exactly_the_collected_cases():
         module = f"benchmarks/test_{record.stem.removeprefix('BENCH_')}.py"
         recorded[module] = {case["fullname"] for case in cases}
     assert recorded == collected
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_summariser_reports_quartiles_wins_and_verdicts():
+    ab = load_tool("ab")
+
+    def result(ops, rss):
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+            "ops_per_ref_s": {"value": ops, "unit": "1/s"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+            "tokens_per_op": {"value": 7.0, "unit": "tokens"},
+        }}
+
+    # Ten pairs: the change reads 4 more ops/s in nine of them and ties in
+    # one, and 10 % more memory in every one.
+    parent_ops = [40.0, 41.0, 39.0, 40.5, 39.5, 40.0, 41.5, 38.5, 40.0, 42.0]
+    change_ops = [ops + 4.0 for ops in parent_ops[:9]] + [parent_ops[9]]
+    pairs = [(result(p, 20.0), result(c, 22.0)) for p, c in zip(parent_ops, change_ops)]
+    gates = ab.load_gates(ROOT / "BENCHMARK.json")
+    rows = {row["metric"]: row for row in ab.summarise(pairs, gates)}
+
+    ops = rows["ops_per_ref_s"]
+    assert ops["pairs"] == 10 and ops["won"] == 9
+    assert ops["parent"] == {"q1": 39.625, "median": 40.0, "q3": 40.875}
+    assert ops["change"]["median"] == 44.0
+    assert ops["gain"] and not ops["worse"]
+    rss = rows["peak_rss_mb"]
+    assert rss["won"] == 0 and not rss["gain"] and rss["worse"]  # past the 5 % bound
+    assert "won" not in rows["tokens_per_op"]  # not a gated metric
+    text = ab.format_rows(ab.summarise(pairs, gates))
+    assert "ops_per_ref_s" in text and "won 9/10  gain" in text and "won 0/10  worse" in text
