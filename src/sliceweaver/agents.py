@@ -37,7 +37,7 @@ the `AgentTranscript` it returns: tokens, completion latency and iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -495,10 +495,10 @@ def run_single_pass(
         intent_text, state, session, {}, k_max=1, system_prompt=system_prompt
     )
     if transcript.outcome is Outcome.ITERATION_LIMIT:
-        return AgentTranscript(**{
-            **vars(transcript), "outcome": Outcome.ERROR,
-            "error": "single-pass turn did not provision and finish",
-        })
+        return replace(
+            transcript, outcome=Outcome.ERROR,
+            error="single-pass turn did not provision and finish",
+        )
     return transcript
 
 

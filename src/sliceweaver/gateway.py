@@ -304,35 +304,22 @@ class ChatSession:
 
 
 _EXCHANGE_KEYS = frozenset(f.name for f in fields(ScriptedExchange))
-# The keys of the common exchange: a response with both token counts set.
-_COUNTED_EXCHANGE_KEYS = frozenset(("response", "prompt_tokens", "completion_tokens"))
 
 
 def exchange_from_dict(entry: dict) -> ScriptedExchange:
     """The exchange whose wire form is `entry`; any other form raises
     ScriptError naming the first bad field."""
-    # The common shape is taken in one check; any other entry goes through
-    # the per-field path below, which names the culprit.
-    if type(entry) is dict and entry.keys() == _COUNTED_EXCHANGE_KEYS:
-        response = entry["response"]
-        prompt_tokens = entry["prompt_tokens"]
-        completion_tokens = entry["completion_tokens"]
-        if (type(response) is str and type(prompt_tokens) is int
-                and type(completion_tokens) is int
-                and prompt_tokens >= 0 and completion_tokens >= 0):
-            return ScriptedExchange(response, prompt_tokens, completion_tokens)
     if not isinstance(entry, dict) or "response" not in entry:
         raise ScriptError(f"script entry must be an object with 'response': {entry!r}")
-    unknown = entry.keys() - _EXCHANGE_KEYS
-    if unknown:
+    if not entry.keys() <= _EXCHANGE_KEYS:
+        unknown = entry.keys() - _EXCHANGE_KEYS
         raise ScriptError(f"script entry has unknown field(s) {sorted(unknown)}")
     if not isinstance(entry["response"], str):
         raise ScriptError(f"script entry 'response' must be a string: {entry['response']!r}")
     for key in ("prompt_tokens", "completion_tokens"):
         value = entry.get(key)
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, int) or value < 0
-        ):
+        # `type(...) is int` also refuses a JSON `true`, which is an int.
+        if value is not None and (type(value) is not int or value < 0):
             raise ScriptError(f"script entry {key!r} must be a non-negative integer: {value!r}")
     for key in ("expect_contains", "expect_sha256"):
         value = entry.get(key)

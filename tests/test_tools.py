@@ -102,31 +102,44 @@ def load_tool(name: str):
     return module
 
 
-def test_ab_summariser_reports_quartiles_wins_and_verdicts():
+def test_ab_summariser_reports_spread_wins_and_verdicts():
     ab = load_tool("ab")
 
-    def result(ops, rss):
-        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+    def run(ops, rss, returncode=0, correct=True):
+        return {"returncode": returncode, "result": {"correct": correct, "metrics": {
+            "setup_s": {"value": 0.5, "unit": "s"},
             "ops_per_ref_s": {"value": ops, "unit": "1/s"},
+            "op_ref_ms.p50": {"value": 1000.0 / ops, "unit": "ms"},
+            "op_ref_ms.tail": {"value": 1200.0 / ops, "unit": "ms"},
             "peak_rss_mb": {"value": rss, "unit": "MB"},
             "tokens_per_op": {"value": 7.0, "unit": "tokens"},
-        }}
+        }}}
 
     # Ten pairs: the change reads 4 more ops/s in nine of them and ties in
-    # one, and 10 % more memory in every one.
+    # one, and 10 % more memory in every one. Three more pairs have a failed
+    # side, with figures that would turn both verdicts round.
     parent_ops = [40.0, 41.0, 39.0, 40.5, 39.5, 40.0, 41.5, 38.5, 40.0, 42.0]
     change_ops = [ops + 4.0 for ops in parent_ops[:9]] + [parent_ops[9]]
-    pairs = [(result(p, 20.0), result(c, 22.0)) for p, c in zip(parent_ops, change_ops)]
-    gates = ab.load_gates(ROOT / "BENCHMARK.json")
-    rows = {row["metric"]: row for row in ab.summarise(pairs, gates)}
+    pairs = [(run(p, 20.0), run(c, 22.0)) for p, c in zip(parent_ops, change_ops)]
+    pairs += [
+        (run(90.0, 20.0), run(1.0, 99.0, returncode=1)),
+        (run(90.0, 20.0, correct=False), run(1.0, 99.0)),
+        (run(90.0, 20.0), {"returncode": 0, "result": {}}),  # no `correct` key
+    ]
+    summary = ab.summarise(pairs)
+    assert summary["pairs"] == 10 and summary["left_out"] == 3
+    rows = {row["metric"]: row for row in summary["rows"]}
+    assert set(rows) == {"setup_s", "ops_per_ref_s", "op_ref_ms.p50", "op_ref_ms.tail",
+                         "peak_rss_mb"}  # the gated metrics only
 
     ops = rows["ops_per_ref_s"]
-    assert ops["pairs"] == 10 and ops["won"] == 9
-    assert ops["parent"] == {"q1": 39.625, "median": 40.0, "q3": 40.875}
+    assert ops["won"] == 9 and ops["parent"]["median"] == 40.0
     assert ops["change"]["median"] == 44.0
+    assert ops["parent"]["spread"] == pytest.approx((41.125 - 39.375) / 40.0)
     assert ops["gain"] and not ops["worse"]
     rss = rows["peak_rss_mb"]
     assert rss["won"] == 0 and not rss["gain"] and rss["worse"]  # past the 5 % bound
-    assert "won" not in rows["tokens_per_op"]  # not a gated metric
-    text = ab.format_rows(ab.summarise(pairs, gates))
-    assert "ops_per_ref_s" in text and "won 9/10  gain" in text and "won 0/10  worse" in text
+    text = ab.format_summary(summary)
+    assert text.startswith("10 pairs, 3 left out")
+    assert "won 9/10  gain" in text and "won 0/10  worse" in text
+    assert ab.summarise(pairs[:1] + pairs[10:]) == {"pairs": 1, "left_out": 3, "rows": []}

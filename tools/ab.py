@@ -4,28 +4,30 @@
     python3 tools/ab.py --parent ../parent --change . --workload suite_replay \
         --pairs 10 --seconds 25
 
-Each pair runs `perfbench/run.py --trace 0` once in the parent checkout and
-once in the changed one, each in its own process and from its own `src/`.
+Each pair runs each checkout's own `perfbench/spread.py` `run` once: that
+checkout's `run.py --trace 0`, in its own process and from its own `src/`.
 Even pairs run the parent first and odd pairs the change first, so a spell
-of the machine does not always land on one side. Every run's result line is
-printed as it arrives; then, per end-to-end metric, each side's median and
-quartiles, and the share of pairs the change won (ties count for neither).
+of the machine does not always land on one side. Every run is printed as a
+JSON line as it arrives. Then, for each end-to-end metric of
+`BENCHMARK.json`, it prints each side's median and quartile spread (as
+`spread.py` computes them) and how many pairs the change won (ties count for
+neither). A pair in which either side exited non-zero or failed its
+reference check is left out of these figures, and the count left out is
+printed.
 
 A metric is marked `gain` when the change won at least nine tenths of the
-pairs and the medians differ, in the metric's better direction, by more than
-the parent's interquartile spread; it is marked `worse` when the change's
-median is worse than the parent's by more than the metric's bound in
-`BENCHMARK.json`. The exit code is 1 when a run failed or an op failed its
-reference check, else 0. The tool writes nothing into either checkout
-beyond what `perfbench/run.py` itself leaves.
+pairs and its median is better than the parent's by more than the parent's
+quartile spread; it is marked `worse` when the change's median is worse than
+the parent's by more than the metric's bound (`spread.worse_by`). The exit
+code is 1 when a run failed or fewer than two pairs are left, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
@@ -33,78 +35,62 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The result line of one untraced perfbench run, or None when the run
-    printed none."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
-    lines = done.stdout.splitlines()
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, ValueError):
-        return None
-    result["returncode"] = done.returncode
-    return result
+def load_spread(checkout: Path, name: str):
+    """The `perfbench/spread.py` module of `checkout`."""
+    spec = importlib.util.spec_from_file_location(name, checkout / "perfbench" / "spread.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """First quartile, median and third quartile (inclusive method)."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
+spread = load_spread(ROOT, "spread")
 
 
-def summarise(pairs: list[tuple[dict, dict]], gates: dict[str, dict]) -> list[dict]:
-    """One row per metric the parent's runs report: each side's quartiles,
-    the pairs the change won, and the `gain` and `worse` verdicts.
+def failed(run: dict) -> bool:
+    """Whether a run exited non-zero or an op failed its reference check."""
+    return run["returncode"] != 0 or not run["result"].get("correct")
 
-    `pairs` holds the (parent, change) result lines of each pair; `gates`
-    maps a metric name to its `BENCHMARK.json` entry (`better`, `bound`). A
-    metric without a gate gets no win count and no verdict."""
-    rows = []
-    for name, entry in pairs[0][0]["metrics"].items():
+
+def summarise(pairs: list[tuple[dict, dict]]) -> dict:
+    """The figures of the (parent, change) runs of each pair: how many pairs
+    were left out because a side failed, and one row per gated metric with
+    each side's median and spread, the pairs the change won and the `gain`
+    and `worse` verdicts. With fewer than two pairs left there are no rows."""
+    kept = [(p["result"], c["result"]) for p, c in pairs if not (failed(p) or failed(c))]
+    summary = {"pairs": len(kept), "left_out": len(pairs) - len(kept), "rows": []}
+    if len(kept) < 2:
+        return summary
+    for name, gate in spread.BOUNDS.items():
         values = {
-            side: [pair[i]["metrics"][name]["value"] for pair in pairs]
+            side: [pair[i]["metrics"][name]["value"] for pair in kept]
             for i, side in enumerate(SIDES)
         }
-        row = {"metric": name, "unit": entry["unit"], "pairs": len(pairs)}
+        row = {"metric": name, "unit": gate["unit"]}
         for side in SIDES:
-            row[side] = dict(zip(("q1", "median", "q3"), quartiles(values[side])))
-        gate = gates.get(name)
-        if gate is not None:
-            sign = 1.0 if gate["better"] == "higher" else -1.0
-            row["won"] = sum(
-                sign * (change - parent) > 0
-                for parent, change in zip(values["parent"], values["change"])
-            )
-            parent, change = row["parent"], row["change"]
-            gain = sign * (change["median"] - parent["median"])
-            row["gain"] = row["won"] >= 0.9 * len(pairs) and gain > parent["q3"] - parent["q1"]
-            row["worse"] = -gain > gate["bound"] * abs(parent["median"])
-        rows.append(row)
-    return rows
+            row[side] = {"median": statistics.median(values[side]),
+                         "spread": spread.spread(values[side])}
+        row["won"] = sum(
+            spread.worse_by(name, parent, change) < 0
+            for parent, change in zip(values["parent"], values["change"])
+        )
+        worse = spread.worse_by(name, row["parent"]["median"], row["change"]["median"])
+        row["gain"] = row["won"] >= 0.9 * len(kept) and -worse > row["parent"]["spread"]
+        row["worse"] = worse > gate["bound"]
+        summary["rows"].append(row)
+    return summary
 
 
-def format_rows(rows: list[dict]) -> str:
-    lines = []
-    for row in rows:
+def format_summary(summary: dict) -> str:
+    lines = [f"{summary['pairs']} pairs, {summary['left_out']} left out (a side failed)"]
+    for row in summary["rows"]:
         sides = "  ".join(
-            f"{side} {row[side]['median']:.4f} [{row[side]['q1']:.4f}, {row[side]['q3']:.4f}]"
+            f"{side} {row[side]['median']:.4f} spread {row[side]['spread']:.3f}"
             for side in SIDES
         )
-        line = f"{row['metric']:<16} {row['unit']:<4} {sides}"
-        if "won" in row:
-            verdict = "gain" if row["gain"] else "worse" if row["worse"] else "-"
-            line += f"  won {row['won']}/{row['pairs']}  {verdict}"
-        lines.append(line)
+        verdict = "gain" if row["gain"] else "worse" if row["worse"] else "-"
+        lines.append(f"{row['metric']:<16} {row['unit']:<4} {sides}  "
+                     f"won {row['won']}/{summary['pairs']}  {verdict}")
     return "\n".join(lines)
-
-
-def load_gates(path: Path) -> dict[str, dict]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return {entry["name"]: entry for entry in doc["end_to_end"]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,28 +99,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=int, default=spread.BENCHMARK["run_seconds"])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    runners = {side: load_spread(getattr(args, side).resolve(), f"spread_{side}")
+               for side in SIDES}
     pairs = []
-    failed = False
     for index in range(args.pairs):
-        order = SIDES if index % 2 == 0 else SIDES[::-1]
-        results = {}
-        for side in order:
-            result = run_once(checkouts[side], args.workload, args.seed, args.seconds)
-            print(json.dumps({"pair": index, "side": side, "result": result}), flush=True)
-            if result is None or result["returncode"] != 0 or not result["correct"]:
-                failed = True
-            results[side] = result
-        if results["parent"] is not None and results["change"] is not None:
-            pairs.append((results["parent"], results["change"]))
-    if pairs:
-        print(format_rows(summarise(pairs, load_gates(ROOT / "BENCHMARK.json"))))
-    return 1 if failed or not pairs else 0
+        runs = {}
+        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+            try:
+                runs[side] = runners[side].run(args.workload, args.seed, args.seconds)
+            except (ValueError, IndexError):  # it printed no result line
+                runs[side] = {"returncode": None, "result": {}}
+            print(json.dumps({"pair": index, "side": side, **runs[side]}), flush=True)
+        pairs.append((runs["parent"], runs["change"]))
+    summary = summarise(pairs)
+    print(format_summary(summary))
+    return 1 if summary["left_out"] or not summary["rows"] else 0
 
 
 if __name__ == "__main__":
