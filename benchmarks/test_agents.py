@@ -1,5 +1,6 @@
 """Per-layer benchmarks of the agent runtime's inputs and loop: lexicon
-load, action parsing and one scripted ReAct replay.
+load, action parsing of the suite path's orchestrator turns and one
+scripted ReAct replay.
 
 Not part of the default test run (pyproject's testpaths is `tests`). Run:
 
@@ -13,10 +14,12 @@ the encoding (`benchmarks/test_state.py` measures that).
 
 from __future__ import annotations
 
-import json
+import io
+from contextlib import redirect_stdout
 
 import pytest
 
+from sliceweaver import agents
 from sliceweaver import data as bundled
 from sliceweaver.agents import (
     ActionKind,
@@ -26,6 +29,7 @@ from sliceweaver.agents import (
     parse_action,
     run_react,
 )
+from sliceweaver.cli import main
 from sliceweaver.gateway import ChatSession, ScriptedBackend, load_script
 from sliceweaver.harness import load_scenarios
 from sliceweaver.intent import Lexicon
@@ -41,17 +45,26 @@ def test_lexicon_from_file(benchmark, lexicon_name):
     assert lexicon.urllc and lexicon.mmtc
 
 
-def bundled_completions() -> list[str]:
-    """Every scripted response of the bundled suite fixture and trace."""
-    suite = json.loads(bundled.default_suite_fixture_path().read_text(encoding="utf-8"))
-    trace = json.loads(bundled.industrial_trace_fixture_path().read_text(encoding="utf-8"))
-    scripts = [script for systems in suite["scenarios"].values() for script in systems.values()]
-    return [entry["response"] for script in [*scripts, trace] for entry in script]
+def suite_path_completions() -> list[str]:
+    """The texts `run_react` hands to `parse_action` in one in-process
+    `compare` and `ablate` on the bundled suite, in call order: the
+    orchestrator turns of a `perfbench` `suite_replay` op."""
+    texts = []
+
+    def recording_parse_action(text: str) -> list[AgentAction]:
+        texts.append(text)
+        return parse_action(text)
+
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()):
+        patch.setattr(agents, "parse_action", recording_parse_action)
+        for command in ("compare", "ablate"):
+            assert main([command]) == 0
+    return texts
 
 
 def test_parse_action_bundled_completions(benchmark):
-    # One round parses every bundled completion once.
-    completions = bundled_completions()
+    # One round parses the suite path's orchestrator turns once.
+    completions = suite_path_completions()
     actions = benchmark.pedantic(
         lambda: [parse_action(text) for text in completions], rounds=ROUNDS
     )
@@ -59,7 +72,7 @@ def test_parse_action_bundled_completions(benchmark):
     assert len(actions) == len(completions)
     none = sum(parsed == [AgentAction(ActionKind.NONE)] for parsed in actions)
     benchmark.extra_info["completions_without_action"] = none
-    assert 0 < none < len(completions)  # specialist replies hold no ACTION line
+    assert 0 < none < len(completions)  # a few turns hold no ACTION line
 
 
 def test_run_react_bundled_trace(benchmark):

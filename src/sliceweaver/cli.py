@@ -167,13 +167,9 @@ def _state(args: argparse.Namespace) -> NetworkState:
         raise CliError(f"invalid state file {state_path}: {exc}")
 
 
-def _provider_for(backend_spec: str | None, default_scripted: bool):
+def _provider_for(backend_spec: str):
     """Build what a --backend spec names: a ScriptedBackend for a flat
     script, a SuiteFixture, or a LiveBackend."""
-    if backend_spec is None:
-        backend_spec = (
-            f"scripted:{bundled.default_suite_fixture_path()}" if default_scripted else "live"
-        )
     if backend_spec == "live":
         return LiveBackend()
     if backend_spec.startswith("scripted:"):
@@ -232,7 +228,7 @@ def cmd_run_intent(args: argparse.Namespace) -> int:
     # The prompts are read before the backend, so a bad --prompts exits 2
     # even when the backend is live.
     prompts = load_prompts(args.prompts or bundled.default_prompts_dir())
-    backend = _provider_for(args.backend, default_scripted=False)
+    backend = _provider_for("live" if args.backend is None else args.backend)
     if isinstance(backend, SuiteFixture):
         raise CliError("run-intent expects a flat script fixture, not a suite fixture")
     session = ChatSession(backend)
@@ -334,7 +330,8 @@ def _suite_setup(args: argparse.Namespace):
         **_given(args, "repeats", "jobs"),
     )
     scenarios = load_scenarios(args.scenarios or bundled.default_scenarios_path(), state)
-    provider = _provider_for(args.backend, default_scripted=True)
+    default_spec = f"scripted:{bundled.default_suite_fixture_path()}"
+    provider = _provider_for(default_spec if args.backend is None else args.backend)
     if isinstance(provider, ScriptedBackend):
         raise CliError(f"{args.command} expects a suite fixture, not a flat script")
     return config, scenarios, provider
@@ -409,7 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default=None, choices=SYSTEMS)
     p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("compare", help="run the four baseline systems and summarise")
+    p = sub.add_parser("compare", help="run the four baseline systems and summarise",
+                       description="multi_agent, monolithic and direct_llm replay the scripted "
+                       "fixture. rule_based classifies with the strict lexicon, then takes the "
+                       "exact search's head: an upper bound on a rule-based system.")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("ablate", help="run the four ablation variants and summarise")

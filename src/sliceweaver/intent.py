@@ -55,12 +55,9 @@ CLASS_WEIGHTS: dict[TrafficClass, tuple[float, float, float]] = {
 # An explicit bound at or below this many ms forces URLLC.
 URLLC_BOUND_MS = 10.0
 
-_BOUND_PATTERNS = (
-    re.compile(r"<\s*(\d+(?:\.\d+)?)\s*(?:ms|milliseconds?)(?![a-z])", re.IGNORECASE),
-    re.compile(
-        r"(?:\bbelow\b|\bunder\b)\s*(\d+(?:\.\d+)?)\s*(?:ms|milliseconds?)(?![a-z])",
-        re.IGNORECASE,
-    ),
+_BOUND_RE = re.compile(
+    r"(?:<|\b(?:below|under)\b)\s*(\d+(?:\.\d+)?)\s*(?:ms|milliseconds?)(?![a-z])",
+    re.IGNORECASE,
 )
 
 
@@ -216,16 +213,11 @@ def explicit_latency_bound(text: str) -> tuple[float, str] | None:
 
     Returns (value in ms, the matched substring), or None.
     """
-    matches = [
-        m
-        for pat in _BOUND_PATTERNS
-        for m in pat.finditer(text)
-        if float(m.group(1)) > 0  # "<0 ms" is not a meaningful bound
-    ]
-    if not matches:
-        return None
-    first = min(matches, key=lambda m: m.start())
-    return float(first.group(1)), first.group(0).strip()
+    for match in _BOUND_RE.finditer(text):
+        value = float(match.group(1))
+        if value > 0:  # "<0 ms" is not a meaningful bound
+            return value, match.group(0).strip()
+    return None
 
 
 def extract_target_sector(text: str, state: NetworkState) -> str | None:

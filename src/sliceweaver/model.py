@@ -4,7 +4,7 @@ and provisioning bookkeeping. `config_to_dict` writes a configuration's
 wire form and `config_from_dict` reads it; `validate_config` is the one
 check of a configuration against a state. `read_json` is the one reader of
 a JSON input file; the other modules' loaders call it with their own error
-type.
+type. It and `load_state` refuse an object that repeats a key.
 `json_text` is the one writer of JSON text: a command's `--out` document and
 a state's canonical text alike are the text of
 `json.dumps(doc, indent=2, sort_keys=True)`, written in about half the time.
@@ -247,13 +247,17 @@ def latency(state: NetworkState, sector_id: str, node_id: str) -> float:
     return state.node(node_id).latency_to_sector[sector_id]
 
 
+class _DuplicateKey(Exception):
+    """A JSON object repeats a key; the first repeated key is `args[0]`."""
+
+
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     out = dict(pairs)
     if len(out) < len(pairs):  # only then name the first repeated key
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
-                raise StateValidationError(f"duplicate id or key {key!r} in state document")
+                raise _DuplicateKey(key)
             seen.add(key)
     return out
 
@@ -400,12 +404,15 @@ def _node_from_entry(node_id: str, entry: dict) -> CoreNode:
 
 def read_json(path: str | Path, what: str, error: Callable[[str], Exception]):
     """The JSON document in the file at `path`; a file that cannot be read,
-    or is not JSON text in UTF-8, raises `error` with a message naming
-    `what` and `path`."""
+    is not JSON text in UTF-8 or holds an object that repeats a key raises
+    `error` with a message naming `what` and `path`."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+    except _DuplicateKey as exc:
+        raise error(f"{what} {path} repeats the key {exc.args[0]!r}") from None
     # ValueError covers JSONDecodeError, text that is not UTF-8 and an integer
     # past Python's digit limit; RecursionError, a document nested too deep.
     except (ValueError, RecursionError) as exc:
@@ -484,6 +491,9 @@ def load_state(document: str) -> NetworkState:
     """Parse and validate a state document (see the JSON schema in README)."""
     try:
         doc = json.loads(document, object_pairs_hook=_reject_duplicate_keys)
+    except _DuplicateKey as exc:
+        key = exc.args[0]
+        raise StateValidationError(f"duplicate id or key {key!r} in state document") from None
     # ValueError covers JSONDecodeError and an integer past Python's digit
     # limit; RecursionError, a document nested too deep.
     except (ValueError, RecursionError) as exc:

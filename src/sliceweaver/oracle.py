@@ -24,10 +24,11 @@ for its configuration. `solve` returns a read-only `Ranking` that holds
 that head and builds the other rows only when a read needs them, by one
 factored scan over the same per-state index: utility and feasibility split
 into parts that depend on the sector, the node, the (sector, node) latency
-or the band alone, so each part is computed once where it changes, and
-candidates with equal parts share one frozen ScoreBreakdown or
-ConstraintReport. Past the head, the ranking is one list: the rows are
-sorted and ranked once, with the scored head as its first element.
+or the band alone, so each part is computed once where it changes, and two
+constructors cached for that scan alone make candidates with equal parts
+share one frozen ScoreBreakdown or ConstraintReport. Past the head, the
+ranking is one list: the rows are sorted and ranked once, with the scored
+head as its first element.
 `enumerate_candidates` scored candidate by candidate with `compute_utility`
 and `check_constraints` stays the reference both must equal.
 """
@@ -38,7 +39,7 @@ import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -318,53 +319,38 @@ def _candidate_rows(
     `check_constraints`: the congestion score and the load check are taken
     once per sector, the latency score and check once per (sector, node),
     the compute check once per node and the resource score once per band.
-    Candidates with equal sub-scores share one (frozen) ScoreBreakdown, and
-    equal checks one ConstraintReport, so at most 8 reports are built.
+    Two constructors cached for this call alone, `breakdown` and `report`,
+    make candidates with equal sub-scores share one (frozen) ScoreBreakdown
+    and equal checks one ConstraintReport, so at most 8 reports are built.
     """
-    breakdowns: dict[tuple[float, float, float], ScoreBreakdown] = {}
-    reports: dict[tuple[bool, bool, bool], ConstraintReport] = {}
+
+    @cache
+    def breakdown(s_lat: float, s_res: float, s_con: float) -> ScoreBreakdown:
+        utility = weighted_utility(weights, s_lat, s_res, s_con)
+        return ScoreBreakdown(s_latency=s_lat, s_resource=s_res, s_congestion=s_con,
+                              weights=weights, utility=utility)
+
+    @cache
+    def report(load_ok: bool, compute_ok: bool, latency_ok: bool) -> ConstraintReport:
+        return ConstraintReport(load_ok=load_ok, band_ok=True, compute_ok=compute_ok,
+                                latency_ok=latency_ok, l_max=thresholds.l_max,
+                                kappa_max=thresholds.kappa_max, tau_req_ms=tau_req)
+
     rows = []
     for sector_id, load, band_ranks, *_ in sectors:
         s_con = score_congestion(load)
         load_ok = load <= thresholds.l_max
-        # S_latency -> [(band rank, -utility, breakdown)] for this sector.
-        scored: dict[float, list[tuple[int, float, ScoreBreakdown]]] = {}
         for node_id, node, node_compute_ok in nearest.nodes:
             tau = node.latency_to_sector[sector_id]
             s_lat = score_latency(tau)
-            latency_ok = tau <= tau_req
-            report = reports.get((load_ok, node_compute_ok, latency_ok))
-            if report is None:
-                report = reports[load_ok, node_compute_ok, latency_ok] = ConstraintReport(
-                    load_ok=load_ok,
-                    band_ok=True,
-                    compute_ok=node_compute_ok,
-                    latency_ok=latency_ok,
-                    l_max=thresholds.l_max,
-                    kappa_max=thresholds.kappa_max,
-                    tau_req_ms=tau_req,
-                )
-            infeasible = 0 if report.feasible else 1
-            per_band = scored.get(s_lat)
-            if per_band is None:
-                per_band = scored[s_lat] = []
-                for band_rank in band_ranks:
-                    s_res = s_resource[band_rank]
-                    breakdown = breakdowns.get((s_lat, s_res, s_con))
-                    if breakdown is None:
-                        breakdown = breakdowns[s_lat, s_res, s_con] = ScoreBreakdown(
-                            s_latency=s_lat,
-                            s_resource=s_res,
-                            s_congestion=s_con,
-                            weights=weights,
-                            utility=weighted_utility(weights, s_lat, s_res, s_con),
-                        )
-                    per_band.append((band_rank, -breakdown.utility, breakdown))
-            for band_rank, neg_utility, breakdown in per_band:
+            checks = report(load_ok, node_compute_ok, tau <= tau_req)
+            infeasible = 0 if checks.feasible else 1
+            for band_rank in band_ranks:
+                scores = breakdown(s_lat, s_resource[band_rank], s_con)
                 # The first seven fields are the ranking key and unique per
                 # candidate, so ordering rows never compares the objects after them.
-                rows.append((infeasible, neg_utility, tau, load, sector_id, band_rank, node_id,
-                             breakdown, report))
+                rows.append((infeasible, -scores.utility, tau, load, sector_id, band_rank,
+                             node_id, scores, checks))
     return rows
 
 

@@ -41,6 +41,7 @@ BAD_JSON_FILES = {
     "directory": None,
     "not-utf8": b"\xff\xfe{}",
     "malformed": b'{"a": 1',
+    "repeated-key": b'{"a": 1, "a": 2}',
     "deeply-nested": b"[" * 100000 + b"]" * 100000,
 }
 

@@ -704,6 +704,27 @@ def state_with_sector(sector_id: str) -> str:
                      "not valid JSON", id="fixture-deeply-nested"),
         pytest.param("run-intent", ["x", "--backend", "scripted:{file}"], DEEPLY_NESTED,
                      "not valid JSON", id="run-intent-fixture-deeply-nested"),
+        # Every JSON input refuses an object that repeats a key, naming the key.
+        pytest.param("benchmark", ["--system", "oracle", "--config", "{file}"],
+                     '{"repeats": 0, "repeats": 1}', "repeats the key 'repeats'",
+                     id="config-repeated-key"),
+        pytest.param("benchmark", ["--system", "oracle", "--scenarios", "{file}"],
+                     one_scenario_suite().replace('"id": "x"', '"id": "x", "id": "y"'),
+                     "repeats the key 'id'", id="scenarios-repeated-key"),
+        pytest.param("benchmark", ["--backend", "scripted:{file}"],
+                     '{"scenarios": {}, "scenarios": {}}', "repeats the key 'scenarios'",
+                     id="fixture-repeated-key"),
+        pytest.param("run-intent", ["x", "--backend", "scripted:{file}"],
+                     '[{"response": "x", "response": "y"}]', "repeats the key 'response'",
+                     id="run-intent-fixture-repeated-key"),
+        pytest.param("benchmark", ["--state", "{file}"], '{"sectors": {}, "sectors": {}}',
+                     "duplicate id or key 'sectors'", id="state-repeated-key"),
+        *(
+            pytest.param(command, [*args, "--backend", ""], None,
+                         "--backend must be 'live' or 'scripted:<fixture>', got ''",
+                         id=f"{command}-backend-empty")
+            for command, args in [("run-intent", ["x"]), ("benchmark", [])]
+        ),
         pytest.param("run-intent", ["   ", "--backend", trace_backend()], None,
                      "no intent text given", id="run-intent-whitespace-intent"),
         pytest.param("oracle", ["--intent", "   "], None, "no intent text given",

@@ -285,6 +285,83 @@ def test_small_explicit_bounds_always_classify_urllc(prefix, bound, lexicon):
     assert profile.tau_req_ms == bound
 
 
+# The two-pattern bound finder that one pattern replaced, kept as the reference.
+REFERENCE_BOUND_PATTERNS = (
+    re.compile(r"<\s*(\d+(?:\.\d+)?)\s*(?:ms|milliseconds?)(?![a-z])", re.IGNORECASE),
+    re.compile(
+        r"(?:\bbelow\b|\bunder\b)\s*(\d+(?:\.\d+)?)\s*(?:ms|milliseconds?)(?![a-z])",
+        re.IGNORECASE,
+    ),
+)
+
+
+def reference_bound(text):
+    matches = [
+        m
+        for pat in REFERENCE_BOUND_PATTERNS
+        for m in pat.finditer(text)
+        if float(m.group(1)) > 0
+    ]
+    if not matches:
+        return None
+    first = min(matches, key=lambda m: m.start())
+    return float(first.group(1)), first.group(0).strip()
+
+
+BOUND_WORDS = ("<", "below", "under", "ms", "millisecond", "milliseconds", "latency", "a")
+# Separators, and letters that re.IGNORECASE matches to an ASCII one: the
+# dotted capital I, the long s and the Kelvin sign.
+BOUND_ODD = (" ", "  ", "\t", "\n", "\u00a0", "_", "-", ",", ".", "(", "\u0130", "\u017f",
+             "\u212a", "x")
+bound_numbers = st.one_of(
+    st.integers(0, 200).map(str),
+    st.from_regex(r"[0-9]{1,3}\.[0-9]{1,2}", fullmatch=True),
+    st.sampled_from(("0", "0.0", "00", "3.", ".5")),
+)
+
+
+def mixed_case(draw, word):
+    """The word in mixed case; an "i", "k" or "s" may be an odd spelling."""
+    return "".join(draw(st.sampled_from(SPELLINGS.get(c, (c, c.upper())))) for c in word)
+
+
+@st.composite
+def bound_texts(draw):
+    """Texts of bounds ("<", "below" or "under", a number, a unit, maybe a
+    letter after it) and of loose bound words, numbers, separators and odd
+    letters, run together or apart."""
+    gaps = st.sampled_from(("", "", " ", "  ", "\t", "\u00a0", "_"))
+    pieces = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(("bound", "bound", "bound", "word", "number", "odd")))
+        if kind == "bound":
+            prefix = mixed_case(draw, draw(st.sampled_from(("<", "below", "under"))))
+            unit = mixed_case(draw, draw(st.sampled_from(("ms", "millisecond", "milliseconds"))))
+            after = draw(st.sampled_from(("", "", "s", "x", "1", ".", "\u212a", "\u017f")))
+            pieces.append(prefix + draw(gaps) + draw(bound_numbers) + draw(gaps) + unit + after)
+        elif kind == "word":
+            pieces.append(mixed_case(draw, draw(st.sampled_from(BOUND_WORDS))))
+        elif kind == "number":
+            pieces.append(draw(bound_numbers))
+        else:
+            pieces.append(draw(st.sampled_from(BOUND_ODD)))
+    return "".join(pieces)
+
+
+@settings(max_examples=500, deadline=None)
+@given(bound_texts())
+def test_explicit_latency_bound_equals_the_two_pattern_reference(text):
+    assert explicit_latency_bound(text) == reference_bound(text)
+
+
+@pytest.mark.parametrize("text", [
+    "below 5ms", "UNDER 2.5 Milliseconds", "<0ms then under 3 ms", "under 0 ms <7ms",
+    "<5msx", "<5 mſ", "thunder 5 ms", "below5ms", "<  12.25\tmillisecond ok",
+])
+def test_explicit_latency_bound_equals_the_reference_on_edge_texts(text):
+    assert explicit_latency_bound(text) == reference_bound(text)
+
+
 def test_classify_reuses_its_patterns_past_512_sectors(lexicon):
     # 600 sector ids plus the lexicon keywords need more than 512 patterns;
     # once warm, a classify must compile none of them again.

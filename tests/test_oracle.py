@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -628,3 +629,32 @@ def test_threads_taking_the_first_full_read_get_the_serial_rows(state, lexicon):
             assert all(row is ranking[index] for index, row in enumerate(kept))
     finally:
         sys.setswitchinterval(switch_interval)
+
+
+def test_a_full_ranking_shares_one_object_per_distinct_score_and_check():
+    # An untargeted full read at 400 sectors x 12 nodes, with limits that
+    # every sector load, node load and latency falls on both sides of. Past
+    # the head (scored by the reference functions), rows with equal
+    # sub-scores share one ScoreBreakdown and rows with equal checks one
+    # ConstraintReport, so at most 8 reports stand behind 14k rows.
+    rng = random.Random("full-ranking-sharing")
+    sector_ids = [f"sector_{i:03d}" for i in range(400)]
+    state = build_state(
+        {sid: round(rng.uniform(5, 95), 1) for sid in sector_ids},
+        {
+            f"upf_{j:02d}": (round(rng.uniform(20, 95), 1),
+                             {sid: round(rng.uniform(2, 45), 1) for sid in sector_ids})
+            for j in range(12)
+        },
+    )
+    profile = profile_for(TrafficClass.EMBB, 20.0)
+    rows = list(solve(state, profile, Thresholds(l_max=60.0, kappa_max=50.0)))[1:]
+    assert len(rows) == 400 * 3 * 12 - 1
+    breakdowns = {id(row.breakdown) for row in rows}
+    scores = {(row.breakdown.s_latency, row.breakdown.s_resource, row.breakdown.s_congestion)
+              for row in rows}
+    assert len(breakdowns) == len(scores)
+    reports = {id(row.constraints) for row in rows}
+    checks = {(row.constraints.load_ok, row.constraints.compute_ok, row.constraints.latency_ok)
+              for row in rows}
+    assert len(reports) == len(checks) == 8
