@@ -16,17 +16,20 @@ disk each round, as a user run does (the lexicons and generic prompts are
 read once per process), and write the report to `--out` in a temporary
 directory.
 
-`test_out_document_text` times `json_text`, the writer of every `--out`
-document, alone: on the `compare` and `ablate` reports of the bundled suite
-and on the full `oracle --out` ranking of an untargeted intent at 400
-sectors x 12 UPF nodes (11k rows). Each document is built once, outside the
-timed region.
+`test_out_document_text` times the `--out` writer alone. For `compare` and
+`ablate` that is `report_to_dict` and `json_text` over the reports of the
+bundled suite, run once outside the timed region; the text must equal the
+committed `perfbench/reference` document byte for byte. For the full
+`oracle --out` ranking of an untargeted intent at 400 sectors x 12 UPF
+nodes (11k rows) it is `json_text` over the document, built once outside
+the timed region.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,27 +83,35 @@ def test_cli_suite_command(benchmark, tmp_path, command, systems):
     assert sorted(json.loads(out.read_text(encoding="utf-8"))) == sorted(systems)
 
 
-def out_document(name, suite, topology):
-    """The `--out` document of `compare`, `ablate` or an untargeted `oracle`."""
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
+def suite_reports(name, suite):
+    """The reports by system of `compare` or by variant of `ablate`."""
     scenarios, fixture, config = suite
+    config = dataclasses.replace(config)
     if name == "compare":
-        reports = run_compare(scenarios, fixture, dataclasses.replace(config))
-    elif name == "ablate":
-        config = dataclasses.replace(config)
-        reports = {v: run_ablation(v, scenarios, fixture, config) for v in ABLATION_VARIANTS}
-    else:
+        return run_compare(scenarios, fixture, config)
+    return {v: run_ablation(v, scenarios, fixture, config) for v in ABLATION_VARIANTS}
+
+
+def write_reports(reports):
+    """The `--out` text of `compare` or `ablate`, without its final newline."""
+    return json_text({system: report_to_dict(report) for system, report in reports.items()})
+
+
+@pytest.mark.parametrize("name", ["compare", "ablate", "ranking-400-12"])
+def test_out_document_text(benchmark, suite, topology, name):
+    if name == "ranking-400-12":
         untargeted = IntentProfile(
             raw_text="plain connectivity",
             traffic_class=TrafficClass.EMBB,
             bandwidth_category=BandwidthCategory.MEDIUM,
             tau_req_ms=50.0,
         )
-        return _ranking_doc(solve(topology(400, 12), untargeted))
-    return {system: report_to_dict(report) for system, report in reports.items()}
-
-
-@pytest.mark.parametrize("name", ["compare", "ablate", "ranking-400-12"])
-def test_out_document_text(benchmark, suite, topology, name):
-    doc = out_document(name, suite, topology)
-    text = benchmark(json_text, doc)
-    assert text == json.dumps(doc, indent=2, sort_keys=True)
+        doc = _ranking_doc(solve(topology(400, 12), untargeted))
+        text = benchmark(json_text, doc)
+        assert text == json.dumps(doc, indent=2, sort_keys=True)
+        return
+    text = benchmark(write_reports, suite_reports(name, suite))
+    assert text + "\n" == (REFERENCE / f"{name}.json").read_text(encoding="utf-8")

@@ -35,7 +35,6 @@ from .gateway import (
 )
 from .harness import (
     BenchmarkReport,
-    EvaluationRecord,
     Scenario,
     emit_report,
     load_scenarios,
@@ -57,6 +56,7 @@ from .intent import (
 from .model import (
     Band,
     CoreNode,
+    EvaluationRecord,
     NetworkState,
     NodeTier,
     RanSector,

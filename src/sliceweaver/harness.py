@@ -10,7 +10,9 @@ The harness runs a row against each scenario of a suite, scores the produced
 configuration for semantic accuracy against the golden standard and for
 engineering utility, applies the hybrid success criterion (accuracy >= 0.5
 and utility >= 0.7), and emits reports: a human-readable table
-(`emit_report`) and a machine-format document (`report_to_dict`).
+(`emit_report`) and a machine-format document (`report_to_dict`). The
+record of a run, `EvaluationRecord`, is declared in `model`, whose
+`json_text` writes it.
 
 Scoring always uses the deterministic referee profile derived from the
 scenario's intent text with the bundled full lexicon, regardless of how the
@@ -48,12 +50,12 @@ from .agents import (
 from .gateway import ChatSession
 from .intent import BandwidthCategory, IntentProfile, TrafficClass, classify_intent
 from .model import (
+    EvaluationRecord,
     NetworkState,
     SliceConfiguration,
     StateError,
     _check_keys,
     config_from_dict,
-    config_to_dict,
     read_json,
     validate_config,
 )
@@ -100,27 +102,6 @@ class Scenario:
     declared_beta: str
     notes: str = ""
     provenance: str = "authored"
-
-
-@dataclass(frozen=True)
-class EvaluationRecord:
-    scenario_id: str
-    category: str
-    system: str
-    run_index: int
-    produced: SliceConfiguration | None
-    semantic_accuracy: float
-    utility: float
-    hybrid_success: bool
-    prompt_tokens: int
-    completion_tokens: int
-    wall_seconds: float
-    iterations: int
-    error: str | None = None
-
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
 
 
 @dataclass(frozen=True)
@@ -485,23 +466,14 @@ def run_ablation(
     return run_benchmark(scenarios, variant, provider, config)
 
 
-def record_to_dict(record: EvaluationRecord) -> dict:
-    """The record's own fields by name, with `produced` in the wire form of
-    `config_to_dict`, or None. It copies the instance dict, which keeps the
-    key table all records share: `report_to_dict` holds one such dict per
-    record."""
-    doc = vars(record).copy()
-    if record.produced is not None:
-        doc["produced"] = config_to_dict(record.produced)
-    return doc
-
-
 def report_to_dict(report: BenchmarkReport) -> dict:
-    """The machine-format document of one report."""
+    """The machine-format document of one report. It holds the records
+    themselves, which `json_text` writes as objects of their fields, each
+    `produced` configuration in its `config_to_dict` wire form."""
     return {
         "format": "sliceweaver.benchmark.v1",
         "system": report.system,
-        "records": [record_to_dict(r) for r in report.records],
+        "records": list(report.records),
         "summary": {
             name: {**vars(stats), "std_kind": "population"}
             for name, stats in report.summary.items()

@@ -8,6 +8,9 @@ type. It and `load_state` refuse an object that repeats a key.
 `json_text` is the one writer of JSON text: a command's `--out` document and
 a state's canonical text alike are the text of
 `json.dumps(doc, indent=2, sort_keys=True)`, written in about half the time.
+Besides the JSON types it takes the report's `EvaluationRecord`, written as
+the object of its fields, and a `SliceConfiguration`, written in its
+`config_to_dict` wire form, so a report hands over its records as they are.
 
 States are immutable values: the sector map, the node map and each node's
 latency row are read-only mappings, and every operation returns a new state.
@@ -29,7 +32,7 @@ import json
 import math
 import operator
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -186,6 +189,29 @@ class SliceConfiguration:
 
     def dimensions(self) -> tuple[str, Band, str]:
         return (self.sector_id, self.band, self.node_id)
+
+
+@dataclass(frozen=True)
+class EvaluationRecord:
+    """One scored run of one system on one scenario: a row of a report."""
+
+    scenario_id: str
+    category: str
+    system: str
+    run_index: int
+    produced: SliceConfiguration | None
+    semantic_accuracy: float
+    utility: float
+    hybrid_success: bool
+    prompt_tokens: int
+    completion_tokens: int
+    wall_seconds: float
+    iterations: int
+    error: str | None = None
+
+    @property
+    def total_tokens(self) -> int:
+        return self.prompt_tokens + self.completion_tokens
 
 
 @dataclass(frozen=True)
@@ -431,8 +457,11 @@ def _object_template(keys: tuple[str, ...], depth: int) -> str:
     return "{" + ",".join(entries) + "\n" + "  " * depth + "}"
 
 
-def _value_texts(values, depth: int) -> list[str]:
-    """The JSON text of each value at `depth`, dispatched on its exact type."""
+def _value_texts(values, depth: int, memo: dict) -> list[str]:
+    """The JSON text of each value at `depth`, dispatched on its exact type.
+    `memo` holds the text of each dataclass value met so far in this call,
+    by `(id(value), depth)`: the document holds every such value for the
+    whole call, so no id is reused while the memo lives."""
     texts: list[str] = []
     append = texts.append
     for value in values:
@@ -452,13 +481,13 @@ def _value_texts(values, depth: int) -> list[str]:
             if value:
                 keys = tuple(sorted(value))
                 append(_object_template(keys, depth)
-                       % tuple(_value_texts(map(value.__getitem__, keys), depth + 1)))
+                       % tuple(_value_texts(map(value.__getitem__, keys), depth + 1, memo)))
             else:
                 append("{}")
         elif kind is list:
             if value:
                 inner = "\n" + "  " * (depth + 1)
-                append("[" + inner + ("," + inner).join(_value_texts(value, depth + 1))
+                append("[" + inner + ("," + inner).join(_value_texts(value, depth + 1, memo))
                        + "\n" + "  " * depth + "]")
             else:
                 append("[]")
@@ -469,22 +498,50 @@ def _value_texts(values, depth: int) -> list[str]:
         elif value is False:
             append("false")
         else:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+            key = (id(value), depth)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = _dataclass_text(value, depth, memo)
+            append(text)
     return texts
+
+
+# A record's field names, sorted once, and the getter of its values in that order.
+_RECORD_KEYS = tuple(sorted(f.name for f in fields(EvaluationRecord)))
+_record_values = operator.attrgetter(*_RECORD_KEYS)
+
+
+def _dataclass_text(value, depth: int, memo: dict) -> str:
+    """The JSON text at `depth` of an `EvaluationRecord` (an object of its
+    fields) or a `SliceConfiguration` (its `config_to_dict` wire form); any
+    other type, subclasses included, raises TypeError."""
+    kind = type(value)
+    if kind is EvaluationRecord:
+        return (_object_template(_RECORD_KEYS, depth)
+                % tuple(_value_texts(_record_values(value), depth + 1, memo)))
+    if kind is SliceConfiguration:
+        return _value_texts((config_to_dict(value),), depth, memo)[0]
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def json_text(doc) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True)`, character for character,
     for a document of dicts with string keys, lists, strings, ints, floats,
-    bools and None; any other type, subclasses included, raises TypeError.
-    It writes every JSON text of the package: each `--out` document and,
+    bools and None. Two dataclasses are written as well: an
+    `EvaluationRecord` as the object of its fields, and a
+    `SliceConfiguration` as the object `config_to_dict` gives, so the text
+    is that of the document with each of them replaced by that object. Any
+    other type, subclasses included, raises TypeError. It writes every JSON
+    text of the package: each `--out` document, its report records too, and,
     through `serialize_state`, each state's canonical text.
 
     Each object is one `%` template, built once per sorted key set and
     depth, filled by the C leaf encoders json itself uses; each array is
-    one join.
+    one join. A dataclass value met again at the same depth within one call
+    reuses its text, so the repeats of a deterministic run, which share
+    run 1's `produced` configuration, encode it once.
     """
-    return _value_texts((doc,), 0)[0]
+    return _value_texts((doc,), 0, {})[0]
 
 
 def load_state(document: str) -> NetworkState:

@@ -22,6 +22,8 @@ from sliceweaver.cli import main
 from sliceweaver.intent import Lexicon
 from sliceweaver.scoring import round_half_up
 
+from json_edits import edited_text
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -209,6 +211,20 @@ def test_benchmark_hermetic(capsys, tmp_path):
     doc = json.loads(out_file.read_text())
     assert doc["system"] == "multi_agent"
     assert len(doc["records"]) == 36  # 12 scenarios x 3 repeats
+
+
+def test_benchmark_out_is_the_multi_agent_report_of_the_reference_compare(capsys, tmp_path):
+    # One report at the top of the document: its records are written at a
+    # depth that `compare` and `ablate` do not use.
+    out_file = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "benchmark", "--out", str(out_file))
+    assert code == 0
+    reference = json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "compare.json")
+        .read_text(encoding="utf-8")
+    )
+    expected = json.dumps(reference["multi_agent"], indent=2, sort_keys=True) + "\n"
+    assert out_file.read_text(encoding="utf-8") == expected
 
 
 def test_benchmark_defaults_to_bundled_scripted_backend(capsys):
@@ -811,3 +827,53 @@ def test_arbitrary_input_files_end_with_a_documented_exit_code(
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in {0, 1, 2, 3}
+
+
+# Mutation fuzz of a run-config that sets every key (`json_edits`): each
+# command ends with a documented exit code, and a code-2 message is one
+# `error: ` line, never a traceback. Relative paths, `out` among them, land
+# in the example's own directory.
+FULL_RUN_CONFIG = {
+    "state": str(bundled.default_state_path()),
+    "prompts": str(bundled.default_prompts_dir()),
+    "scenarios": str(bundled.default_scenarios_path()),
+    "backend": suite_backend(),
+    "l_max": 100,
+    "kappa_max": 85,
+    "repeats": 1,
+    "jobs": 1,
+    "out": "report.json",
+    "system": "oracle",
+    "top": 3,
+}
+COMMAND_ARGVS = [
+    ["run-intent", FACTORY_INTENT], ["benchmark"], ["compare"], ["ablate"],
+    ["oracle", "--intent", FACTORY_INTENT], ["validate-state"], ["validate-prompts"],
+]
+
+
+def test_the_full_run_config_sets_every_key_and_runs_every_command(tmp_path, monkeypatch):
+    assert set(FULL_RUN_CONFIG) == cli._CONFIG_KEYS
+    (tmp_path / "run.json").write_text(json.dumps(FULL_RUN_CONFIG), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in COMMAND_ARGVS:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main([*argv, "--config", "run.json"]) == 0, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.sampled_from(COMMAND_ARGVS), text=edited_text(FULL_RUN_CONFIG))
+def test_an_edited_full_run_config_ends_with_a_documented_exit_code(
+    tmp_path_factory, argv, text
+):
+    directory = tmp_path_factory.mktemp("run-config")
+    (directory / "run.json").write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        patch.chdir(directory)
+        code = main([*argv, "--config", "run.json"])
+    assert code in {0, 1, 2, 3}
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()

@@ -25,6 +25,8 @@ from sliceweaver.gateway import (
     load_script,
 )
 
+from json_edits import edited_text
+
 
 def messages(*contents):
     return [ChatMessage(role="system", content="sys")] + [
@@ -292,6 +294,30 @@ def test_a_mutated_suite_fixture_loads_as_the_reference_or_raises_script_error(d
         return
     fixture = SuiteFixture.from_doc(doc, "fuzz")
     assert typed_scripts(fixture._scripts) == typed_scripts(expected)
+
+
+# Mutation fuzz of the bundled industrial trace, a flat script: 1-3 edits at
+# random places (`json_edits`). `load_script` (`read_json`, then
+# `script_from_doc`) must load what the per-field validator loads, or raise
+# ScriptError.
+_TRACE_DOC = json.loads(bundled.industrial_trace_fixture_path().read_text(encoding="utf-8"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edited_text(_TRACE_DOC))
+def test_an_edited_industrial_trace_loads_as_the_reference_or_raises_script_error(
+    tmp_path_factory, text
+):
+    path = tmp_path_factory.mktemp("trace") / "trace.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        script = load_script(path)
+    except ScriptError:
+        return
+    expected = [reference_exchange(entry) for entry in json.loads(text)]
+    assert typed_scripts({"trace": {"script": script}}) == typed_scripts(
+        {"trace": {"script": expected}}
+    )
 
 
 class FakeResponse:

@@ -45,7 +45,7 @@ from sliceweaver.harness import (
     semantic_accuracy,
 )
 from sliceweaver.intent import TrafficClass, classify_intent
-from sliceweaver.model import Band, SliceConfiguration, config_to_dict, load_state
+from sliceweaver.model import Band, SliceConfiguration, config_to_dict, json_text, load_state
 from sliceweaver.oracle import solve
 from sliceweaver.scoring import compute_utility, round_half_up
 
@@ -491,7 +491,7 @@ def test_benchmark_parallel_jobs_match_serial(scenarios, harness_config):
 
 def test_machine_report_round_trips(scenarios, suite_fixture, harness_config):
     report = run_benchmark(scenarios, "multi_agent", suite_fixture, harness_config)
-    doc = report_to_dict(report)
+    doc = json.loads(json_text(report_to_dict(report)))
     assert doc["system"] == report.system
     assert len(doc["records"]) == len(report.records)
     fields = [field.name for field in dataclasses.fields(EvaluationRecord)]
@@ -506,7 +506,7 @@ def test_machine_report_round_trips(scenarios, suite_fixture, harness_config):
 
 def test_machine_report_summary_matches_recomputation(scenarios, suite_fixture, harness_config):
     report = run_benchmark(scenarios, "multi_agent", suite_fixture, harness_config)
-    doc = report_to_dict(report)
+    doc = json.loads(json_text(report_to_dict(report)))
     accuracies = [entry["semantic_accuracy"] for entry in doc["records"]]
     recomputed = fsum(accuracies) / len(accuracies)
     assert recomputed == pytest.approx(doc["summary"]["semantic_accuracy"]["mean"], abs=1e-12)

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
 from sliceweaver import model
+from sliceweaver.harness import ColumnStats
 from sliceweaver.model import (
     Band,
     CoreNode,
+    EvaluationRecord,
     NetworkState,
     NodeTier,
     ProvisioningError,
@@ -25,11 +27,14 @@ from sliceweaver.model import (
     StateValidationError,
     UnknownIdError,
     apply_provisioning,
+    config_to_dict,
     latency,
     load_state,
     serialize_state,
     state_to_dict,
 )
+
+from json_edits import edited_text
 
 # Full latency matrix of the bundled topology, sector -> node -> ms.
 EXPECTED_LATENCY = {
@@ -733,58 +738,14 @@ def test_a_node_type_that_is_not_a_string_is_rejected(tier):
 
 
 # Mutation fuzz of the state document: 1-3 edits at random places of a
-# valid document. Placeholders stand for the texts `json.dumps` cannot write.
-_HUGE_FLOAT, _HUGE_INT, _DUPLICATE = "@1e400@", "@5000 digits@", "@dup@"
-_BAD_VALUES = [
-    float("nan"), float("inf"), -float("inf"), _HUGE_FLOAT, _HUGE_INT,
-    True, False, 0, 7, -3, None, "", "x", "é",
-]
-
-
-def _containers(value, path=()):
-    """Every (path, dict or list) in a JSON document."""
-    if isinstance(value, dict):
-        children = value.items()
-    elif isinstance(value, list):
-        children = enumerate(value)
-    else:
-        return
-    yield path, value
-    for key, child in children:
-        yield from _containers(child, (*path, key))
-
-
+# valid document (`json_edits`).
 @st.composite
 def mutated_documents(draw):
     base = draw(st.sampled_from(["bundled", "all-float"]))
     doc = bundled_doc() if base == "bundled" else all_float_document(8, 3)
     if draw(st.booleans()):
         doc["provisioned_slices"] = [ledger_entry(slice_id="s_001"), ledger_entry()]
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        _, container = draw(st.sampled_from(list(_containers(doc))))
-        keys = list(container) if isinstance(container, dict) else list(range(len(container)))
-        edit = draw(st.sampled_from(["replace", "delete", "unknown", "duplicate"]))
-        if not keys or edit == "unknown":
-            if isinstance(container, dict):
-                container["surprise"] = draw(st.sampled_from(_BAD_VALUES))
-            else:
-                container.append(draw(st.sampled_from(_BAD_VALUES)))
-            continue
-        key = draw(st.sampled_from(keys))
-        if edit == "replace":
-            container[key] = draw(st.sampled_from(_BAD_VALUES))
-        elif edit == "delete":
-            del container[key]
-        elif isinstance(container, dict):
-            container[_DUPLICATE + key] = container[key]
-        else:
-            container.append(container[key])
-    text = json.dumps(doc, indent=1)
-    return (
-        text.replace(json.dumps(_HUGE_FLOAT), "1e400")
-        .replace(json.dumps(_HUGE_INT), "9" * 5000)
-        .replace('"' + _DUPLICATE, '"')
-    )
+    return draw(edited_text(doc))
 
 
 @settings(max_examples=300, deadline=None)
@@ -854,3 +815,124 @@ def test_json_text_takes_only_the_seven_json_types(value):
 def test_json_text_takes_only_string_keys():
     with pytest.raises(TypeError):
         model.json_text({"a": {1: "one"}})
+
+
+# The writer's two dataclasses, against a reference: each record becomes the
+# dict `record_to_dict` below builds, each configuration its `config_to_dict`
+# form, and `json.dumps` writes the result.
+def record_to_dict(record: EvaluationRecord) -> dict:
+    doc = vars(record).copy()
+    if record.produced is not None:
+        doc["produced"] = config_to_dict(record.produced)
+    return doc
+
+
+def as_plain(value):
+    """`value` with each record replaced by `record_to_dict` of it and each
+    configuration by `config_to_dict` of it."""
+    if type(value) is EvaluationRecord:
+        return record_to_dict(value)
+    if type(value) is SliceConfiguration:
+        return config_to_dict(value)
+    if type(value) is dict:
+        return {key: as_plain(child) for key, child in value.items()}
+    if type(value) is list:
+        return [as_plain(child) for child in value]
+    return value
+
+
+def dumped(doc) -> str:
+    return json.dumps(as_plain(doc), indent=2, sort_keys=True)
+
+
+_record_floats = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, 1.0, float("nan"), float("inf"), float("-inf")])
+)
+_configurations = st.builds(
+    SliceConfiguration,
+    sector_id=_json_strings,
+    band=st.sampled_from(Band),
+    node_id=_json_strings,
+    slice_id=st.one_of(st.none(), _json_strings),
+)
+_records = st.builds(
+    EvaluationRecord,
+    scenario_id=_json_strings,
+    category=_json_strings,
+    system=_json_strings,
+    run_index=st.integers(),
+    produced=st.one_of(st.none(), _configurations),
+    semantic_accuracy=_record_floats,
+    utility=_record_floats,
+    hybrid_success=st.booleans(),
+    prompt_tokens=st.integers(),
+    completion_tokens=st.integers(),
+    wall_seconds=_record_floats,
+    iterations=st.integers(),
+    error=st.one_of(st.none(), _json_strings),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_records, max_size=4), _json_documents)
+def test_json_text_writes_records_as_json_dumps_of_their_dicts(records, other):
+    doc = {"format": "x", "records": records, "other": other, "last": records[-1:]}
+    assert model.json_text(doc) == dumped(doc)
+    assert model.json_text(records) == dumped(records)
+
+
+@st.composite
+def _nested(draw, value):
+    """`value` inside 0-4 lists or one-key objects."""
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        value = [value] if draw(st.booleans()) else {draw(_json_strings): value}
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_configuration_at_two_depths_is_written_at_each(data):
+    config = data.draw(_configurations)
+    record = data.draw(_records.map(lambda r: dataclasses.replace(r, produced=config)))
+    doc = [data.draw(_nested(config)), data.draw(_nested(config)),
+           data.draw(_nested(record)), data.draw(_nested(record))]
+    assert model.json_text(doc) == dumped(doc)
+
+
+def test_repeats_sharing_one_configuration_are_written_like_distinct_ones():
+    shared = GOLDEN_INDUSTRIAL
+    record = EvaluationRecord(
+        scenario_id="s", category="URLLC", system="multi_agent", run_index=1,
+        produced=shared, semantic_accuracy=1.0, utility=0.94, hybrid_success=True,
+        prompt_tokens=3, completion_tokens=4, wall_seconds=0.0, iterations=2,
+    )
+    repeats = [dataclasses.replace(record, run_index=i) for i in (1, 2, 3)]
+    copies = [dataclasses.replace(r, produced=dataclasses.replace(shared)) for r in repeats]
+    assert model.json_text({"records": repeats}) == model.json_text({"records": copies})
+    assert model.json_text({"records": repeats}) == dumped({"records": repeats})
+
+
+class _RecordSubclass(EvaluationRecord):
+    pass
+
+
+class _ConfigurationSubclass(SliceConfiguration):
+    pass
+
+
+_RECORD_FIELDS = dict(
+    scenario_id="s", category="c", system="x", run_index=1, produced=None,
+    semantic_accuracy=0.0, utility=0.0, hybrid_success=False, prompt_tokens=0,
+    completion_tokens=0, wall_seconds=0.0, iterations=0,
+)
+
+
+@pytest.mark.parametrize("value", [
+    ColumnStats(mean=0.0, std=0.0),
+    _RecordSubclass(**_RECORD_FIELDS),
+    _ConfigurationSubclass("s", Band.MID_BAND, "n"),
+], ids=["column-stats", "record-subclass", "configuration-subclass"])
+def test_json_text_writes_only_the_exact_record_and_configuration_types(value):
+    for doc in (value, [value], {"k": value}):
+        with pytest.raises(TypeError):
+            model.json_text(doc)
