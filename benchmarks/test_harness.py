@@ -43,9 +43,7 @@ from sliceweaver.harness import (
     HarnessConfig,
     load_scenarios,
     report_to_dict,
-    run_ablation,
     run_benchmark,
-    run_compare,
 )
 from sliceweaver.intent import BandwidthCategory, IntentProfile, TrafficClass
 from sliceweaver.model import json_text
@@ -90,9 +88,8 @@ def suite_reports(name, suite):
     """The reports by system of `compare` or by variant of `ablate`."""
     scenarios, fixture, config = suite
     config = dataclasses.replace(config)
-    if name == "compare":
-        return run_compare(scenarios, fixture, config)
-    return {v: run_ablation(v, scenarios, fixture, config) for v in ABLATION_VARIANTS}
+    names = COMPARE_SYSTEMS if name == "compare" else ABLATION_VARIANTS
+    return {system: run_benchmark(scenarios, system, fixture, config) for system in names}
 
 
 def write_reports(reports):

@@ -15,13 +15,12 @@ from sliceweaver.data import (
 from sliceweaver.gateway import SuiteFixture
 from sliceweaver.harness import (
     ABLATION_VARIANTS,
+    COMPARE_SYSTEMS,
     HarnessConfig,
     ablation_table,
     compare_table,
     emit_report,
-    run_ablation,
     run_benchmark,
-    run_compare,
 )
 
 state = default_state()
@@ -33,8 +32,9 @@ report = run_benchmark(scenarios, "multi_agent", fixture, config)
 print(emit_report(report))
 
 print("Baseline comparison:")
-print(compare_table(run_compare(scenarios, fixture, config)))
+reports = {s: run_benchmark(scenarios, s, fixture, config) for s in COMPARE_SYSTEMS}
+print(compare_table(reports))
 
 print("Ablations:")
-reports = {v: run_ablation(v, scenarios, fixture, config) for v in ABLATION_VARIANTS}
+reports = {v: run_benchmark(scenarios, v, fixture, config) for v in ABLATION_VARIANTS}
 print(ablation_table(reports))

@@ -38,9 +38,7 @@ from .harness import (
     Scenario,
     emit_report,
     load_scenarios,
-    run_ablation,
     run_benchmark,
-    run_compare,
     run_scenario,
     semantic_accuracy,
 )

@@ -30,6 +30,7 @@ from .gateway import (
 )
 from .harness import (
     ABLATION_VARIANTS,
+    COMPARE_SYSTEMS,
     SYSTEMS,
     HarnessConfig,
     HarnessError,
@@ -38,9 +39,7 @@ from .harness import (
     emit_report,
     load_scenarios,
     report_to_dict,
-    run_ablation,
     run_benchmark,
-    run_compare,
 )
 from .intent import classify_intent
 from .model import NetworkState, StateError, config_to_dict, json_text, load_state, read_json
@@ -131,7 +130,7 @@ def _read_state(state_path: Path) -> NetworkState:
         text = state_path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CliError(f"state file not found: {state_path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         raise CliError(f"cannot read state file {state_path}: {exc}") from None
     return load_state(text)
 
@@ -195,8 +194,10 @@ def _write_out(args: argparse.Namespace, doc: dict | list) -> None:
         text = json_text(doc) + "\n"
         try:
             Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot write --out {args.out}: {exc.strerror}") from None
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise CliError(
+                f"cannot write --out {args.out}: {getattr(exc, 'strerror', exc)}"
+            ) from None
 
 
 def cmd_run_intent(args: argparse.Namespace) -> int:
@@ -345,22 +346,13 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_suite(names: tuple[str, ...], table, args: argparse.Namespace) -> int:
+    """`compare` and `ablate`: run each named row of the system table over
+    the suite, write the reports by name and print their `table`."""
     config, scenarios, provider = _suite_setup(args)
-    reports = run_compare(scenarios, provider, config)
-    _write_out(args, {system: report_to_dict(r) for system, r in reports.items()})
-    print(compare_table(reports), end="")
-    return 0
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    config, scenarios, provider = _suite_setup(args)
-    reports = {
-        variant: run_ablation(variant, scenarios, provider, config)
-        for variant in ABLATION_VARIANTS
-    }
-    _write_out(args, {variant: report_to_dict(r) for variant, r in reports.items()})
-    print(ablation_table(reports), end="")
+    reports = {name: run_benchmark(scenarios, name, provider, config) for name in names}
+    _write_out(args, {name: report_to_dict(r) for name, r in reports.items()})
+    print(table(reports), end="")
     return 0
 
 
@@ -410,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
                        description="multi_agent, monolithic and direct_llm replay the scripted "
                        "fixture. rule_based classifies with the strict lexicon, then takes the "
                        "exact search's head: an upper bound on a rule-based system.")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=functools.partial(cmd_suite, COMPARE_SYSTEMS, compare_table))
 
     p = sub.add_parser("ablate", help="run the four ablation variants and summarise")
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=functools.partial(cmd_suite, ABLATION_VARIANTS, ablation_table))
 
     p = sub.add_parser("oracle", help="print the brute-force ranking for an intent")
     p.add_argument("--intent", required=True)

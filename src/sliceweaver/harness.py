@@ -4,13 +4,17 @@ Every system under evaluation is one row of `SYSTEM_TABLE`: the four
 compared baselines, the oracle and the four ablation variants. A row names
 the `system` its records carry, the suite-fixture script it replays (none for
 the oracle and rule-based referee systems) and the function that runs one
-scenario; everything that dispatches on a system name reads the row.
+scenario; everything that dispatches on a system name reads the row. The
+`full` and `no_specialists` variants are the `multi_agent` and `monolithic`
+rows under another name. A suite command is a list of row names: `compare`
+runs `COMPARE_SYSTEMS` and `ablate` runs `ABLATION_VARIANTS`, each row by
+`run_benchmark`.
 
-The harness runs a row against each scenario of a suite, scores the produced
-configuration for semantic accuracy against the golden standard and for
-engineering utility, applies the hybrid success criterion (accuracy >= 0.5
-and utility >= 0.7), and emits reports: a human-readable table
-(`emit_report`) and a machine-format document (`report_to_dict`). The
+`run_benchmark` runs a row against each scenario of a suite, scores the
+produced configuration for semantic accuracy against the golden standard and
+for engineering utility, and applies the hybrid success criterion (accuracy
+>= 0.5 and utility >= 0.7). A report is written as a human-readable table
+(`emit_report`) and as a machine-format document (`report_to_dict`). The
 record of a run, `EvaluationRecord`, is declared in `model`, whose
 `json_text` writes it.
 
@@ -286,16 +290,19 @@ class System:
     run: Callable
 
 
+_MULTI_AGENT = System("multi_agent", "multi_agent", _run_multi_agent)
+_MONOLITHIC = System("monolithic", "monolithic", _run_monolithic)
+
 SYSTEM_TABLE = {
-    "multi_agent": System("multi_agent", "multi_agent", _run_multi_agent),
-    "monolithic": System("monolithic", "monolithic", _run_monolithic),
+    "multi_agent": _MULTI_AGENT,
+    "monolithic": _MONOLITHIC,
     "rule_based": System("rule_based", None, _run_rule_based),
     "direct_llm": System("direct_llm", "direct_llm", _run_direct_llm),
     "oracle": System("oracle", None, _run_oracle),
     # Ablation variants record as the system they modify.
-    "full": System("multi_agent", "multi_agent", _run_multi_agent),
+    "full": _MULTI_AGENT,
     "no_prompts": System("multi_agent", "no_prompts", _run_generic_prompts),
-    "no_specialists": System("monolithic", "monolithic", _run_monolithic),
+    "no_specialists": _MONOLITHIC,
     "no_react": System("multi_agent", "no_react", _run_single_pass),
 }
 
@@ -442,28 +449,6 @@ def run_benchmark(
         for record in results
     )
     return BenchmarkReport(system=system, records=records, summary=_summarise(records))
-
-
-def run_compare(
-    scenarios: list[Scenario], provider, config: HarnessConfig
-) -> dict[str, BenchmarkReport]:
-    """The four-system baseline comparison."""
-    return {
-        system: run_benchmark(scenarios, system, provider, config)
-        for system in COMPARE_SYSTEMS
-    }
-
-
-def run_ablation(
-    variant: str,
-    scenarios: list[Scenario],
-    provider,
-    config: HarnessConfig,
-) -> BenchmarkReport:
-    """Run one architectural ablation variant over the suite."""
-    if variant not in ABLATION_VARIANTS:
-        raise HarnessError(f"unknown ablation variant {variant!r}")
-    return run_benchmark(scenarios, variant, provider, config)
 
 
 def report_to_dict(report: BenchmarkReport) -> dict:

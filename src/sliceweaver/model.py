@@ -434,13 +434,16 @@ def read_json(path: str | Path, what: str, error: Callable[[str], Exception]):
     `error` with a message naming `what` and `path`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise error(f"cannot read {what} {path}: {getattr(exc, 'strerror', exc)}") from None
+    try:
         return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
     except _DuplicateKey as exc:
         raise error(f"{what} {path} repeats the key {exc.args[0]!r}") from None
-    # ValueError covers JSONDecodeError, text that is not UTF-8 and an integer
-    # past Python's digit limit; RecursionError, a document nested too deep.
+    # ValueError covers JSONDecodeError and an integer past Python's digit
+    # limit; RecursionError, a document nested too deep.
     except (ValueError, RecursionError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
 

@@ -6,7 +6,8 @@ object or array of it:
 - a key or an element deleted, or an unknown key or an element added;
 - a value swapped for another JSON type, or for NaN, an infinity, 1e400 or
   a 5000-digit integer;
-- a value swapped for "", " ", "-" or a non-ASCII string;
+- a value swapped for "", " ", "-", a non-ASCII string or one holding a NUL
+  byte, which no command-line argument can hold;
 - a key repeated, or a value nested deeper than any JSON reader recurses.
 
 Every input file of the package is read by `model.read_json` (the state
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 HUGE_FLOAT, HUGE_INT, DEEP, DUPLICATE = "@1e400@", "@5000 digits@", "@deep@", "@dup@"
 BAD_VALUES = [
     float("nan"), float("inf"), -float("inf"), HUGE_FLOAT, HUGE_INT, DEEP,
-    True, False, 0, 7, -3, None, "", " ", "-", "x", "é", [], {},
+    True, False, 0, 7, -3, None, "", " ", "-", "x", "é", "a\u0000b", [], {},
 ]
 _DEPTH = 100_000
 

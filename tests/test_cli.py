@@ -741,6 +741,25 @@ def state_with_sector(sector_id: str) -> str:
                          id=f"{command}-backend-empty")
             for command, args in [("run-intent", ["x"]), ("benchmark", [])]
         ),
+        # Only a run-config value can put a NUL byte into a path.
+        *(
+            pytest.param(command, [*args, "--config", "{file}"], json.dumps({key: value}),
+                         needle, id=f"config-{case}-nul-byte")
+            for case, command, args, key, value, needle in [
+                ("out", "benchmark", ["--system", "oracle"], "out", "a\u0000b",
+                 "cannot write --out a\u0000b: embedded null byte"),
+                ("state", "benchmark", [], "state", "a\u0000b",
+                 "cannot read state file a\u0000b: embedded null byte"),
+                ("validate-state", "validate-state", [], "state", "a\u0000b",
+                 "cannot read state file a\u0000b: embedded null byte"),
+                ("scenarios", "benchmark", ["--system", "oracle"], "scenarios", "a\u0000b",
+                 "cannot read scenario suite a\u0000b: embedded null byte"),
+                ("fixture", "benchmark", [], "backend", "scripted:a\u0000b",
+                 "cannot read fixture a\u0000b: embedded null byte"),
+                ("run-intent-fixture", "run-intent", ["x"], "backend", "scripted:a\u0000b",
+                 "cannot read fixture a\u0000b: embedded null byte"),
+            ]
+        ),
         pytest.param("run-intent", ["   ", "--backend", trace_backend()], None,
                      "no intent text given", id="run-intent-whitespace-intent"),
         pytest.param("oracle", ["--intent", "   "], None, "no intent text given",

@@ -38,9 +38,7 @@ from sliceweaver.harness import (
     load_scenarios,
     referee_profile,
     report_to_dict,
-    run_ablation,
     run_benchmark,
-    run_compare,
     run_scenario,
     semantic_accuracy,
 )
@@ -299,11 +297,10 @@ def test_compare_and_ablate_classify_each_scenario_once_per_config(
     monkeypatch, scenarios, harness_config
 ):
     calls = counting(monkeypatch, "classify_intent")
-    shared = run_compare(scenarios, fresh_fixture(), harness_config)
-    shared.update(
-        (variant, run_ablation(variant, scenarios, fresh_fixture(), harness_config))
-        for variant in ABLATION_VARIANTS
-    )
+    shared = {
+        name: run_benchmark(scenarios, name, fresh_fixture(), harness_config)
+        for name in COMPARE_SYSTEMS + ABLATION_VARIANTS
+    }
     # Eight rows over one config: the referee classifies each scenario once.
     assert sorted(text for text, *_ in calls) == sorted(s.intent_text for s in scenarios)
     # The shared profiles score exactly as a fresh config per row would.
@@ -610,7 +607,10 @@ def test_pstdev_is_correctly_rounded_on_every_python(values):
 # --- compare and ablation ----------------------------------------------------
 
 def test_compare_runs_all_four_systems(scenarios, suite_fixture, harness_config):
-    reports = run_compare(scenarios, suite_fixture, harness_config)
+    reports = {
+        name: run_benchmark(scenarios, name, suite_fixture, harness_config)
+        for name in COMPARE_SYSTEMS
+    }
     assert tuple(reports) == COMPARE_SYSTEMS
     table = compare_table(reports)
     lines = table.splitlines()
@@ -622,14 +622,23 @@ def test_compare_runs_all_four_systems(scenarios, suite_fixture, harness_config)
 
 
 def test_multi_agent_beats_single_turn_baselines_on_accuracy(scenarios, suite_fixture, harness_config):
-    reports = run_compare(scenarios, suite_fixture, harness_config)
+    reports = {
+        name: run_benchmark(scenarios, name, suite_fixture, harness_config)
+        for name in COMPARE_SYSTEMS
+    }
     multi = reports["multi_agent"].summary["semantic_accuracy"].mean
     assert multi > reports["monolithic"].summary["semantic_accuracy"].mean
     assert multi > reports["direct_llm"].summary["semantic_accuracy"].mean
 
 
+def test_full_and_no_specialists_are_the_compared_rows():
+    table = harness.SYSTEM_TABLE
+    assert table["full"] is table["multi_agent"]
+    assert table["no_specialists"] is table["monolithic"]
+
+
 def test_ablation_full_equals_plain_benchmark(scenarios, suite_fixture, harness_config):
-    full = run_ablation("full", scenarios, suite_fixture, harness_config)
+    full = run_benchmark(scenarios, "full", suite_fixture, harness_config)
     fresh = SuiteFixture.from_file(bundled.default_suite_fixture_path())
     plain = run_benchmark(scenarios, "multi_agent", fresh, harness_config)
     assert full.records == plain.records
@@ -637,7 +646,7 @@ def test_ablation_full_equals_plain_benchmark(scenarios, suite_fixture, harness_
 
 
 def test_ablation_no_specialists_never_consults(scenarios, suite_fixture, harness_config):
-    report = run_ablation("no_specialists", scenarios, suite_fixture, harness_config)
+    report = run_benchmark(scenarios, "no_specialists", suite_fixture, harness_config)
     # Single-exchange scripts: one orchestrator turn, zero CALL_AGENT calls.
     assert all(record.iterations == 1 for record in report.records)
     tokens = {r.scenario_id: r.total_tokens for r in report.records}
@@ -645,13 +654,13 @@ def test_ablation_no_specialists_never_consults(scenarios, suite_fixture, harnes
 
 
 def test_ablation_no_react_yields_zero_accuracy_for_undecided(scenarios, suite_fixture, harness_config):
-    report = run_ablation("no_react", scenarios, suite_fixture, harness_config)
+    report = run_benchmark(scenarios, "no_react", suite_fixture, harness_config)
     by_scenario = {r.scenario_id: r for r in report.records if r.run_index == 1}
     assert by_scenario["connected_ambulance_rural"].semantic_accuracy == 0.0
     assert by_scenario["connected_ambulance_rural"].produced is None
     assert by_scenario["smart_meters_suburban"].semantic_accuracy == 0.0
     assert all(r.iterations <= 1 for r in report.records)
-    full = run_ablation("full", scenarios, SuiteFixture.from_file(bundled.default_suite_fixture_path()), harness_config)
+    full = run_benchmark(scenarios, "full", SuiteFixture.from_file(bundled.default_suite_fixture_path()), harness_config)
     assert (
         report.summary["semantic_accuracy"].mean
         < full.summary["semantic_accuracy"].mean
@@ -660,7 +669,7 @@ def test_ablation_no_react_yields_zero_accuracy_for_undecided(scenarios, suite_f
 
 
 def test_ablation_no_prompts_uses_generic_prompts(scenarios, suite_fixture, harness_config):
-    report = run_ablation("no_prompts", scenarios, suite_fixture, harness_config)
+    report = run_benchmark(scenarios, "no_prompts", suite_fixture, harness_config)
     assert report.system == "no_prompts"
     assert len(report.records) == 36
 
@@ -669,7 +678,7 @@ def test_ablation_table_lists_deltas(scenarios, suite_fixture, harness_config):
     reports = {}
     for variant in ABLATION_VARIANTS:
         fixture = SuiteFixture.from_file(bundled.default_suite_fixture_path())
-        reports[variant] = run_ablation(variant, scenarios, fixture, harness_config)
+        reports[variant] = run_benchmark(scenarios, variant, fixture, harness_config)
     table = ablation_table(reports)
     assert "Remove ReAct" in table
     assert "Remove Specialists" in table
@@ -687,4 +696,4 @@ def test_unknown_system_and_variant_rejected(scenarios, suite_fixture, harness_c
     with pytest.raises(HarnessError):
         run_benchmark(scenarios, "quantum", suite_fixture, harness_config)
     with pytest.raises(HarnessError):
-        run_ablation("no_everything", scenarios, suite_fixture, harness_config)
+        run_benchmark(scenarios, "no_everything", suite_fixture, harness_config)

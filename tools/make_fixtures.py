@@ -2,13 +2,25 @@
 """Regenerates the scripted replay fixtures under src/sliceweaver/data/fixtures/.
 
 The fixtures are committed data; this script exists so they can be rebuilt
-deterministically when scenario scripts or token budgets change.
+deterministically when scenario scripts or token budgets change. Its ACTION
+lines are written by the package's own `format_action`, so run it with the
+package importable:
+
+    PYTHONPATH=src python tools/make_fixtures.py
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from sliceweaver.agents import (
+    CORE_SPECIALIST,
+    RAN_SPECIALIST,
+    ActionKind,
+    AgentAction,
+    format_action,
+)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "sliceweaver" / "data"
 OUT_DIR = DATA_DIR / "fixtures"
@@ -237,13 +249,17 @@ def split_tokens(total: int) -> list[tuple[int, int]]:
     return calls
 
 
+def action_line(kind: ActionKind, **values: str) -> str:
+    return format_action(AgentAction(kind, **values))
+
+
 def provision_lines(config: tuple[str, str, str], slice_id: str, summary: str) -> str:
     sector, band, node = config
-    return (
-        f"ACTION: PROVISION_SLICE | slice_id={slice_id} | "
-        f"ran_config={BAND_WIRE[band]}@{sector} | core_config=UPF@{node}\n"
-        f"ACTION: FINISH | summary={summary}"
+    provision = action_line(
+        ActionKind.PROVISION_SLICE, slice_id=slice_id,
+        ran_config=f"{BAND_WIRE[band]}@{sector}", core_config=f"UPF@{node}",
     )
+    return provision + "\n" + action_line(ActionKind.FINISH, summary=summary)
 
 
 def multi_agent_script(scenario_id: str, spec: dict) -> list[dict]:
@@ -276,13 +292,13 @@ def multi_agent_script(scenario_id: str, spec: dict) -> list[dict]:
         (
             f"THOUGHT: I need to parse the intent, then consult the RAN specialist "
             f"about spectrum at the serving sector before any core decision.\n\n"
-            f"ACTION: CALL_AGENT | agent_name=ran_specialist | request={ran_request}"
+            + action_line(ActionKind.CALL_AGENT, agent_name=RAN_SPECIALIST, request=ran_request)
         ),
         ran_response,
         (
             f"THOUGHT: The RAN specialist recommends {band_wire} at {sector}. Next I "
             f"need the Core specialist to pick a UPF node compatible with that choice.\n\n"
-            f"ACTION: CALL_AGENT | agent_name=core_specialist | request={core_request}"
+            + action_line(ActionKind.CALL_AGENT, agent_name=CORE_SPECIALIST, request=core_request)
         ),
         core_response,
         (
