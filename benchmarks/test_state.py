@@ -9,6 +9,7 @@ Not part of the default test run (pyproject's testpaths is `tests`). Run:
 A state keeps its text after the first `serialize_state`, and the session
 fixture keeps its states, so the cases that must encode work on a fresh
 copy (`dataclasses.replace`) made in an untimed setup each round.
+`test_apply_provisioning` works on a loaded copy that is never encoded.
 """
 
 from __future__ import annotations
@@ -58,6 +59,23 @@ def test_serialize_state_cached(benchmark, topology, n_sectors, n_nodes):
         serialize_state, args=(state,), rounds=ROUNDS[n_sectors], iterations=100
     )
     assert cached == text
+
+
+@pytest.mark.parametrize("n_sectors,n_nodes", SIZES)
+def test_apply_provisioning(benchmark, topology, n_sectors, n_nodes):
+    state = load_state(serialize_state(topology(n_sectors, n_nodes)))
+    config = SliceConfiguration(
+        sector_id=next(iter(state.sectors)),
+        band=Band.MID_BAND,
+        node_id=next(iter(state.nodes)),
+        slice_id="bench_001",
+    )
+    # 100 calls a round: one call is a few microseconds.
+    provisioned = benchmark.pedantic(
+        apply_provisioning, args=(state, config), rounds=ROUNDS[n_sectors], iterations=100
+    )
+    assert provisioned.provisioned_slices == (config,)
+    assert "_canonical_text" not in vars(state)
 
 
 @pytest.mark.parametrize("n_sectors,n_nodes", SIZES)

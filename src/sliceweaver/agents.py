@@ -275,6 +275,8 @@ def parse_slice_configs(
 def load_prompts(directory: str | Path, require_markers: bool = True) -> dict[str, str]:
     """Load the three role prompts from a directory of Markdown files."""
     directory = Path(directory)
+    if "\0" in str(directory):  # `is_file` would call such a path missing
+        raise PromptError(f"cannot read prompt directory {directory}: embedded null byte")
     missing = [role for role in PROMPT_ROLES if not (directory / f"{role}.md").is_file()]
     if missing:
         raise PromptError(

@@ -20,11 +20,12 @@ from .intent import Lexicon
 from .model import NetworkState, load_state
 
 
+# The package's data directory, resolved once at import.
+_DATA_ROOT = Path(str(resources.files("sliceweaver") / "data"))
+
+
 def data_path(*parts: str) -> Path:
-    path = Path(str(resources.files("sliceweaver") / "data"))
-    for part in parts:
-        path = path / part
-    return path
+    return _DATA_ROOT.joinpath(*parts)
 
 
 def default_state_path() -> Path:

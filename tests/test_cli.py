@@ -350,6 +350,13 @@ def test_validate_prompts(capsys, tmp_path):
     )
     assert code == 0
 
+    # A NUL byte, which only a run-config can put in the path, is unreadable, not missing.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"prompts": "a\u0000b"}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "validate-prompts", "--config", str(config))
+    assert code == 1
+    assert out == "INVALID: cannot read prompt directory a\u0000b: embedded null byte\n"
+
 
 def test_bad_backend_spec(capsys):
     code, _, err = run_cli(capsys, "benchmark", "--backend", "psychic")
@@ -758,6 +765,8 @@ def state_with_sector(sector_id: str) -> str:
                  "cannot read fixture a\u0000b: embedded null byte"),
                 ("run-intent-fixture", "run-intent", ["x"], "backend", "scripted:a\u0000b",
                  "cannot read fixture a\u0000b: embedded null byte"),
+                ("prompts", "compare", [], "prompts", "a\u0000b",
+                 "cannot read prompt directory a\u0000b: embedded null byte"),
             ]
         ),
         pytest.param("run-intent", ["   ", "--backend", trace_backend()], None,

@@ -481,6 +481,45 @@ def test_cached_text_is_never_stale(chain):
     assert serialize_state(bare) == serialize_state(chain[0])
 
 
+@settings(max_examples=50, deadline=None)
+@given(provisioning_chains())
+def test_a_provisioned_state_is_the_state_built_from_its_parts(chain):
+    for parent, child in zip(chain, chain[1:]):
+        config = child.provisioned_slices[-1]
+        serialize_state(parent)  # a parent's cached text is not handed on
+        for derived in (child, apply_provisioning(parent, config)):
+            built = NetworkState(
+                parent.sectors, parent.nodes, parent.provisioned_slices + (config,)
+            )
+            assert derived == built
+            assert list(vars(derived)) == list(vars(built))
+            assert derived.sectors is parent.sectors
+            assert derived.nodes is parent.nodes
+            assert derived._nearest_nodes == {}
+            assert derived._nearest_nodes is not parent._nearest_nodes
+
+
+def test_provisioning_does_not_check_the_topology_again(state, monkeypatch):
+    checks = []
+    post_init = NetworkState.__post_init__
+
+    def counting(self):
+        checks.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(NetworkState, "__post_init__", counting)
+    provisioned = apply_provisioning(state, GOLDEN_INDUSTRIAL)
+    assert checks == []
+    # Every other way to build a state still checks it.
+    assert NetworkState(state.sectors, state.nodes, provisioned.provisioned_slices) == provisioned
+    assert load_state(serialize_state(provisioned)) == provisioned
+    assert dataclasses.replace(provisioned) == provisioned
+    assert len(checks) == 3
+    extra = dataclasses.replace(state.sector("city_plaza"), id="extra_cell")
+    with pytest.raises(StateValidationError, match="missing a latency entry for sector 'extra_cell'"):
+        dataclasses.replace(provisioned, sectors={**provisioned.sectors, "extra_cell": extra})
+
+
 def _built_state(sector_id, node_id, context, users, load, spectrum, compute, tau):
     sector = RanSector(id=sector_id, active_users=users, load_percent=load,
                        spectrum=SpectrumBands(*spectrum), context=context)
