@@ -14,19 +14,20 @@ are deterministic and independent of enumeration order.
 `solve` finds the head without a row per candidate: it takes each sector's
 best candidate (its nearest feasible node, or its nearest node when none is
 feasible, on that node's best band) and returns the least of them. Each
-sector's nearest node, and its nearest node within `kappa_max`, depend on
-the state alone: the first `solve` for a `kappa_max` finds them in one scan
-of the latency matrix and keeps them on the (immutable) state, so each later
-head takes one pass over the sectors. Nothing that depends on the profile is
-kept. The head is scored by the reference functions, `compute_utility` and
-`check_constraints`, so a ranking's head carries exactly what they report
-for its configuration. `solve` returns a read-only `Ranking` that holds
-that head and builds the other rows only when a read needs them, by one
-factored scan over the same per-state index: utility and feasibility split
-into parts that depend on the sector, the node, the (sector, node) latency
-or the band alone, so each part is computed once where it changes, and two
-constructors cached for that scan alone make candidates with equal parts
-share one frozen ScoreBreakdown or ConstraintReport. Past the head, the
+sector's nearest node, its nearest node within `kappa_max` and its
+congestion score depend on the state alone: the first `solve` for a
+`kappa_max` finds them in one scan of the latency matrix and keeps them on
+the (immutable) state, so each later head takes one plain pass over the
+sectors. Nothing that depends on the profile is kept. The head is scored
+by the reference functions, `compute_utility` and `check_constraints`, so a
+ranking's head carries exactly what they report for its configuration.
+`solve` returns a read-only `Ranking` that holds that head and builds the
+other rows only when a read needs them, by one factored scan over the same
+per-state index: utility and feasibility split into parts that depend on
+the sector, the node, the (sector, node) latency or the band alone, so each
+part is computed once where it changes, and two constructors cached for
+that scan alone make candidates with equal parts share one frozen
+ScoreBreakdown or ConstraintReport. Past the head, the
 ranking is one list: the rows are sorted and ranked once, with the scored
 head as its first element.
 `enumerate_candidates` scored candidate by candidate with `compute_utility`
@@ -196,11 +197,13 @@ def solve(
     for that node's S_latency, with ties to the lower band rank. The nearest
     feasible node is the nearest node within `kappa_max` when the sector is
     within `l_max` and that node within `tau_req_ms`, and there is none
-    otherwise. Both nearest nodes depend on the state alone: the first call
-    for a `kappa_max` finds them with one latency lookup per (sector, node)
-    and keeps them on the state, and every call takes one pass over the
-    sectors, with one S_latency per sector. The head is then scored by
-    `compute_utility` and `check_constraints`.
+    otherwise. Both nearest nodes and the sector's S_congestion depend on
+    the state alone: the first call for a `kappa_max` finds the nodes with
+    one latency lookup per (sector, node), scores each sector's congestion
+    once and keeps them on the state, and every call takes one pass over the
+    sectors, with one S_latency per sector and its best band kept by a
+    strict `<` over the band ranks in ascending order. The head is then
+    scored by `compute_utility` and `check_constraints`.
     """
     if profile.target_sector is not None:
         state.sector(profile.target_sector)  # UnknownIdError for an unknown id
@@ -228,17 +231,18 @@ def solve(
     l_max = thresholds.l_max
     tau_req = profile.tau_req_ms
     head = None
-    for sector_id, load, band_ranks, near_tau, near_id, ok_tau, ok_id in sectors:
+    for sector_id, load, band_ranks, near_tau, near_id, ok_tau, ok_id, s_con in sectors:
         if load <= l_max and ok_id is not None and ok_tau <= tau_req:
             infeasible, tau, node_id = 0, ok_tau, ok_id
         else:
             infeasible, tau, node_id = 1, near_tau, near_id
         s_lat = score_latency(tau)
-        s_con = score_congestion(load)
-        neg_utility, band_rank = min(
-            (-weighted_utility(weights, s_lat, s_resource[band_rank], s_con), band_rank)
-            for band_rank in band_ranks
-        )
+        # band_ranks ascend, so a strict `<` keeps the lower band rank on a tie.
+        neg_utility = math.inf
+        for rank in band_ranks:
+            value = -weighted_utility(weights, s_lat, s_resource[rank], s_con)
+            if value < neg_utility:
+                neg_utility, band_rank = value, rank
         row = (infeasible, neg_utility, tau, load, sector_id, band_rank, node_id)
         if head is None or row < head:
             head = row
@@ -256,9 +260,11 @@ class _NearestNodes(NamedTuple):
     alone, kept on the state by `kappa_max`."""
 
     # Sector id -> (sector id, load, band ranks, nearest node's latency and
-    # id, nearest compute-ok node's latency and id or (inf, None)), by id,
-    # for every sector with an available band.
-    sectors: dict[str, tuple[str, float, tuple[int, ...], float, str, float, str | None]]
+    # id, nearest compute-ok node's latency and id or (inf, None), the
+    # sector's S_congestion), by id, for every sector with an available band.
+    sectors: dict[
+        str, tuple[str, float, tuple[int, ...], float, str, float, str | None, float]
+    ]
     candidates: int  # the untargeted candidate count
     # (node id, node, compute load <= kappa_max) for every node, by id.
     nodes: list[tuple[str, CoreNode, bool]]
@@ -266,7 +272,8 @@ class _NearestNodes(NamedTuple):
 
 def _nearest_nodes(state: NetworkState, kappa_max: float) -> _NearestNodes:
     """Each sector's nearest node and nearest node within `kappa_max`, by
-    one latency lookup per (sector, node); ties go to the lower node id."""
+    one latency lookup per (sector, node), ties to the lower node id, and
+    its congestion score."""
     nodes = [
         (node_id, node, node.compute_load_percent <= kappa_max)
         for node_id, node in sorted(state.nodes.items())
@@ -292,8 +299,10 @@ def _nearest_nodes(state: NetworkState, kappa_max: float) -> _NearestNodes:
                 near_tau, near_id = tau, node_id
             if node_compute_ok and tau < ok_tau:
                 ok_tau, ok_id = tau, node_id
+        load = sector.load_percent
         sectors[sector_id] = (
-            sector_id, sector.load_percent, band_ranks, near_tau, near_id, ok_tau, ok_id
+            sector_id, load, band_ranks, near_tau, near_id, ok_tau, ok_id,
+            score_congestion(load),
         )
         candidates += len(nodes) * len(band_ranks)
     return _NearestNodes(sectors, candidates, nodes)
@@ -310,15 +319,17 @@ def _candidate_rows(
     """Every candidate's key row, in scan order, for the sectors `solve`
     searched.
 
-    `sectors` are `nearest`'s sector rows; only their id, load and band
-    ranks are read. `weights`, the per-band-rank resource scores `s_resource`
-    and `tau_req` are the ones `solve` took from the profile.
+    `sectors` are `nearest`'s sector rows; only their id, load, band ranks
+    and congestion score are read. `weights`, the per-band-rank resource
+    scores `s_resource` and `tau_req` are the ones `solve` took from the
+    profile.
 
     One factored scan over the candidates of `enumerate_candidates`, equal
     row for row to scoring each with `compute_utility` and
-    `check_constraints`: the congestion score and the load check are taken
-    once per sector, the latency score and check once per (sector, node),
-    the compute check once per node and the resource score once per band.
+    `check_constraints`: the congestion score is the one the sector row
+    holds, the load check is taken once per sector, the latency score and
+    check once per (sector, node), the compute check once per node and the
+    resource score once per band.
     Two constructors cached for this call alone, `breakdown` and `report`,
     make candidates with equal sub-scores share one (frozen) ScoreBreakdown
     and equal checks one ConstraintReport, so at most 8 reports are built.
@@ -337,8 +348,7 @@ def _candidate_rows(
                                 kappa_max=thresholds.kappa_max, tau_req_ms=tau_req)
 
     rows = []
-    for sector_id, load, band_ranks, *_ in sectors:
-        s_con = score_congestion(load)
+    for sector_id, load, band_ranks, *_, s_con in sectors:
         load_ok = load <= thresholds.l_max
         for node_id, node, node_compute_ok in nearest.nodes:
             tau = node.latency_to_sector[sector_id]

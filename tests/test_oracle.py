@@ -388,12 +388,12 @@ def test_every_read_of_the_ranking_agrees(case, data):
     assert ranking[:2][-1] is ranking[min(1, n - 1)]
 
 
-def build_state(loads, nodes):
-    """Sectors {id: load} with every band, nodes {id: (compute load, {sector: latency})}."""
+def build_state(loads, nodes, spectrum=SpectrumBands(100.0, 100.0, 100.0)):
+    """Sectors {id: load} with `spectrum` (every band by default), nodes
+    {id: (compute load, {sector: latency})}."""
     return NetworkState(
         sectors={
-            sid: RanSector(id=sid, active_users=10, load_percent=load,
-                           spectrum=SpectrumBands(100.0, 100.0, 100.0))
+            sid: RanSector(id=sid, active_users=10, load_percent=load, spectrum=spectrum)
             for sid, load in loads.items()
         },
         nodes={
@@ -404,9 +404,10 @@ def build_state(loads, nodes):
     )
 
 
-def profile_for(traffic_class, tau_req_ms, target_sector=None):
+def profile_for(traffic_class, tau_req_ms, target_sector=None,
+                bandwidth=BandwidthCategory.MEDIUM):
     return IntentProfile(
-        raw_text="x", traffic_class=traffic_class, bandwidth_category=BandwidthCategory.MEDIUM,
+        raw_text="x", traffic_class=traffic_class, bandwidth_category=bandwidth,
         tau_req_ms=tau_req_ms, target_sector=target_sector,
     )
 
@@ -440,6 +441,23 @@ PER_SECTOR_CASES = {
                     {"n1": (10.0, {"a": 20.0, "b": 5.0}), "n2": (10.0, {"a": 5.0, "b": 20.0})}),
         profile_for(TrafficClass.URLLC, 50.0, target_sector="a"), Thresholds(l_max=80.0),
         ("a", "n2", False),
+    ),
+    # Without mmWave, HIGH bandwidth scores mid_band and low_band 0.5 each:
+    # equal utility, so the lower band rank, mid_band, is the head.
+    "a band tie": (
+        build_state({"s": 20.0}, {"n": (10.0, {"s": 5.0})},
+                    spectrum=SpectrumBands(0.0, 100.0, 100.0)),
+        profile_for(TrafficClass.EMBB, 50.0, bandwidth=BandwidthCategory.HIGH), Thresholds(),
+        ("s", "n", True),
+    ),
+    # Every node is above tau_req and "c" is also over l_max; "b", the least
+    # loaded, is the best infeasible row.
+    "every sector infeasible": (
+        build_state({"a": 50.0, "b": 10.0, "c": 90.0},
+                    {"n1": (10.0, {"a": 20.0, "b": 40.0, "c": 5.0}),
+                     "n2": (10.0, {"a": 5.0, "b": 5.0, "c": 40.0})}),
+        profile_for(TrafficClass.URLLC, 1.0), Thresholds(l_max=80.0),
+        ("b", "n2", False),
     ),
 }
 
@@ -553,6 +571,28 @@ def test_the_nearest_nodes_are_found_once_per_state_and_kappa_max(
     assert found == [85.0, 50.0]
     solve(load_state(serialize_state(state)), profiles[0])
     assert found == [85.0, 50.0, 85.0]
+
+
+def test_congestion_is_scored_once_per_state_and_kappa_max(state, lexicon, monkeypatch):
+    calls = []
+    score_congestion = oracle.score_congestion
+
+    def counting(load):
+        calls.append(load)
+        return score_congestion(load)
+
+    monkeypatch.setattr(oracle, "score_congestion", counting)
+    fresh = load_state(serialize_state(state))
+    profile = classify_intent("plain connectivity request", fresh, lexicon)
+    assert profile.target_sector is None
+    solve(fresh, profile)[0]
+    assert len(calls) == len(fresh.sectors)
+    calls.clear()
+    ranking = solve(fresh, profile)
+    ranking[0]
+    assert calls == []
+    list(ranking)
+    assert calls == []
 
 
 def test_copies_of_a_solved_state_start_without_nearest_nodes(state, lexicon):
