@@ -22,8 +22,12 @@ call, and keep it.
 whose values are all finite floats, as the canonical text writes them, is
 taken in one check, and the loader scans value by value only to convert
 integers or to name a bad value, so its messages do not depend on the bulk
-check. A sector entry of the common shape (exact keys, an integer user
-count, four numbers with a finite sum) is likewise taken in one check.
+check. Each sector entry of the common shape (exact keys, with or without a
+string description, an integer user count, four finite numbers) is checked
+in one pass, types and ranges together, and built once, without running the
+constructors' checks again; any other entry goes field by field through the
+constructors, which name the first bad field. The loader hands the nodes
+and the state read-only views of its own fresh dicts, so no map is copied.
 """
 
 from __future__ import annotations
@@ -80,6 +84,18 @@ BAND_JSON_KEYS: dict[Band, str] = {
 }
 
 
+def _built(cls: type, **fields):
+    """An instance of the frozen dataclass `cls` with these fields, made
+    without `__init__` and so without `__post_init__`'s checks: only for
+    fields already checked. Pass every field, in declaration order, so the
+    instance's `vars()` reads as a constructed one's. The instance keeps a
+    field dict of its own: on CPython 3.11 a sector and its spectrum take
+    about 270 bytes more than constructed ones."""
+    value = object.__new__(cls)
+    vars(value).update(fields)
+    return value
+
+
 def _read_only(mapping: Mapping) -> MappingProxyType:
     """A read-only copy of `mapping`; one that is already read-only is kept."""
     if isinstance(mapping, MappingProxyType):
@@ -104,6 +120,11 @@ _BAND_FIELDS: dict[Band, str] = {
 }
 
 
+def _bands_in_range(mmwave_mhz: float, mid_band_mhz: float, low_band_mhz: float) -> bool:
+    """The range rule of `SpectrumBands`: every band is >= 0 (NaN fails)."""
+    return mmwave_mhz >= 0 and mid_band_mhz >= 0 and low_band_mhz >= 0
+
+
 @dataclass(frozen=True)
 class SpectrumBands:
     """Unallocated spectrum per band, in MHz. A band is available iff > 0."""
@@ -113,7 +134,9 @@ class SpectrumBands:
     low_band_mhz: float
 
     def __post_init__(self) -> None:
-        for name in _BAND_FIELDS.values():
+        if _bands_in_range(self.mmwave_mhz, self.mid_band_mhz, self.low_band_mhz):
+            return
+        for name in _BAND_FIELDS.values():  # only names the culprit
             value = getattr(self, name)
             if not value >= 0:  # NaN fails every comparison
                 raise StateValidationError(f"spectrum {name} must be >= 0, got {value}")
@@ -123,6 +146,14 @@ class SpectrumBands:
 
     def available(self, band: Band) -> bool:
         return self.for_band(band) > 0
+
+
+def _sector_in_range(sector_id: str, active_users: int, load_percent: float) -> bool:
+    """The range rule of `RanSector`: an id with a letter or digit, since an
+    intent names a sector by its words (`classify_intent`) and an id of
+    punctuation would be "named" by punctuation; `active_users` >= 0; load
+    within [0, 100] (NaN fails)."""
+    return any(map(str.isalnum, sector_id)) and active_users >= 0 and 0 <= load_percent <= 100
 
 
 @dataclass(frozen=True)
@@ -136,8 +167,9 @@ class RanSector:
     context: str = ""
 
     def __post_init__(self) -> None:
-        # An intent names a sector by its words (`classify_intent`), so an
-        # id with no letter or digit would be "named" by punctuation.
+        if _sector_in_range(self.id, self.active_users, self.load_percent):
+            return
+        # The rule failed; name the culprit.
         if not any(map(str.isalnum, self.id)):
             raise StateValidationError(f"sector id {self.id!r} has no letter or digit")
         if self.active_users < 0:
@@ -267,16 +299,22 @@ class NetworkState:
     def _canonical_text(self) -> str:
         return json_text(state_to_dict(self)) + "\n"
 
+    @cached_property
+    def _slice_ids(self) -> frozenset[str]:
+        """The ledger's slice ids, which `apply_provisioning` checks a new
+        id against; built on first use and kept, as the state is immutable."""
+        return frozenset(config.slice_id for config in self.provisioned_slices
+                         if config.slice_id is not None)
+
 
 def _with_ledger(state: NetworkState, ledger: tuple[SliceConfiguration, ...]) -> NetworkState:
     """`NetworkState(state.sectors, state.nodes, ledger)` without
     `__post_init__`: `state`'s maps are read-only and were checked when it
     was built, so the new state shares them as they are. Like any state just
-    built, it has its own empty `_nearest_nodes` and no cached text."""
-    derived = object.__new__(NetworkState)
-    vars(derived).update(sectors=state.sectors, nodes=state.nodes,
-                         provisioned_slices=ledger, _nearest_nodes={})
-    return derived
+    built, it has its own empty `_nearest_nodes`, no cached text and no
+    slice-id set."""
+    return _built(NetworkState, sectors=state.sectors, nodes=state.nodes,
+                  provisioned_slices=ledger, _nearest_nodes={})
 
 
 def latency(state: NetworkState, sector_id: str, node_id: str) -> float:
@@ -326,6 +364,7 @@ _NODE_FIELDS = (
 )
 _SLICE_FIELDS = frozenset({"sector", "band", "node"}), frozenset({"slice_id"})
 _SPECTRUM_KEYS = frozenset(BAND_JSON_KEYS.values())
+_DESCRIBED_SECTOR_FIELDS = _SECTOR_FIELDS[0] | _SECTOR_FIELDS[1]
 
 
 def _check_keys(entry: dict, fields: tuple[frozenset, frozenset], where: str) -> None:
@@ -366,28 +405,35 @@ _NUMBER_TYPES = frozenset({int, float})
 
 
 def _sector_from_entry(sector_id: str, entry: dict) -> RanSector:
-    # The common shape is taken in one check; any other entry goes through
-    # the per-field path below, which names the first bad field.
-    if type(entry) is dict and entry.keys() == _SECTOR_FIELDS[0]:
+    # The common shape is checked in one pass, types and ranges together,
+    # and built once; any other entry goes through the per-field path
+    # below, which names the first bad field.
+    if type(entry) is dict and (entry.keys() == _SECTOR_FIELDS[0]
+                                or entry.keys() == _DESCRIBED_SECTOR_FIELDS):
         users = entry["active_users"]
         spectrum_entry = entry["spectrum_available_mhz"]
-        if (type(users) is int and type(spectrum_entry) is dict
+        context = entry.get("description", "")
+        if (type(users) is int and type(context) is str and type(spectrum_entry) is dict
                 and spectrum_entry.keys() == _SPECTRUM_KEYS):
-            numbers = (entry["load_percentage"], spectrum_entry["mmWave"],
-                       spectrum_entry["mid_band"], spectrum_entry["low_band"])
-            if set(map(type, numbers)) <= _NUMBER_TYPES:
+            load, mmwave, mid_band, low_band = numbers = (
+                entry["load_percentage"], spectrum_entry["mmWave"],
+                spectrum_entry["mid_band"], spectrum_entry["low_band"])
+            if _NUMBER_TYPES.issuperset(map(type, numbers)):
                 try:
-                    load, mmwave, mid_band, low_band = map(float, numbers)
+                    load, mmwave, mid_band, low_band = (
+                        float(load), float(mmwave), float(mid_band), float(low_band))
                 except OverflowError:  # an integer past the float range
                     pass
                 else:
-                    if math.isfinite(load + mmwave + mid_band + low_band):
-                        return RanSector(
-                            id=sector_id,
-                            active_users=users,
-                            load_percent=load,
-                            spectrum=SpectrumBands(mmwave, mid_band, low_band),
-                        )
+                    # The load's range keeps it finite; the bands' finite
+                    # sum keeps them finite.
+                    if (_sector_in_range(sector_id, users, load)
+                            and _bands_in_range(mmwave, mid_band, low_band)
+                            and math.isfinite(mmwave + mid_band + low_band)):
+                        spectrum = _built(SpectrumBands, mmwave_mhz=mmwave,
+                                          mid_band_mhz=mid_band, low_band_mhz=low_band)
+                        return _built(RanSector, id=sector_id, active_users=users,
+                                      load_percent=load, spectrum=spectrum, context=context)
     where = f"sector {sector_id!r}"
     if not isinstance(entry, dict):
         raise StateValidationError(f"{where}: entry must be an object")
@@ -435,7 +481,8 @@ def _node_from_entry(node_id: str, entry: dict) -> CoreNode:
         compute_load_percent=_require_number(
             entry["compute_load_percent"], f"{where} compute_load_percent"
         ),
-        latency_to_sector=_latency_row(latencies, where),
+        # The row is the loader's own dict; a view of it is not copied again.
+        latency_to_sector=MappingProxyType(_latency_row(latencies, where)),
         context=_require_text(entry, "description", where, default=""),
     )
 
@@ -586,7 +633,9 @@ def load_state(document: str) -> NetworkState:
         raise StateValidationError("'provisioned_slices' must be a list")
     slices = tuple(config_from_dict(entry, f"provisioned_slices[{i}]")
                    for i, entry in enumerate(slices_entry))
-    state = NetworkState(sectors=sectors, nodes=nodes, provisioned_slices=slices)
+    # Views of the loader's own dicts: `__post_init__` does not copy them.
+    state = NetworkState(sectors=MappingProxyType(sectors), nodes=MappingProxyType(nodes),
+                         provisioned_slices=slices)
     seen_slice_ids: set[str] = set()
     for config in slices:
         validate_config(state, config)
@@ -705,18 +754,16 @@ def apply_provisioning(state: NetworkState, config: SliceConfiguration) -> Netwo
 
     The new state shares `state`'s sector and node maps, which were checked
     when `state` was built, and does not check them again, so the cost does
-    not grow with the topology: it is `validate_config` plus one scan of the
-    ledger for a repeated slice id. That is about 1 us of CPU at every size
-    of `test_apply_provisioning` (`benchmarks/BENCH_state.json`, up to
-    2000 sectors x 50 nodes, empty ledger) and 6 to 11 us with a 250-slice
-    ledger.
+    not grow with the topology: it is `validate_config` plus one lookup of
+    the slice id in the ledger's id set, which `state` builds on its first
+    such call and keeps. That is about 1 us of CPU at every size of
+    `test_apply_provisioning` (`benchmarks/BENCH_state.json`, up to
+    2000 sectors x 50 nodes, empty ledger).
     """
     try:
         validate_config(state, config)
     except UnknownIdError as exc:
         raise ProvisioningError(str(exc)) from exc
-    if config.slice_id is not None:
-        for existing in state.provisioned_slices:
-            if existing.slice_id == config.slice_id:
-                raise ProvisioningError(f"slice id {config.slice_id!r} already provisioned")
+    if config.slice_id is not None and config.slice_id in state._slice_ids:
+        raise ProvisioningError(f"slice id {config.slice_id!r} already provisioned")
     return _with_ledger(state, state.provisioned_slices + (config,))

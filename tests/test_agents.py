@@ -228,6 +228,12 @@ def test_every_key_round_trips_on_every_kind(kind):
         format_action(both)
 
 
+def test_a_none_action_has_no_wire_line():
+    with pytest.raises(ValueError) as excinfo:
+        format_action(AgentAction(kind=ActionKind.NONE, summary="s"))
+    assert str(excinfo.value) == "cannot format a NONE action"
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     summary=st.text(
@@ -445,6 +451,15 @@ def test_consult_specialist_rejects_non_specialists(state, prompts):
 
 
 # --- the ReAct loop ----------------------------------------------------------
+
+@pytest.mark.parametrize("intent_text", ["", " \t\n"], ids=repr)
+def test_react_rejects_a_blank_intent(state, prompts, intent_text):
+    session = scripted_session("ACTION: FINISH | summary=never reached")
+    with pytest.raises(ValueError) as excinfo:
+        run_react(intent_text, state, session, prompts)
+    assert str(excinfo.value) == "intent text must be non-empty"
+    assert session.calls == []
+
 
 @pytest.mark.parametrize("k_max", [0, -2])
 def test_react_rejects_k_max_below_one(state, prompts, k_max):

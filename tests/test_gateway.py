@@ -193,6 +193,16 @@ def test_suite_fixture_lookup_and_missing_key():
         fixture.backend_for("no_such_scenario", "multi_agent")
 
 
+@pytest.mark.parametrize("systems", [[], "multi_agent", None], ids=repr)
+def test_a_fixture_scenario_that_is_not_an_object_is_named(systems):
+    doc = {"scenarios": {"esports_stadium": systems}}
+    with pytest.raises(ScriptError) as excinfo:
+        SuiteFixture.from_doc(doc, "suite.json")
+    assert str(excinfo.value) == (
+        "suite.json: scenario 'esports_stadium' must map systems to scripts"
+    )
+
+
 @pytest.mark.parametrize("load", [load_script, SuiteFixture.from_file],
                          ids=["load_script", "SuiteFixture.from_file"])
 def test_fixture_loaders_raise_only_script_error_naming_the_file(load, bad_json_file):

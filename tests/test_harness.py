@@ -99,6 +99,15 @@ def test_an_entry_without_optional_keys_loads_with_the_scenario_defaults(state, 
     assert scenario.golden == GOLDEN_INDUSTRIAL
 
 
+def test_a_repeated_scenario_id_is_named(state, tmp_path):
+    entries = json.loads(bundled.default_scenarios_path().read_text(encoding="utf-8"))
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(entries + [entries[0]]), encoding="utf-8")
+    with pytest.raises(HarnessError) as excinfo:
+        load_scenarios(path, state)
+    assert str(excinfo.value) == f"duplicate scenario id {entries[0]['id']!r}"
+
+
 # A 5000-digit integer, past Python's int/str digit limit: json.dumps cannot
 # write it, so its digits are spliced into the text after encoding.
 BIG_INT = "<5000-digit integer>"
@@ -688,6 +697,10 @@ def test_ablation_table_lists_deltas(scenarios, suite_fixture, harness_config):
         assert column in table.splitlines()[0]
     full_line = next(l for l in table.splitlines() if l.startswith("Full System"))
     assert "+0.00" in full_line
+    del reports["full"]
+    with pytest.raises(HarnessError) as excinfo:
+        ablation_table(reports)
+    assert str(excinfo.value) == "ablation table needs the 'full' variant as baseline"
 
 
 def test_unknown_system_and_variant_rejected(scenarios, suite_fixture, harness_config):

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
@@ -125,6 +125,23 @@ def test_empty_state_rejected():
     doc["nodes"] = {}
     with pytest.raises(StateValidationError):
         load_state(json.dumps(doc))
+    # Built directly, a state checks the same.
+    state = load_state(json.dumps(minimal_doc()))
+    for sectors, nodes, message in (
+        ({}, state.nodes, "state must contain at least one sector"),
+        (state.sectors, {}, "state must contain at least one node"),
+    ):
+        with pytest.raises(StateValidationError) as excinfo:
+            NetworkState(sectors=sectors, nodes=nodes)
+        assert str(excinfo.value) == message
+
+
+def test_an_empty_node_id_rejected():
+    doc = minimal_doc()
+    doc["nodes"][""] = doc["nodes"].pop("n1")
+    with pytest.raises(StateValidationError) as excinfo:
+        load_state(json.dumps(doc))
+    assert str(excinfo.value) == "node id must be non-empty"
 
 
 def test_missing_latency_entry_names_the_pair():
@@ -214,6 +231,17 @@ def test_out_of_range_values_rejected():
             id="n1", tier=NodeTier.EDGE, compute_load_percent=1.0,
             latency_to_sector={"s1": float("nan")},
         )
+
+
+@pytest.mark.parametrize("load", [0, 100, 0.0, 100.0], ids=repr)
+def test_every_range_includes_its_bounds(number_checks, load):
+    doc = minimal_doc()
+    doc["sectors"]["s1"].update(active_users=0, load_percentage=load)
+    doc["sectors"]["s1"]["spectrum_available_mhz"] = {"mmWave": 0, "mid_band": 0.0, "low_band": 0}
+    sector = load_state(json.dumps(doc)).sector("s1")
+    assert sector == RanSector(id="s1", active_users=0, load_percent=float(load),
+                               spectrum=SpectrumBands(0.0, 0.0, 0.0))
+    assert not [where for where in number_checks if where.startswith("sector")]  # one pass
 
 
 @pytest.mark.parametrize("sector_id", ["", "-", " ", "_", "--", " \t"])
@@ -318,6 +346,28 @@ def test_apply_provisioning_rejects_unknown_ids_and_duplicates(state):
     once = apply_provisioning(state, GOLDEN_INDUSTRIAL)
     with pytest.raises(ProvisioningError):
         apply_provisioning(once, GOLDEN_INDUSTRIAL)
+
+
+def test_a_repeated_slice_id_is_found_in_a_250_slice_ledger():
+    doc = bundled_doc()
+    doc["provisioned_slices"] = [ledger_entry(slice_id=f"ledger_{k:04d}") for k in range(250)]
+    state = load_state(json.dumps(doc))
+    hit = dataclasses.replace(GOLDEN_INDUSTRIAL, slice_id="ledger_0137")
+    with pytest.raises(ProvisioningError) as excinfo:
+        apply_provisioning(state, hit)
+    assert str(excinfo.value) == "slice id 'ledger_0137' already provisioned"
+    derived = apply_provisioning(state, GOLDEN_INDUSTRIAL)  # a miss
+    assert derived.provisioned_slices == state.provisioned_slices + (GOLDEN_INDUSTRIAL,)
+    assert len(state._slice_ids) == 250
+    # A derived state starts without the set and builds its own, which holds
+    # the new id.
+    assert "_slice_ids" not in vars(derived)
+    assert derived._slice_ids == state._slice_ids | {"industrial_autonomy_001"}
+    with pytest.raises(ProvisioningError, match="'industrial_autonomy_001' already provisioned"):
+        apply_provisioning(derived, GOLDEN_INDUSTRIAL)
+    unnamed = dataclasses.replace(GOLDEN_INDUSTRIAL, slice_id=None)
+    twice = apply_provisioning(apply_provisioning(derived, unnamed), unnamed)
+    assert twice.provisioned_slices[-2:] == (unnamed, unnamed)
 
 
 def test_provisioned_state_round_trips(state):
@@ -492,7 +542,9 @@ def test_a_provisioned_state_is_the_state_built_from_its_parts(chain):
                 parent.sectors, parent.nodes, parent.provisioned_slices + (config,)
             )
             assert derived == built
-            assert list(vars(derived)) == list(vars(built))
+            # Nothing cached on `parent` is handed on; `child` may hold its
+            # own slice-id set, built when the chain provisioned from it.
+            assert [key for key in vars(derived) if key != "_slice_ids"] == list(vars(built))
             assert derived.sectors is parent.sectors
             assert derived.nodes is parent.nodes
             assert derived._nearest_nodes == {}
@@ -749,12 +801,132 @@ def test_a_sector_of_integers_or_with_a_description_loads_as_floats(number_check
         assert {type(number) for number in numbers} == {float}
     assert state.sector("sector_0003").load_percent == 40.0
     assert state.sector("sector_0004").context == "a described sector"
-    # A sector of integers is one check; a described sector, and one whose
-    # finite numbers sum past the float range, go field by field.
+    # A sector of integers and a described sector are each one pass; one
+    # whose finite bands sum past the float range goes field by field.
     checked = {sector_id: sum(where.startswith(f"sector {sector_id!r}") for where in number_checks)
                for sector_id in doc["sectors"]}
     assert checked == {"sector_0000": 0, "sector_0001": 0, "sector_0002": 4,
-                       "sector_0003": 0, "sector_0004": 4}
+                       "sector_0003": 0, "sector_0004": 0}
+
+
+def reference_sector(sector_id: str, entry: object) -> RanSector:
+    """The sector `load_state` must build from `entry`, written out field by
+    field through the constructors, which name the first bad field."""
+    where = f"sector {sector_id!r}"
+    if not isinstance(entry, dict):
+        raise StateValidationError(f"{where}: entry must be an object")
+    required = {"active_users", "load_percentage", "spectrum_available_mhz"}
+    missing = required - entry.keys()
+    if missing:
+        raise StateValidationError(f"{where}: missing field(s) {sorted(missing)}")
+    unknown = entry.keys() - required - {"description"}
+    if unknown:
+        raise StateValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
+    users = entry["active_users"]
+    if isinstance(users, bool) or not isinstance(users, int):
+        raise StateValidationError(f"{where}: active_users must be an integer")
+    spectrum = entry["spectrum_available_mhz"]
+    if not isinstance(spectrum, dict):
+        raise StateValidationError(f"{where}: spectrum_available_mhz must be an object")
+    if spectrum.keys() != {"mmWave", "mid_band", "low_band"}:
+        raise StateValidationError(f"{where}: spectrum_available_mhz must have exactly "
+                                   "keys ['low_band', 'mid_band', 'mmWave']")
+
+    def number(value, name):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise StateValidationError(f"{where} {name} must be a number, got {value!r}")
+        try:
+            finite = float(value)
+        except OverflowError:  # an integer past the float range
+            finite = math.inf
+        if not math.isfinite(finite):
+            raise StateValidationError(f"{where} {name} must be a finite number, got {value!r}")
+        return finite
+
+    bands = SpectrumBands(number(spectrum["mmWave"], "mmWave"),
+                          number(spectrum["mid_band"], "mid_band"),
+                          number(spectrum["low_band"], "low_band"))
+    load = number(entry["load_percentage"], "load_percentage")
+    context = entry.get("description", "")
+    if not isinstance(context, str):
+        raise StateValidationError(f"{where}: description must be a string, got {context!r}")
+    return RanSector(sector_id, users, load, bands, context)
+
+
+_entry_numbers = (
+    st.floats(min_value=-1, max_value=101)
+    | st.integers(min_value=-2, max_value=10**4)
+    | st.sampled_from([-0.1, 100.5, math.nan, math.inf, -math.inf, 10**400, 1e308, -0.0,
+                       True, "5", None])
+)
+
+
+@st.composite
+def sector_entries(draw):
+    """A sector id and an entry of the common shape, with or without a
+    description, each part valid or not."""
+    spectrum = {band: draw(_entry_numbers) for band in ("mmWave", "mid_band", "low_band")}
+    entry = {
+        "active_users": draw(st.integers(min_value=-3, max_value=10**6)
+                             | st.sampled_from([True, False, 2.0, "5", None])),
+        "load_percentage": draw(_entry_numbers),
+        "spectrum_available_mhz": draw(st.just(spectrum) | st.sampled_from([[], "mid", 5, None])),
+    }
+    if draw(st.booleans()):
+        entry["description"] = draw(st.text(max_size=8) | st.sampled_from([None, 7, ["x"]]))
+    if draw(st.integers(0, 9)) == 0:
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    if draw(st.integers(0, 9)) == 0:
+        entry[draw(st.sampled_from(["surprise", "load"]))] = 1
+    return draw(st.text(max_size=6) | st.sampled_from(["cell_7", "-", "_", "Ω"])), entry
+
+
+def _good_entry(**changes):
+    """A valid sector entry with `changes` made: a band name sets that band,
+    any other key is set, or deleted when its value is None."""
+    entry = {"active_users": 10, "load_percentage": 50.5,
+             "spectrum_available_mhz": {"mmWave": 0, "mid_band": 20.0, "low_band": 10}}
+    for key, value in changes.items():
+        if key in {"mmWave", "mid_band", "low_band"}:
+            entry["spectrum_available_mhz"] = {**entry["spectrum_available_mhz"], key: value}
+        elif value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+    return entry
+
+
+@settings(max_examples=400, deadline=None)
+@given(sector_entries())
+@example(("cell_7", _good_entry()))
+@example(("cell_7", _good_entry(description="a described cell")))
+@example(("cell_7", _good_entry(active_users=-1)))
+@example(("cell_7", _good_entry(active_users=True)))
+@example(("cell_7", _good_entry(load_percentage=-0.1)))
+@example(("cell_7", _good_entry(load_percentage=100.5)))
+@example(("cell_7", _good_entry(load_percentage=math.nan)))
+@example(("cell_7", _good_entry(load_percentage=math.inf)))
+@example(("cell_7", _good_entry(mid_band=-1)))
+@example(("cell_7", _good_entry(low_band=math.nan)))
+@example(("cell_7", _good_entry(mmWave=10**400)))
+@example(("-_-", _good_entry()))
+@example(("cell_7", _good_entry(load_percentage=None)))
+@example(("cell_7", _good_entry(surprise=1)))
+@example(("cell_7", _good_entry(spectrum_available_mhz=[20, 10])))
+def test_one_pass_sector_equals_the_constructor_built_reference(case):
+    sector_id, entry = case
+    try:
+        expected = reference_sector(sector_id, entry)
+    except StateValidationError as exc:
+        with pytest.raises(StateValidationError) as excinfo:
+            model._sector_from_entry(sector_id, entry)
+        assert str(excinfo.value) == str(exc)
+        return
+    sector = model._sector_from_entry(sector_id, entry)
+    assert sector == expected
+    assert repr(sector) == repr(expected)
+    assert list(vars(sector)) == list(vars(expected))
+    assert list(vars(sector.spectrum)) == list(vars(expected.spectrum))
 
 
 def test_the_duplicate_named_is_the_first_repeated_key():

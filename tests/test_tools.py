@@ -143,3 +143,12 @@ def test_ab_summariser_reports_spread_wins_and_verdicts():
     assert text.startswith("10 pairs, 3 left out")
     assert "won 9/10  gain" in text and "won 0/10  worse" in text
     assert ab.summarise(pairs[:1] + pairs[10:]) == {"pairs": 1, "left_out": 3, "rows": []}
+
+    # Three pairs that drift one way win 3/3 by far more than the spread,
+    # but three pairs are too few to show a gain.
+    drift = [(run(p, 20.0), run(p * 1.2, 20.0)) for p in (40.0, 41.0, 39.0)]
+    summary = ab.summarise(drift)
+    rows = {row["metric"]: row for row in summary["rows"]}
+    assert rows["ops_per_ref_s"]["won"] == 3
+    assert not any(row["gain"] for row in summary["rows"])
+    assert "gain" not in ab.format_summary(summary)

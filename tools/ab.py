@@ -15,11 +15,13 @@ neither). A pair in which either side exited non-zero or failed its
 reference check is left out of these figures, and the count left out is
 printed.
 
-A metric is marked `gain` when the change won at least nine tenths of the
-pairs and its median is better than the parent's by more than the parent's
-quartile spread; it is marked `worse` when the change's median is worse than
-the parent's by more than the metric's bound (`spread.worse_by`). The exit
-code is 1 when a run failed or fewer than two pairs are left, else 0.
+A metric is marked `gain` when at least ten pairs are kept, the change won
+at least nine tenths of them and its median is better than the parent's by
+more than the parent's quartile spread: with fewer pairs, a spell of the
+machine that favours one side can pass the nine-tenths rule alone. It is
+marked `worse` when the change's median is worse than the parent's by more
+than the metric's bound (`spread.worse_by`). The exit code is 1 when a run
+failed or fewer than two pairs are left, else 0.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+MIN_GAIN_PAIRS = 10  # the fewest kept pairs that can show a gain
 
 
 def load_spread(checkout: Path, name: str):
@@ -55,7 +58,8 @@ def summarise(pairs: list[tuple[dict, dict]]) -> dict:
     """The figures of the (parent, change) runs of each pair: how many pairs
     were left out because a side failed, and one row per gated metric with
     each side's median and spread, the pairs the change won and the `gain`
-    and `worse` verdicts. With fewer than two pairs left there are no rows."""
+    and `worse` verdicts. With fewer than two pairs left there are no rows;
+    with fewer than `MIN_GAIN_PAIRS` no row is a `gain`."""
     kept = [(p["result"], c["result"]) for p, c in pairs if not (failed(p) or failed(c))]
     summary = {"pairs": len(kept), "left_out": len(pairs) - len(kept), "rows": []}
     if len(kept) < 2:
@@ -74,7 +78,8 @@ def summarise(pairs: list[tuple[dict, dict]]) -> dict:
             for parent, change in zip(values["parent"], values["change"])
         )
         worse = spread.worse_by(name, row["parent"]["median"], row["change"]["median"])
-        row["gain"] = row["won"] >= 0.9 * len(kept) and -worse > row["parent"]["spread"]
+        row["gain"] = (len(kept) >= MIN_GAIN_PAIRS and row["won"] >= 0.9 * len(kept)
+                       and -worse > row["parent"]["spread"])
         row["worse"] = worse > gate["bound"]
         summary["rows"].append(row)
     return summary
