@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from math import fsum, isqrt
 from pathlib import Path
 
@@ -131,18 +132,18 @@ class HarnessConfig:
     thresholds: Thresholds = DEFAULT_THRESHOLDS
     repeats: int = 3
     jobs: int = 1
-    # Referee profiles by intent text, filled by `referee_profile`. Exact
-    # because `state` is immutable and the referee lexicon is fixed; a
-    # `dataclasses.replace` copy starts empty.
-    _referee_profiles: dict[str, IntentProfile] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.repeats < 1:  # run_scenario would return no record to report
             raise ValueError(f"repeats must be a positive integer, got {self.repeats}")
         if self.jobs < 1:  # run_benchmark would quietly run serially
             raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
+
+    @cached_property
+    def _referee_profiles(self) -> dict[str, IntentProfile]:
+        """Referee profiles by intent text, filled by `referee_profile`; exact,
+        as `state` is immutable and the referee lexicon fixed. A copy starts empty."""
+        return {}
 
 
 # The required and optional keys of a scenario suite entry: the fields of

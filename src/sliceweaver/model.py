@@ -22,12 +22,11 @@ call, and keep it.
 whose values are all finite floats, as the canonical text writes them, is
 taken in one check, and the loader scans value by value only to convert
 integers or to name a bad value, so its messages do not depend on the bulk
-check. Each sector entry of the common shape (exact keys, with or without a
-string description, an integer user count, four finite numbers) is checked
-in one pass, types and ranges together, and built once, without running the
-constructors' checks again; any other entry goes field by field through the
-constructors, which name the first bad field. The loader hands the nodes
-and the state read-only views of its own fresh dicts, so no map is copied.
+check. Every sector entry takes one path: each field is checked once, in a
+fixed order, and the first bad one is named; a valid entry is built once,
+without running the constructors' checks again, and the constructors run
+only to name a value out of range. The loader hands the nodes and the state
+read-only views of its own fresh dicts, so no map is copied.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ import json
 import math
 import operator
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, fields
+from contextlib import suppress
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -199,10 +198,13 @@ class CoreNode:
                 f"node {self.id!r}: compute_load_percent {self.compute_load_percent} "
                 "outside [0, 100]"
             )
-        # One pass in C over the row (`min` would skip a NaN that is not
-        # first); the scan below only names the culprit.
-        if all(map(operator.gt, self.latency_to_sector.values(), repeat(0))):
-            return
+        # Two passes in C: a NaN makes the sum NaN, and without one `min`
+        # settles `> 0`. Otherwise, or where an integer past the float range
+        # overflows the sum, the scan below decides and names the culprit.
+        values = self.latency_to_sector.values()
+        with suppress(OverflowError):
+            if (total := sum(values)) == total and min(values, default=1.0) > 0:
+                return
         for sector_id, value in self.latency_to_sector.items():
             if not value > 0:
                 raise StateValidationError(
@@ -253,10 +255,6 @@ class NetworkState:
     sectors: Mapping[str, RanSector]
     nodes: Mapping[str, CoreNode]
     provisioned_slices: tuple[SliceConfiguration, ...] = ()
-    # The oracle's per-sector nearest nodes by kappa_max, filled by the first
-    # `solve` (oracle._nearest_nodes). Exact because the state is immutable;
-    # a new state, such as the one `apply_provisioning` returns, starts empty.
-    _nearest_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sectors", _read_only(self.sectors))
@@ -300,6 +298,12 @@ class NetworkState:
         return json_text(state_to_dict(self)) + "\n"
 
     @cached_property
+    def _nearest_nodes(self) -> dict:
+        """The oracle's per-sector nearest nodes by kappa_max, filled by the
+        first `solve` (oracle._nearest_nodes); every new state starts empty."""
+        return {}
+
+    @cached_property
     def _slice_ids(self) -> frozenset[str]:
         """The ledger's slice ids, which `apply_provisioning` checks a new
         id against; built on first use and kept, as the state is immutable."""
@@ -311,10 +315,9 @@ def _with_ledger(state: NetworkState, ledger: tuple[SliceConfiguration, ...]) ->
     """`NetworkState(state.sectors, state.nodes, ledger)` without
     `__post_init__`: `state`'s maps are read-only and were checked when it
     was built, so the new state shares them as they are. Like any state just
-    built, it has its own empty `_nearest_nodes`, no cached text and no
-    slice-id set."""
+    built, it has no nearest nodes, no cached text and no slice-id set."""
     return _built(NetworkState, sectors=state.sectors, nodes=state.nodes,
-                  provisioned_slices=ledger, _nearest_nodes={})
+                  provisioned_slices=ledger)
 
 
 def latency(state: NetworkState, sector_id: str, node_id: str) -> float:
@@ -401,65 +404,54 @@ def _latency_row(latencies: dict, where: str) -> dict[str, float]:
     }
 
 
-_NUMBER_TYPES = frozenset({int, float})
+def _finite(value: object, sector_id: str, key: str) -> float:
+    """The sector's number `key` as a float. A finite float or int is taken
+    here; anything else goes to `_require_number`, which names the fault."""
+    if type(value) is float:
+        if math.isfinite(value):
+            return value
+    elif type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:  # past the float range
+            pass
+    return _require_number(value, f"sector {sector_id!r} {key}")
 
 
 def _sector_from_entry(sector_id: str, entry: dict) -> RanSector:
-    # The common shape is checked in one pass, types and ranges together,
-    # and built once; any other entry goes through the per-field path
-    # below, which names the first bad field.
-    if type(entry) is dict and (entry.keys() == _SECTOR_FIELDS[0]
-                                or entry.keys() == _DESCRIBED_SECTOR_FIELDS):
-        users = entry["active_users"]
-        spectrum_entry = entry["spectrum_available_mhz"]
-        context = entry.get("description", "")
-        if (type(users) is int and type(context) is str and type(spectrum_entry) is dict
-                and spectrum_entry.keys() == _SPECTRUM_KEYS):
-            load, mmwave, mid_band, low_band = numbers = (
-                entry["load_percentage"], spectrum_entry["mmWave"],
-                spectrum_entry["mid_band"], spectrum_entry["low_band"])
-            if _NUMBER_TYPES.issuperset(map(type, numbers)):
-                try:
-                    load, mmwave, mid_band, low_band = (
-                        float(load), float(mmwave), float(mid_band), float(low_band))
-                except OverflowError:  # an integer past the float range
-                    pass
-                else:
-                    # The load's range keeps it finite; the bands' finite
-                    # sum keeps them finite.
-                    if (_sector_in_range(sector_id, users, load)
-                            and _bands_in_range(mmwave, mid_band, low_band)
-                            and math.isfinite(mmwave + mid_band + low_band)):
-                        spectrum = _built(SpectrumBands, mmwave_mhz=mmwave,
-                                          mid_band_mhz=mid_band, low_band_mhz=low_band)
-                        return _built(RanSector, id=sector_id, active_users=users,
-                                      load_percent=load, spectrum=spectrum, context=context)
-    where = f"sector {sector_id!r}"
+    # Each field is checked once, in this order, and the first bad one is
+    # named; a message is formatted only then. A valid entry is built once,
+    # and the constructors run only to name a value out of range.
     if not isinstance(entry, dict):
-        raise StateValidationError(f"{where}: entry must be an object")
-    _check_keys(entry, _SECTOR_FIELDS, where)
+        raise StateValidationError(f"sector {sector_id!r}: entry must be an object")
+    if entry.keys() != _SECTOR_FIELDS[0] and entry.keys() != _DESCRIBED_SECTOR_FIELDS:
+        _check_keys(entry, _SECTOR_FIELDS, f"sector {sector_id!r}")  # names the culprit
     users = entry["active_users"]
     if isinstance(users, bool) or not isinstance(users, int):
-        raise StateValidationError(f"{where}: active_users must be an integer")
+        raise StateValidationError(f"sector {sector_id!r}: active_users must be an integer")
     spectrum_entry = entry["spectrum_available_mhz"]
     if not isinstance(spectrum_entry, dict):
-        raise StateValidationError(f"{where}: spectrum_available_mhz must be an object")
-    if spectrum_entry.keys() != _SPECTRUM_KEYS:
         raise StateValidationError(
-            f"{where}: spectrum_available_mhz must have exactly keys {sorted(_SPECTRUM_KEYS)}"
-        )
-    spectrum = SpectrumBands(
-        mmwave_mhz=_require_number(spectrum_entry["mmWave"], f"{where} mmWave"),
-        mid_band_mhz=_require_number(spectrum_entry["mid_band"], f"{where} mid_band"),
-        low_band_mhz=_require_number(spectrum_entry["low_band"], f"{where} low_band"),
-    )
-    return RanSector(
-        id=sector_id,
-        active_users=users,
-        load_percent=_require_number(entry["load_percentage"], f"{where} load_percentage"),
-        spectrum=spectrum,
-        context=_require_text(entry, "description", where, default=""),
-    )
+            f"sector {sector_id!r}: spectrum_available_mhz must be an object")
+    if spectrum_entry.keys() != _SPECTRUM_KEYS:
+        raise StateValidationError(f"sector {sector_id!r}: spectrum_available_mhz must have "
+                                   f"exactly keys {sorted(_SPECTRUM_KEYS)}")
+    mmwave = _finite(spectrum_entry["mmWave"], sector_id, "mmWave")
+    mid_band = _finite(spectrum_entry["mid_band"], sector_id, "mid_band")
+    low_band = _finite(spectrum_entry["low_band"], sector_id, "low_band")
+    if not _bands_in_range(mmwave, mid_band, low_band):
+        SpectrumBands(mmwave, mid_band, low_band)  # names the culprit
+    load = _finite(entry["load_percentage"], sector_id, "load_percentage")
+    context = entry.get("description", "")
+    if not isinstance(context, str):
+        raise StateValidationError(
+            f"sector {sector_id!r}: description must be a string, got {context!r}")
+    spectrum = _built(SpectrumBands, mmwave_mhz=mmwave, mid_band_mhz=mid_band,
+                      low_band_mhz=low_band)
+    if not _sector_in_range(sector_id, users, load):
+        RanSector(sector_id, users, load, spectrum, context)  # names the culprit
+    return _built(RanSector, id=sector_id, active_users=users, load_percent=load,
+                  spectrum=spectrum, context=context)
 
 
 def _node_from_entry(node_id: str, entry: dict) -> CoreNode:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from sliceweaver import cli
 from sliceweaver import data as bundled
-from sliceweaver.agents import PROMPT_ROLES
+from sliceweaver.agents import DEFAULT_K_MAX, PROMPT_ROLES
 from sliceweaver.cli import main
 from sliceweaver.intent import Lexicon
 from sliceweaver.scoring import round_half_up
@@ -184,6 +184,25 @@ def test_run_intent_live_malformed_payload_exits_3(capsys, monkeypatch, content)
     assert code == 3
     assert err.startswith("gateway error: malformed provider response")
     assert "Traceback" not in err
+
+
+def test_run_intent_that_never_provisions_exits_1(capsys, tmp_path):
+    fixture = tmp_path / "stalled.json"
+    fixture.write_text(json.dumps([{"response": "THOUGHT: still weighing the bands."}]
+                                  * DEFAULT_K_MAX))
+    code, out, _ = run_cli(capsys, "run-intent", FACTORY_INTENT, "--backend", f"scripted:{fixture}")
+    assert code == 1
+    assert f"--- Iteration {DEFAULT_K_MAX} ---" in out
+    assert out.endswith("\nno configuration provisioned (outcome: iteration_limit)\n")
+
+
+def test_oracle_notes_that_no_candidate_is_feasible(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--intent", "plain connectivity request",
+                           "--kappa-max", "0", "--top", "2")
+    assert code == 0
+    assert " no\n" in out and " yes\n" not in out
+    assert out.endswith(
+        "\nnote: no feasible candidate; ranking shows best infeasible fallbacks\n")
 
 
 def test_oracle_command(capsys, tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
 from sliceweaver import harness
-from sliceweaver.agents import run_react
+from sliceweaver.agents import DEFAULT_K_MAX, run_react
 from sliceweaver.gateway import (
     ChatSession,
     CompletionResult,
@@ -242,6 +242,22 @@ def test_run_scenario_failure_becomes_zero_accuracy_row(scenarios, harness_confi
     assert all(r.produced is None for r in records)
     assert all(r.error for r in records)
     assert all(not r.hybrid_success for r in records)
+
+
+def test_run_scenario_that_never_provisions_records_the_iteration_limit(
+    scenarios, harness_config
+):
+    scenario = by_id(scenarios, "esports_stadium")
+    stalled = SuiteFixture.from_doc(
+        {"scenarios": {scenario.id: {
+            "multi_agent": [{"response": "THOUGHT: still weighing the bands."}] * DEFAULT_K_MAX,
+        }}},
+        "stalled",
+    )
+    records = run_scenario(scenario, "multi_agent", stalled, harness_config)
+    assert [record.error for record in records] == ["iteration limit exceeded"] * 3
+    assert all(record.iterations == DEFAULT_K_MAX for record in records)
+    assert all(record.produced is None and record.utility == 0.0 for record in records)
 
 
 def counting(monkeypatch, name):

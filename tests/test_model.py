@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
 from sliceweaver import model
-from sliceweaver.harness import ColumnStats
+from sliceweaver.harness import ColumnStats, HarnessConfig
 from sliceweaver.model import (
     Band,
     CoreNode,
@@ -551,6 +551,15 @@ def test_a_provisioned_state_is_the_state_built_from_its_parts(chain):
             assert derived._nearest_nodes is not parent._nearest_nodes
 
 
+def test_a_state_and_a_config_list_only_their_data_as_fields():
+    # What they derive and keep (nearest nodes, referee profiles, cached
+    # text) are cached properties, not fields.
+    assert [f.name for f in dataclasses.fields(NetworkState)] == [
+        "sectors", "nodes", "provisioned_slices"]
+    assert [f.name for f in dataclasses.fields(HarnessConfig)] == [
+        "state", "prompts", "thresholds", "repeats", "jobs"]
+
+
 def test_provisioning_does_not_check_the_topology_again(state, monkeypatch):
     checks = []
     post_init = NetworkState.__post_init__
@@ -734,6 +743,35 @@ def test_one_bad_latency_is_named_as_before(number_checks, bad, message):
     assert sum(" latency to " in where for where in number_checks) == 50
 
 
+_latencies = st.floats() | st.integers() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 0, 10**400, -(10**400)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_latencies, max_size=8))
+@example([1.0, math.nan, 2.0])
+@example([math.inf, -math.inf])
+@example([-0.0])
+@example([])
+@example([3, 5])
+@example([1.5, 10**400])
+def test_a_latency_row_passes_iff_every_value_is_positive(values):
+    row = {f"s{i}": value for i, value in enumerate(values)}
+
+    def node():
+        return CoreNode(id="n1", tier=NodeTier.EDGE, compute_load_percent=1.0,
+                        latency_to_sector=row)
+
+    if all(value > 0 for value in values):
+        assert node().latency_to_sector == row
+        return
+    with pytest.raises(StateValidationError) as excinfo:
+        node()
+    sector_id, value = next((sector_id, value) for sector_id, value in row.items()
+                            if not value > 0)
+    assert str(excinfo.value) == f"node 'n1': latency to {sector_id!r} must be > 0, got {value}"
+
+
 _SECTOR_NUMBERS = {
     # field in the document: (path to it, its name in messages)
     "load_percentage": ((), "load_percentage"),
@@ -801,11 +839,11 @@ def test_a_sector_of_integers_or_with_a_description_loads_as_floats(number_check
         assert {type(number) for number in numbers} == {float}
     assert state.sector("sector_0003").load_percent == 40.0
     assert state.sector("sector_0004").context == "a described sector"
-    # A sector of integers and a described sector are each one pass; one
-    # whose finite bands sum past the float range goes field by field.
+    # No valid sector needs a per-value number check: not one of integers,
+    # a described one, nor one whose finite bands sum past the float range.
     checked = {sector_id: sum(where.startswith(f"sector {sector_id!r}") for where in number_checks)
                for sector_id in doc["sectors"]}
-    assert checked == {"sector_0000": 0, "sector_0001": 0, "sector_0002": 4,
+    assert checked == {"sector_0000": 0, "sector_0001": 0, "sector_0002": 0,
                        "sector_0003": 0, "sector_0004": 0}
 
 
@@ -927,6 +965,54 @@ def test_one_pass_sector_equals_the_constructor_built_reference(case):
     assert repr(sector) == repr(expected)
     assert list(vars(sector)) == list(vars(expected))
     assert list(vars(sector.spectrum)) == list(vars(expected.spectrum))
+
+
+# One fault per field, in the order `load_state` checks them: the fields it
+# touches, the changes to `_good_entry` (an "id" renames the sector) and the
+# message, with `{}` for the sector id.
+_SECTOR_FAULTS = [
+    ({"surprise"}, {"surprise": 1}, "sector {!r}: unknown field(s) ['surprise']"),
+    ({"active_users"}, {"active_users": "5"}, "sector {!r}: active_users must be an integer"),
+    ({"mmWave", "mid_band", "low_band"}, {"spectrum_available_mhz": []},
+     "sector {!r}: spectrum_available_mhz must be an object"),
+    ({"mmWave"}, {"mmWave": "5"}, "sector {!r} mmWave must be a number, got '5'"),
+    ({"mid_band"}, {"mid_band": None}, "sector {!r} mid_band must be a number, got None"),
+    ({"low_band"}, {"low_band": math.nan}, "sector {!r} low_band must be a finite number, got nan"),
+    ({"mid_band"}, {"mid_band": -1}, "spectrum mid_band_mhz must be >= 0, got -1.0"),
+    ({"load_percentage"}, {"load_percentage": "5"},
+     "sector {!r} load_percentage must be a number, got '5'"),
+    ({"description"}, {"description": 7}, "sector {!r}: description must be a string, got 7"),
+    ({"id"}, {"id": "-"}, "sector id {!r} has no letter or digit"),
+    ({"active_users"}, {"active_users": -1}, "sector {!r}: active_users must be >= 0"),
+    ({"load_percentage"}, {"load_percentage": 100.5},
+     "sector {!r}: load_percent 100.5 outside [0, 100]"),
+]
+
+
+@pytest.mark.parametrize("first", range(len(_SECTOR_FAULTS)))
+def test_of_two_bad_fields_the_one_checked_first_is_named(first):
+    touched, changes, message = _SECTOR_FAULTS[first]
+    for later_touched, later_changes, _ in _SECTOR_FAULTS[first + 1:]:
+        if touched & later_touched:
+            continue
+        both = {**changes, **later_changes}
+        sector_id = both.pop("id", "cell_7")
+        with pytest.raises(StateValidationError) as excinfo:
+            model._sector_from_entry(sector_id, _good_entry(**both))
+        assert str(excinfo.value) == message.format(sector_id)
+
+
+@pytest.mark.parametrize("bound", [0, 100, 0.0, 100.0], ids=repr)
+def test_a_valid_sector_runs_no_constructor(monkeypatch, bound):
+    runs = []
+    for cls in (SpectrumBands, RanSector):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: runs.append(type(self).__name__))
+    entry = _good_entry(active_users=0, load_percentage=bound, mmWave=0, mid_band=-0.0,
+                        low_band=0.0, description="")
+    sector = model._sector_from_entry("7", entry)
+    assert runs == []
+    monkeypatch.undo()
+    assert sector == RanSector("7", 0, float(bound), SpectrumBands(0.0, -0.0, 0.0))
 
 
 def test_the_duplicate_named_is_the_first_repeated_key():
