@@ -1,8 +1,8 @@
 """Fixtures for the per-layer benchmarks: seeded synthetic topologies.
 
 The builder is deliberately small: sector and node counts are the scale
-axis, the seed fixes every load, spectrum and latency value, so a case
-measures the same input on every run.
+axis, the seed fixes every load, spectrum and latency value and every
+ledger entry, so a case measures the same input on every run.
 """
 
 from __future__ import annotations
@@ -12,14 +12,25 @@ import random
 import pytest
 
 from sliceweaver import data as bundled
-from sliceweaver.model import CoreNode, NetworkState, NodeTier, RanSector, SpectrumBands
+from sliceweaver.model import (
+    Band,
+    CoreNode,
+    NetworkState,
+    NodeTier,
+    RanSector,
+    SliceConfiguration,
+    SpectrumBands,
+)
 
 DISTRICTS = ("harbor", "midtown", "campus", "depot", "ridge", "market")
 
 
-def build_topology(n_sectors: int, n_nodes: int, seed: int = 1) -> NetworkState:
+def build_topology(n_sectors: int, n_nodes: int, n_slices: int = 0, seed: int = 1) -> NetworkState:
     """`n_sectors` sectors (about a third with mmWave, all with mid and low
-    band) and `n_nodes` UPF nodes, each with a latency to every sector."""
+    band) and `n_nodes` UPF nodes, each with a latency to every sector, and
+    a ledger of `n_slices` provisioned slices, each at a band with spectrum
+    at its sector. The ledger has its own seed, so a topology is the same
+    with or without one."""
     rng = random.Random(f"topology:{seed}:{n_sectors}:{n_nodes}")
     sectors = {}
     for i in range(n_sectors):
@@ -43,18 +54,27 @@ def build_topology(n_sectors: int, n_nodes: int, seed: int = 1) -> NetworkState:
             compute_load_percent=round(rng.uniform(20, 95), 1),
             latency_to_sector={sid: round(rng.uniform(2, 45), 1) for sid in sectors},
         )
-    return NetworkState(sectors=sectors, nodes=nodes)
+    rng = random.Random(f"ledger:{seed}:{n_sectors}:{n_nodes}:{n_slices}")
+    sector_ids, node_ids = list(sectors), list(nodes)
+    ledger = []
+    for k in range(n_slices):
+        sector = sectors[rng.choice(sector_ids)]
+        bands = [band for band in Band if sector.spectrum.available(band)]
+        ledger.append(SliceConfiguration(sector.id, rng.choice(bands), rng.choice(node_ids),
+                                         slice_id=f"ledger_{k:04d}"))
+    return NetworkState(sectors=sectors, nodes=nodes, provisioned_slices=tuple(ledger))
 
 
 @pytest.fixture(scope="session")
 def topology():
-    """Build (and keep) the seeded topology of a given size."""
-    built: dict[tuple[int, int], NetworkState] = {}
+    """Build (and keep) the seeded topology of a given size and ledger."""
+    built: dict[tuple[int, int, int], NetworkState] = {}
 
-    def get(n_sectors: int, n_nodes: int) -> NetworkState:
-        if (n_sectors, n_nodes) not in built:
-            built[n_sectors, n_nodes] = build_topology(n_sectors, n_nodes)
-        return built[n_sectors, n_nodes]
+    def get(n_sectors: int, n_nodes: int, n_slices: int = 0) -> NetworkState:
+        size = n_sectors, n_nodes, n_slices
+        if size not in built:
+            built[size] = build_topology(*size)
+        return built[size]
 
     return get
 

@@ -1,5 +1,6 @@
 """Per-layer benchmarks of the gateway: one specialist consultation per
-backend, which carries the whole serialized state to the model.
+backend, which carries the whole serialized state to the model, and the
+load of the bundled suite fixture that every suite command makes.
 
 Not part of the default test run (pyproject's testpaths is `tests`). Run:
 
@@ -34,6 +35,7 @@ from sliceweaver.gateway import (
     LiveBackend,
     ScriptedBackend,
     ScriptedExchange,
+    SuiteFixture,
     _rendered_length,
 )
 from sliceweaver.model import serialize_state
@@ -111,3 +113,12 @@ def test_consult_live(benchmark, topology, prompts, n_sectors, n_nodes):
     assert reply == REPLY
     record_prompt_size(benchmark, prompts, state)
     benchmark.extra_info["request_body_bytes"] = http.body_bytes
+
+
+def test_suite_fixture_load(benchmark):
+    # The bundled fixture: 156 exchanges over 12 scenarios and 3 systems,
+    # each one read, checked and built.
+    path = bundled.default_suite_fixture_path()
+    fixture = benchmark.pedantic(SuiteFixture.from_file, args=(path,), rounds=200)
+    assert sum(len(script) for systems in fixture._scripts.values()
+               for script in systems.values()) == 156

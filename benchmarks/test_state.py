@@ -25,7 +25,15 @@ from sliceweaver.model import Band, SliceConfiguration, apply_provisioning, load
 # keep the recorded JSON small: a cache hit would otherwise be calibrated to
 # some 200k rounds, each one stored.
 SIZES = [(5, 4), (50, 12), (500, 50), (2000, 50)]
-ROUNDS = {5: 200, 50: 50, 500: 10, 2000: 5}
+ROUNDS = {5: 200, 50: 50, 200: 20, 500: 10, 2000: 5}
+
+# `load_state`'s cases: each size with an empty ledger, then `agent_replay`'s
+# 200 x 10 with 250 slices and the largest size with 2000.
+LOAD_CASES = [pytest.param(n_sectors, n_nodes, 0, id=f"{n_sectors}-{n_nodes}")
+              for n_sectors, n_nodes in SIZES] + [
+    pytest.param(200, 10, 250, id="200-10-250"),
+    pytest.param(2000, 50, 2000, id="2000-50-2000"),
+]
 
 RAN_REQUEST = "Which band and sector fit a low-latency slice?"
 CORE_REQUEST = "Which UPF node meets the latency bound for that sector?"
@@ -35,12 +43,13 @@ def fresh_copy(state):
     return lambda: ((dataclasses.replace(state),), {})
 
 
-@pytest.mark.parametrize("n_sectors,n_nodes", SIZES)
-def test_load_state(benchmark, topology, n_sectors, n_nodes):
-    state = topology(n_sectors, n_nodes)
+@pytest.mark.parametrize("n_sectors,n_nodes,n_slices", LOAD_CASES)
+def test_load_state(benchmark, topology, n_sectors, n_nodes, n_slices):
+    state = topology(n_sectors, n_nodes, n_slices)
     document = serialize_state(state)
     loaded = benchmark.pedantic(load_state, args=(document,), rounds=ROUNDS[n_sectors])
     assert loaded == state
+    assert len(loaded.provisioned_slices) == n_slices
 
 
 @pytest.mark.parametrize("n_sectors,n_nodes", SIZES)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .model import read_json
+from .model import _built, read_json
 
 if TYPE_CHECKING:
     import requests
@@ -325,7 +325,12 @@ def exchange_from_dict(entry: dict) -> ScriptedExchange:
         value = entry.get(key)
         if value is not None and not isinstance(value, str):
             raise ScriptError(f"script entry {key!r} must be a string: {value!r}")
-    return ScriptedExchange(**entry)
+    # `ScriptedExchange` checks nothing, so its frozen constructor is skipped.
+    return _built(ScriptedExchange, response=entry["response"],
+                  prompt_tokens=entry.get("prompt_tokens"),
+                  completion_tokens=entry.get("completion_tokens"),
+                  expect_contains=entry.get("expect_contains"),
+                  expect_sha256=entry.get("expect_sha256"))
 
 
 def script_from_doc(doc, name: str) -> list[ScriptedExchange]:

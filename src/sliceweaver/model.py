@@ -25,8 +25,9 @@ integers or to name a bad value, so its messages do not depend on the bulk
 check. Every sector entry takes one path: each field is checked once, in a
 fixed order, and the first bad one is named; a valid entry is built once,
 without running the constructors' checks again, and the constructors run
-only to name a value out of range. The loader hands the nodes and the state
-read-only views of its own fresh dicts, so no map is copied.
+only to name a value out of range. Nodes and ledger entries are built the
+same way. The loader hands the nodes and the state read-only views of its
+own fresh dicts, so no map is copied.
 """
 
 from __future__ import annotations
@@ -85,11 +86,12 @@ BAND_JSON_KEYS: dict[Band, str] = {
 
 def _built(cls: type, **fields):
     """An instance of the frozen dataclass `cls` with these fields, made
-    without `__init__` and so without `__post_init__`'s checks: only for
-    fields already checked. Pass every field, in declaration order, so the
-    instance's `vars()` reads as a constructed one's. The instance keeps a
-    field dict of its own: on CPython 3.11 a sector and its spectrum take
-    about 270 bytes more than constructed ones."""
+    without `__init__` and so without `__post_init__`'s checks. Use it only
+    for fields that are already checked, or for a class whose constructor
+    checks nothing (no `__post_init__`). Pass every field, in declaration
+    order, so the instance's `vars()` reads as a constructed one's. The
+    instance keeps a field dict of its own: on CPython 3.11 a sector and its
+    spectrum take about 270 bytes more than constructed ones."""
     value = object.__new__(cls)
     vars(value).update(fields)
     return value
@@ -179,6 +181,14 @@ class RanSector:
             )
 
 
+def _node_in_range(node_id: str, compute_load_percent: float, latencies) -> bool:
+    """The range rule of `CoreNode`: a non-empty id; compute load within
+    [0, 100] (NaN fails); every latency > 0. `latencies` must hold no NaN,
+    which `min` can pass over; a loaded row holds only finite floats."""
+    return (bool(node_id) and 0 <= compute_load_percent <= 100
+            and min(latencies, default=1.0) > 0)
+
+
 @dataclass(frozen=True)
 class CoreNode:
     """One UPF node: placement tier, compute headroom, and its latency row."""
@@ -191,6 +201,14 @@ class CoreNode:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "latency_to_sector", _read_only(self.latency_to_sector))
+        # Two passes in C: without a NaN, which makes the sum NaN, `min`
+        # settles `> 0`. Otherwise, or where an integer past the float range
+        # overflows the sum, the checks below decide and name the culprit.
+        values = self.latency_to_sector.values()
+        with suppress(OverflowError):
+            if (_node_in_range(self.id, self.compute_load_percent, values)
+                    and (total := sum(values)) == total):
+                return
         if not self.id:
             raise StateValidationError("node id must be non-empty")
         if not 0 <= self.compute_load_percent <= 100:
@@ -198,13 +216,6 @@ class CoreNode:
                 f"node {self.id!r}: compute_load_percent {self.compute_load_percent} "
                 "outside [0, 100]"
             )
-        # Two passes in C: a NaN makes the sum NaN, and without one `min`
-        # settles `> 0`. Otherwise, or where an integer past the float range
-        # overflows the sum, the scan below decides and names the culprit.
-        values = self.latency_to_sector.values()
-        with suppress(OverflowError):
-            if (total := sum(values)) == total and min(values, default=1.0) > 0:
-                return
         for sector_id, value in self.latency_to_sector.items():
             if not value > 0:
                 raise StateValidationError(
@@ -366,6 +377,7 @@ _NODE_FIELDS = (
     frozenset({"description"}),
 )
 _SLICE_FIELDS = frozenset({"sector", "band", "node"}), frozenset({"slice_id"})
+_LABELLED_SLICE_FIELDS = _SLICE_FIELDS[0] | _SLICE_FIELDS[1]
 _SPECTRUM_KEYS = frozenset(BAND_JSON_KEYS.values())
 _DESCRIBED_SECTOR_FIELDS = _SECTOR_FIELDS[0] | _SECTOR_FIELDS[1]
 
@@ -392,9 +404,9 @@ def _require_text(entry: dict, key: str, where: str, default: str | None = None)
 
 
 def _latency_row(latencies: dict, where: str) -> dict[str, float]:
-    """The latency row as floats. A row of finite floats, which is what the
-    canonical text holds, is taken as it is; otherwise each value goes
-    through `_require_number`, which names the first bad one."""
+    """The latency row as finite floats. A row of finite floats, which is
+    what the canonical text holds, is taken as it is; otherwise each value
+    goes through `_require_number`, which names the first bad one."""
     values = latencies.values()
     if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
         return latencies
@@ -467,16 +479,16 @@ def _node_from_entry(node_id: str, entry: dict) -> CoreNode:
     latencies = entry["latency_to_ran_ms"]
     if not isinstance(latencies, dict):
         raise StateValidationError(f"{where}: latency_to_ran_ms must be an object")
-    return CoreNode(
-        id=node_id,
-        tier=_TIER_ALIASES[tier_raw],
-        compute_load_percent=_require_number(
-            entry["compute_load_percent"], f"{where} compute_load_percent"
-        ),
-        # The row is the loader's own dict; a view of it is not copied again.
-        latency_to_sector=MappingProxyType(_latency_row(latencies, where)),
-        context=_require_text(entry, "description", where, default=""),
-    )
+    tier = _TIER_ALIASES[tier_raw]
+    compute = _require_number(entry["compute_load_percent"], f"{where} compute_load_percent")
+    # The row is the loader's own dict of finite floats, so `min` settles
+    # `> 0`, and a view of it is not copied again.
+    row = MappingProxyType(_latency_row(latencies, where))
+    context = _require_text(entry, "description", where, default="")
+    if not _node_in_range(node_id, compute, row.values()):
+        CoreNode(node_id, tier, compute, row, context)  # names the culprit
+    return _built(CoreNode, id=node_id, tier=tier, compute_load_percent=compute,
+                  latency_to_sector=row, context=context)
 
 
 def read_json(path: str | Path, what: str, error: Callable[[str], Exception]):
@@ -649,29 +661,33 @@ def config_to_dict(config: SliceConfiguration) -> dict:
     return doc
 
 
+# Each band by its wire value. A `Band` member is a `str` equal to its value,
+# so it finds itself.
+_BANDS_BY_VALUE = {band.value: band for band in Band}
+
+
 def config_from_dict(entry: object, where: str) -> SliceConfiguration:
     """The configuration whose wire form is `entry`, the inverse of
     `config_to_dict`; any other form raises StateValidationError naming
-    `where`. It checks no id against a state; `validate_config` does."""
+    `where`. It checks no id against a state; `validate_config` does.
+    Each field is checked once and a valid entry is built once, without
+    the constructor, which has nothing to check."""
     if not isinstance(entry, dict):
         raise StateValidationError(f"{where}: entry must be an object")
-    _check_keys(entry, _SLICE_FIELDS, where)
-    try:
-        band = Band(entry["band"])
-    except ValueError:
-        raise StateValidationError(f"{where}: unknown band {entry['band']!r}") from None
+    if entry.keys() != _SLICE_FIELDS[0] and entry.keys() != _LABELLED_SLICE_FIELDS:
+        _check_keys(entry, _SLICE_FIELDS, where)  # names the culprit
+    value = entry["band"]
+    band = _BANDS_BY_VALUE.get(value) if isinstance(value, str) else None
+    if band is None:
+        raise StateValidationError(f"{where}: unknown band {value!r}")
     slice_id = entry.get("slice_id")  # null, like an absent key, is no id
     if slice_id is not None and not isinstance(slice_id, str):
         raise StateValidationError(f"{where}: slice_id must be a string, got {slice_id!r}")
     if slice_id == "":
         # The wire form omits an empty id, so it would reload as None.
         raise StateValidationError(f"{where}: slice_id must be non-empty")
-    return SliceConfiguration(
-        sector_id=_require_text(entry, "sector", where),
-        band=band,
-        node_id=_require_text(entry, "node", where),
-        slice_id=slice_id,
-    )
+    return _built(SliceConfiguration, sector_id=_require_text(entry, "sector", where),
+                  band=band, node_id=_require_text(entry, "node", where), slice_id=slice_id)
 
 
 def state_to_dict(state: NetworkState) -> dict:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sliceweaver import data as bundled
 from sliceweaver import model
+from sliceweaver.gateway import ScriptedExchange, SuiteFixture
 from sliceweaver.harness import ColumnStats, HarnessConfig
 from sliceweaver.model import (
     Band,
@@ -1013,6 +1014,135 @@ def test_a_valid_sector_runs_no_constructor(monkeypatch, bound):
     assert runs == []
     monkeypatch.undo()
     assert sector == RanSector("7", 0, float(bound), SpectrumBands(0.0, -0.0, 0.0))
+
+
+def reference_config(entry: object, where: str) -> SliceConfiguration:
+    """The configuration `config_from_dict` must build from `entry`, written
+    out as the per-field path: the keys by set algebra, the band through
+    `Band(...)`, then the constructor."""
+    if not isinstance(entry, dict):
+        raise StateValidationError(f"{where}: entry must be an object")
+    missing = {"sector", "band", "node"} - entry.keys()
+    if missing:
+        raise StateValidationError(f"{where}: missing field(s) {sorted(missing)}")
+    unknown = entry.keys() - {"sector", "band", "node", "slice_id"}
+    if unknown:
+        raise StateValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
+    try:
+        band = Band(entry["band"])
+    except ValueError:
+        raise StateValidationError(f"{where}: unknown band {entry['band']!r}") from None
+    slice_id = entry.get("slice_id")
+    if slice_id is not None and not isinstance(slice_id, str):
+        raise StateValidationError(f"{where}: slice_id must be a string, got {slice_id!r}")
+    if slice_id == "":
+        raise StateValidationError(f"{where}: slice_id must be non-empty")
+    for key in ("sector", "node"):
+        if not isinstance(entry[key], str):
+            raise StateValidationError(f"{where}: {key} must be a string, got {entry[key]!r}")
+    return SliceConfiguration(entry["sector"], band, entry["node"], slice_id)
+
+
+class _Text(str):
+    """A `str` subclass, which a caller other than the JSON reader can pass."""
+
+
+_ledger_texts = (
+    st.text(max_size=6)
+    | st.sampled_from(["mid_band", "x"]).map(_Text)
+    | st.sampled_from([None, 7, True, 1.5, ["x"], {"a": 1}])
+)
+_ledger_bands = (
+    st.sampled_from([band.value for band in Band] + ["mmWave", "MID_BAND", "", "5g"])
+    | st.sampled_from(list(Band))
+    | st.sampled_from(["low_band", "mmwave", "mmWave"]).map(_Text)
+    | st.sampled_from([0, 1, True, False, None, 2.5, [], ["mid_band"], {}, {"mid_band": 1}])
+)
+
+
+@st.composite
+def ledger_entries(draw):
+    """A ledger entry of the wire shape, with or without a slice id, each
+    value of any kind, sometimes with a key missing, added or renamed, or
+    not an object at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([None, [], "entry", 5]))
+    entry = {"sector": draw(_ledger_texts), "band": draw(_ledger_bands),
+             "node": draw(_ledger_texts)}
+    if draw(st.booleans()):
+        entry["slice_id"] = draw(st.none() | st.just("") | _ledger_texts)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):  # key edits
+        key = draw(st.sampled_from(sorted(entry)))
+        edit = draw(st.sampled_from(["missing", "extra", "renamed"]))
+        value = entry.pop(key) if edit != "extra" else 1
+        if edit != "missing":
+            entry[draw(st.sampled_from(["surprise", f"{key}_id", key.upper()]))] = value
+    return entry
+
+
+def _typed_fields(value) -> list:
+    return [(key, type(field), field) for key, field in vars(value).items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(ledger_entries())
+@example({"sector": "a", "band": "mid_band", "node": "b"})
+@example({"sector": "a", "band": Band.LOW_BAND, "node": "b", "slice_id": "s"})
+@example({"sector": "a", "band": _Text("mmwave"), "node": "b", "slice_id": None})
+@example({"sector": "a", "band": "mmWave", "node": "b"})
+@example({"sector": "a", "band": ["mid_band"], "node": "b"})
+@example({"sector": "a", "band": True, "node": "b"})
+@example({"sector": "a", "band": "mid_band", "node": "b", "slice_id": ""})
+@example({"sector": "a", "band": "mid_band", "node": "b", "slice_id": 7})
+@example({"sector": 7, "band": "mid_band", "node": "b"})
+@example({"sector": "a", "band": "mid_band", "node": None})
+@example({"sector": "a", "band": "mid_band"})
+@example({"sector": "a", "band": "mid_band", "node": "b", "slice": "s"})
+@example({"sector_id": "a", "band": "mid_band", "node": "b"})
+def test_config_from_dict_equals_the_per_field_reference(entry):
+    where = "provisioned_slices[3]"
+    try:
+        expected = reference_config(entry, where)
+    except StateValidationError as exc:
+        with pytest.raises(StateValidationError) as excinfo:
+            model.config_from_dict(entry, where)
+        assert str(excinfo.value) == str(exc)
+        return
+    config = model.config_from_dict(entry, where)
+    assert type(config) is SliceConfiguration
+    assert config == expected
+    assert _typed_fields(config) == _typed_fields(expected)
+
+
+@pytest.mark.parametrize("bound", [0, 100, 0.0, 100.0], ids=repr)
+def test_a_loaded_ledger_entry_node_and_exchange_run_no_constructor(monkeypatch, bound):
+    runs = []
+    for cls in (SliceConfiguration, CoreNode, ScriptedExchange):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            runs.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    doc = bundled_doc()
+    doc["nodes"]["metro_agg_hub"]["compute_load_percent"] = bound
+    doc["provisioned_slices"] = [ledger_entry(slice_id="s_001"), ledger_entry(slice_id=None)]
+    state = load_state(json.dumps(doc))
+    fixture = SuiteFixture.from_file(bundled.default_suite_fixture_path())
+    assert runs == []
+    monkeypatch.undo()
+    assert state.provisioned_slices == (
+        SliceConfiguration("city_plaza", Band.MID_BAND, "metro_agg_hub", "s_001"),
+        SliceConfiguration("city_plaza", Band.MID_BAND, "metro_agg_hub"),
+    )
+    node = state.node("metro_agg_hub")
+    assert node.compute_load_percent == bound
+    assert _typed_fields(node) == _typed_fields(CoreNode(
+        node.id, node.tier, float(bound), node.latency_to_sector, node.context))
+    exchanges = [exchange for systems in fixture._scripts.values()
+                 for script in systems.values() for exchange in script]
+    assert len(exchanges) == 156
+    assert all(list(vars(exchange)) == [field.name for field in dataclasses.fields(exchange)]
+               for exchange in exchanges)
 
 
 def test_the_duplicate_named_is_the_first_repeated_key():

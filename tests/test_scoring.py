@@ -12,6 +12,7 @@ from sliceweaver.model import (
     ProvisioningError,
     SliceConfiguration,
     UnknownIdError,
+    apply_provisioning,
     validate_config,
 )
 from sliceweaver.scoring import (
@@ -174,6 +175,20 @@ def test_compute_utility_errors(state, lexicon, factory_intent):
             profile,
             state,
         )
+
+
+@pytest.mark.parametrize("entry_point", ["apply_provisioning", "compute_utility"])
+def test_a_band_that_is_not_a_band_member_is_refused(state, lexicon, factory_intent, entry_point):
+    # No loader builds such a configuration: `config_from_dict` gives every
+    # band as a `Band`. One built directly can hold the plain string, and
+    # `validate_config` refuses it for every caller.
+    config = SliceConfiguration("industrial_park_a", "mid_band", "mec_industrial_1")
+    with pytest.raises(ProvisioningError) as excinfo:
+        if entry_point == "apply_provisioning":
+            apply_provisioning(state, config)
+        else:
+            compute_utility(config, profile_for(factory_intent, state, lexicon), state)
+    assert str(excinfo.value) == "unknown band 'mid_band'"
 
 
 @pytest.mark.parametrize(

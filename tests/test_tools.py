@@ -142,6 +142,10 @@ def test_ab_summariser_reports_spread_wins_and_verdicts():
     text = ab.format_summary(summary)
     assert text.startswith("10 pairs, 3 left out")
     assert "won 9/10  gain" in text and "won 0/10  worse" in text
+    assert "parent 40.00 spread" in text and "change 44.00 spread" in text
+    # Four significant digits at every scale, rounding included.
+    assert [ab.significant(value) for value in (0.005684, 0.00568, 1205.6, 0.99996)] == [
+        "0.005684", "0.005680", "1206", "1.000"]
     assert ab.summarise(pairs[:1] + pairs[10:]) == {"pairs": 1, "left_out": 3, "rows": []}
 
     # Three pairs that drift one way win 3/3 by far more than the spread,

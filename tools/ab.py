@@ -9,7 +9,8 @@ checkout's `run.py --trace 0`, in its own process and from its own `src/`.
 Even pairs run the parent first and odd pairs the change first, so a spell
 of the machine does not always land on one side. Every run is printed as a
 JSON line as it arrives. Then, for each end-to-end metric of
-`BENCHMARK.json`, it prints each side's median and quartile spread (as
+`BENCHMARK.json`, it prints each side's median (to four significant
+digits) and quartile spread (as
 `spread.py` computes them) and how many pairs the change won (ties count for
 neither). A pair in which either side exited non-zero or failed its
 reference check is left out of these figures, and the count left out is
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -85,11 +87,20 @@ def summarise(pairs: list[tuple[dict, dict]]) -> dict:
     return summary
 
 
+def significant(value: float) -> str:
+    """`value` to four significant digits, without an exponent, so a set-up
+    of 0.005684 s reads `0.005684` and 1205.6 ops/s `1206`."""
+    if not math.isfinite(value):
+        return str(value)
+    exponent = int(f"{value:.3e}".partition("e")[2])  # after rounding
+    return f"{value:.{max(0, 3 - exponent)}f}"
+
+
 def format_summary(summary: dict) -> str:
     lines = [f"{summary['pairs']} pairs, {summary['left_out']} left out (a side failed)"]
     for row in summary["rows"]:
         sides = "  ".join(
-            f"{side} {row[side]['median']:.4f} spread {row[side]['spread']:.3f}"
+            f"{side} {significant(row[side]['median'])} spread {row[side]['spread']:.3f}"
             for side in SIDES
         )
         verdict = "gain" if row["gain"] else "worse" if row["worse"] else "-"
