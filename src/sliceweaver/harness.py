@@ -146,11 +146,11 @@ class HarnessConfig:
         return {}
 
 
-# The required and optional keys of a scenario suite entry: the fields of
-# `Scenario` without a default and with one.
+# The required keys of a scenario suite entry, the fields of `Scenario`
+# without a default, and every key it may hold, all its fields.
 _SCENARIO_FIELDS = (
     frozenset(f.name for f in fields(Scenario) if f.default is MISSING),
-    frozenset(f.name for f in fields(Scenario) if f.default is not MISSING),
+    frozenset(f.name for f in fields(Scenario)),
 )
 
 
@@ -174,7 +174,8 @@ def load_scenarios(path: str | Path, state: NetworkState) -> list[Scenario]:
                 raise TypeError("'id' and 'intent_text' must be strings")
             if not entry["intent_text"].strip():
                 raise ValueError("'intent_text' must not be blank")
-            optional = {key: value for key, value in entry.items() if key in _SCENARIO_FIELDS[1]}
+            optional = {key: value for key, value in entry.items()
+                        if key not in _SCENARIO_FIELDS[0]}
             for key, value in optional.items():
                 if not isinstance(value, str):
                     raise TypeError(f"{key!r} must be a string")

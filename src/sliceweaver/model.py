@@ -18,16 +18,16 @@ This makes them safe to share across concurrent evaluation workers, and it
 lets a state encode its canonical text once, on the first `serialize_state`
 call, and keep it.
 
-`load_state` checks a latency row at a time, not a value at a time: a row
-whose values are all finite floats, as the canonical text writes them, is
-taken in one check, and the loader scans value by value only to convert
-integers or to name a bad value, so its messages do not depend on the bulk
-check. Every sector entry takes one path: each field is checked once, in a
-fixed order, and the first bad one is named; a valid entry is built once,
-without running the constructors' checks again, and the constructors run
-only to name a value out of range. Nodes and ledger entries are built the
-same way. The loader hands the nodes and the state read-only views of its
-own fresh dicts, so no map is copied.
+Each rule is stated once, in the record it constrains. One checker per
+record (`_check_bands`, `_check_sector`, `_check_node`) raises for the
+record's first fault; its constructor and `load_state` both call it.
+`NetworkState.__post_init__` holds every rule that spans records: each map
+key is its record's id, the latency matrix covers exactly the sectors, and
+the ledger names known sectors, nodes and bands, with unique slice ids. So
+a state that builds from the values a loaded state holds also loads from
+its own canonical text.
+`load_state` checks each field of an entry once and builds the checked
+record without running its constructor again.
 """
 
 from __future__ import annotations
@@ -84,23 +84,23 @@ BAND_JSON_KEYS: dict[Band, str] = {
 }
 
 
+# Bound once: `_built` runs for every record a load builds.
+_new_object, _set_attribute = object.__new__, object.__setattr__
+
+
 def _built(cls: type, **fields):
     """An instance of the frozen dataclass `cls` with these fields, made
     without `__init__` and so without `__post_init__`'s checks. Use it only
     for fields that are already checked, or for a class whose constructor
     checks nothing (no `__post_init__`). Pass every field, in declaration
-    order, so the instance's `vars()` reads as a constructed one's. The
-    instance keeps a field dict of its own: on CPython 3.11 a sector and its
-    spectrum take about 270 bytes more than constructed ones."""
-    value = object.__new__(cls)
-    vars(value).update(fields)
+    order, so the instance's `vars()` reads as a constructed one's."""
+    value = _new_object(cls)
+    _set_attribute(value, "__dict__", fields)
     return value
 
 
 def _read_only(mapping: Mapping) -> MappingProxyType:
-    """A read-only copy of `mapping`; one that is already read-only is kept."""
-    if isinstance(mapping, MappingProxyType):
-        return mapping
+    """A read-only copy of `mapping`, which the caller can no longer change."""
     return MappingProxyType(dict(mapping))
 
 
@@ -121,9 +121,14 @@ _BAND_FIELDS: dict[Band, str] = {
 }
 
 
-def _bands_in_range(mmwave_mhz: float, mid_band_mhz: float, low_band_mhz: float) -> bool:
+def _check_bands(mmwave_mhz: float, mid_band_mhz: float, low_band_mhz: float) -> None:
     """The range rule of `SpectrumBands`: every band is >= 0 (NaN fails)."""
-    return mmwave_mhz >= 0 and mid_band_mhz >= 0 and low_band_mhz >= 0
+    if not mmwave_mhz >= 0:
+        raise StateValidationError(f"spectrum mmwave_mhz must be >= 0, got {mmwave_mhz}")
+    if not mid_band_mhz >= 0:
+        raise StateValidationError(f"spectrum mid_band_mhz must be >= 0, got {mid_band_mhz}")
+    if not low_band_mhz >= 0:
+        raise StateValidationError(f"spectrum low_band_mhz must be >= 0, got {low_band_mhz}")
 
 
 @dataclass(frozen=True)
@@ -135,12 +140,7 @@ class SpectrumBands:
     low_band_mhz: float
 
     def __post_init__(self) -> None:
-        if _bands_in_range(self.mmwave_mhz, self.mid_band_mhz, self.low_band_mhz):
-            return
-        for name in _BAND_FIELDS.values():  # only names the culprit
-            value = getattr(self, name)
-            if not value >= 0:  # NaN fails every comparison
-                raise StateValidationError(f"spectrum {name} must be >= 0, got {value}")
+        _check_bands(self.mmwave_mhz, self.mid_band_mhz, self.low_band_mhz)
 
     def for_band(self, band: Band) -> float:
         return getattr(self, _BAND_FIELDS[band])
@@ -149,12 +149,18 @@ class SpectrumBands:
         return self.for_band(band) > 0
 
 
-def _sector_in_range(sector_id: str, active_users: int, load_percent: float) -> bool:
+def _check_sector(sector_id: str, active_users: int, load_percent: float) -> None:
     """The range rule of `RanSector`: an id with a letter or digit, since an
     intent names a sector by its words (`classify_intent`) and an id of
     punctuation would be "named" by punctuation; `active_users` >= 0; load
     within [0, 100] (NaN fails)."""
-    return any(map(str.isalnum, sector_id)) and active_users >= 0 and 0 <= load_percent <= 100
+    if not any(map(str.isalnum, sector_id)):
+        raise StateValidationError(f"sector id {sector_id!r} has no letter or digit")
+    if active_users < 0:
+        raise StateValidationError(f"sector {sector_id!r}: active_users must be >= 0")
+    if not 0 <= load_percent <= 100:
+        raise StateValidationError(
+            f"sector {sector_id!r}: load_percent {load_percent} outside [0, 100]")
 
 
 @dataclass(frozen=True)
@@ -168,25 +174,26 @@ class RanSector:
     context: str = ""
 
     def __post_init__(self) -> None:
-        if _sector_in_range(self.id, self.active_users, self.load_percent):
-            return
-        # The rule failed; name the culprit.
-        if not any(map(str.isalnum, self.id)):
-            raise StateValidationError(f"sector id {self.id!r} has no letter or digit")
-        if self.active_users < 0:
-            raise StateValidationError(f"sector {self.id!r}: active_users must be >= 0")
-        if not 0 <= self.load_percent <= 100:
-            raise StateValidationError(
-                f"sector {self.id!r}: load_percent {self.load_percent} outside [0, 100]"
-            )
+        _check_sector(self.id, self.active_users, self.load_percent)
 
 
-def _node_in_range(node_id: str, compute_load_percent: float, latencies) -> bool:
+def _check_node(node_id: str, compute_load_percent: float, row: Mapping[str, float],
+                lowest: float) -> None:
     """The range rule of `CoreNode`: a non-empty id; compute load within
-    [0, 100] (NaN fails); every latency > 0. `latencies` must hold no NaN,
-    which `min` can pass over; a loaded row holds only finite floats."""
-    return (bool(node_id) and 0 <= compute_load_percent <= 100
-            and min(latencies, default=1.0) > 0)
+    [0, 100] (NaN fails); every latency in `row` > 0. `lowest` is the row's
+    least value, or NaN where the row may hold a NaN, which `min` can pass
+    over; the row is scanned for the culprit only when `lowest` is not > 0."""
+    if not node_id:
+        raise StateValidationError("node id must be non-empty")
+    if not 0 <= compute_load_percent <= 100:
+        raise StateValidationError(
+            f"node {node_id!r}: compute_load_percent {compute_load_percent} outside [0, 100]")
+    if lowest > 0:
+        return
+    for sector_id, value in row.items():
+        if not value > 0:
+            raise StateValidationError(
+                f"node {node_id!r}: latency to {sector_id!r} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -200,27 +207,16 @@ class CoreNode:
     context: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "latency_to_sector", _read_only(self.latency_to_sector))
-        # Two passes in C: without a NaN, which makes the sum NaN, `min`
-        # settles `> 0`. Otherwise, or where an integer past the float range
-        # overflows the sum, the checks below decide and name the culprit.
-        values = self.latency_to_sector.values()
+        row = _read_only(self.latency_to_sector)
+        object.__setattr__(self, "latency_to_sector", row)
+        # Without a NaN, which makes the sum NaN, `min` settles `> 0`. With
+        # one, or where an integer past the float range overflows the sum,
+        # `_check_node` scans the row.
+        lowest = math.nan
         with suppress(OverflowError):
-            if (_node_in_range(self.id, self.compute_load_percent, values)
-                    and (total := sum(values)) == total):
-                return
-        if not self.id:
-            raise StateValidationError("node id must be non-empty")
-        if not 0 <= self.compute_load_percent <= 100:
-            raise StateValidationError(
-                f"node {self.id!r}: compute_load_percent {self.compute_load_percent} "
-                "outside [0, 100]"
-            )
-        for sector_id, value in self.latency_to_sector.items():
-            if not value > 0:
-                raise StateValidationError(
-                    f"node {self.id!r}: latency to {sector_id!r} must be > 0, got {value}"
-                )
+            if (total := sum(row.values())) == total:
+                lowest = min(row.values(), default=1.0)
+        _check_node(self.id, self.compute_load_percent, row, lowest)
 
 
 @dataclass(frozen=True)
@@ -259,6 +255,9 @@ class EvaluationRecord:
         return self.prompt_tokens + self.completion_tokens
 
 
+_record_id = operator.attrgetter("id")
+
+
 @dataclass(frozen=True)
 class NetworkState:
     """The complete environment: sector map, node map, and slice ledger."""
@@ -268,6 +267,9 @@ class NetworkState:
     provisioned_slices: tuple[SliceConfiguration, ...] = ()
 
     def __post_init__(self) -> None:
+        """The rules that span records: each map key is its record's id, each
+        latency row covers exactly the sectors, and the ledger passes
+        `validate_config` with unique slice ids (`_with_ledger` skips them)."""
         object.__setattr__(self, "sectors", _read_only(self.sectors))
         object.__setattr__(self, "nodes", _read_only(self.nodes))
         object.__setattr__(self, "provisioned_slices", tuple(self.provisioned_slices))
@@ -275,12 +277,19 @@ class NetworkState:
             raise StateValidationError("state must contain at least one sector")
         if not self.nodes:
             raise StateValidationError("state must contain at least one node")
+        for kind, records in (("sector", self.sectors), ("node", self.nodes)):
+            # One list comparison; the scan below only names the culprit.
+            if list(map(_record_id, records.values())) != list(records):
+                key, record = next((key, record) for key, record in records.items()
+                                   if key != record.id)
+                raise StateValidationError(
+                    f"{kind} {record.id!r} is stored under the key {key!r}")
+        sector_ids = list(self.sectors)
         for node in self.nodes.values():
             row = node.latency_to_sector
-            # The common case is one key-set comparison; the scans below only
-            # name the culprit. `apply_provisioning` skips the whole check: its
-            # state shares the maps of a state that passed it (`_with_ledger`).
-            if row.keys() == self.sectors.keys():
+            # A row in the sector map's order, as a loaded one is, takes one
+            # list comparison; the scans below only name the culprit.
+            if list(row) == sector_ids or row.keys() == self.sectors.keys():
                 continue
             missing = next((sector_id for sector_id in self.sectors if sector_id not in row), None)
             if missing is not None:
@@ -291,6 +300,14 @@ class NetworkState:
             raise StateValidationError(
                 f"node {node.id!r} has a latency entry for unknown sector {unknown!r}"
             )
+        slice_ids: set[str] = set()
+        for config in self.provisioned_slices:
+            validate_config(self, config)
+            if config.slice_id is not None:
+                if config.slice_id in slice_ids:
+                    raise StateValidationError(
+                        f"duplicate id or key {config.slice_id!r} in provisioned_slices")
+                slice_ids.add(config.slice_id)
 
     def sector(self, sector_id: str) -> RanSector:
         try:
@@ -366,31 +383,32 @@ def _require_number(value: object, where: str) -> float:
     return number
 
 
-# The fields of each object in the state document: required, then optional.
-_STATE_FIELDS = frozenset({"sectors", "nodes"}), frozenset({"provisioned_slices"})
-_SECTOR_FIELDS = (
-    frozenset({"active_users", "load_percentage", "spectrum_available_mhz"}),
-    frozenset({"description"}),
-)
-_NODE_FIELDS = (
-    frozenset({"type", "latency_to_ran_ms", "compute_load_percent"}),
-    frozenset({"description"}),
-)
-_SLICE_FIELDS = frozenset({"sector", "band", "node"}), frozenset({"slice_id"})
-_LABELLED_SLICE_FIELDS = _SLICE_FIELDS[0] | _SLICE_FIELDS[1]
+def _key_sets(required: set[str], optional: set[str]) -> tuple[frozenset, frozenset]:
+    """An object's required keys and every key it may hold (`_check_keys`)."""
+    return frozenset(required), frozenset(required | optional)
+
+
+# The keys of each object in the state document.
+_STATE_FIELDS = _key_sets({"sectors", "nodes"}, {"provisioned_slices"})
+_SECTOR_FIELDS = _key_sets({"active_users", "load_percentage", "spectrum_available_mhz"},
+                           {"description"})
+_NODE_FIELDS = _key_sets({"type", "latency_to_ran_ms", "compute_load_percent"}, {"description"})
+_SLICE_FIELDS = _key_sets({"sector", "band", "node"}, {"slice_id"})
 _SPECTRUM_KEYS = frozenset(BAND_JSON_KEYS.values())
-_DESCRIBED_SECTOR_FIELDS = _SECTOR_FIELDS[0] | _SECTOR_FIELDS[1]
 
 
 def _check_keys(entry: dict, fields: tuple[frozenset, frozenset], where: str) -> None:
-    required, optional = fields
+    """Raise for a key of `entry` missing from the required set, then for one
+    outside the set of every key, of `fields` (`_key_sets`); the two common
+    shapes, the required keys alone or every key, take one comparison each."""
+    required, every = fields
     keys = entry.keys()
-    if keys == required:  # the common shape; the rest only names the culprit
+    if keys == required or keys == every:
         return
     missing = required - keys
     if missing:
         raise StateValidationError(f"{where}: missing field(s) {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = keys - every
     if unknown:
         raise StateValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
 
@@ -432,12 +450,10 @@ def _finite(value: object, sector_id: str, key: str) -> float:
 
 def _sector_from_entry(sector_id: str, entry: dict) -> RanSector:
     # Each field is checked once, in this order, and the first bad one is
-    # named; a message is formatted only then. A valid entry is built once,
-    # and the constructors run only to name a value out of range.
+    # named; a message is formatted only then. A valid entry is built once.
     if not isinstance(entry, dict):
         raise StateValidationError(f"sector {sector_id!r}: entry must be an object")
-    if entry.keys() != _SECTOR_FIELDS[0] and entry.keys() != _DESCRIBED_SECTOR_FIELDS:
-        _check_keys(entry, _SECTOR_FIELDS, f"sector {sector_id!r}")  # names the culprit
+    _check_keys(entry, _SECTOR_FIELDS, f"sector {sector_id!r}")
     users = entry["active_users"]
     if isinstance(users, bool) or not isinstance(users, int):
         raise StateValidationError(f"sector {sector_id!r}: active_users must be an integer")
@@ -451,17 +467,15 @@ def _sector_from_entry(sector_id: str, entry: dict) -> RanSector:
     mmwave = _finite(spectrum_entry["mmWave"], sector_id, "mmWave")
     mid_band = _finite(spectrum_entry["mid_band"], sector_id, "mid_band")
     low_band = _finite(spectrum_entry["low_band"], sector_id, "low_band")
-    if not _bands_in_range(mmwave, mid_band, low_band):
-        SpectrumBands(mmwave, mid_band, low_band)  # names the culprit
+    _check_bands(mmwave, mid_band, low_band)
     load = _finite(entry["load_percentage"], sector_id, "load_percentage")
     context = entry.get("description", "")
     if not isinstance(context, str):
         raise StateValidationError(
             f"sector {sector_id!r}: description must be a string, got {context!r}")
+    _check_sector(sector_id, users, load)
     spectrum = _built(SpectrumBands, mmwave_mhz=mmwave, mid_band_mhz=mid_band,
                       low_band_mhz=low_band)
-    if not _sector_in_range(sector_id, users, load):
-        RanSector(sector_id, users, load, spectrum, context)  # names the culprit
     return _built(RanSector, id=sector_id, active_users=users, load_percent=load,
                   spectrum=spectrum, context=context)
 
@@ -485,8 +499,7 @@ def _node_from_entry(node_id: str, entry: dict) -> CoreNode:
     # `> 0`, and a view of it is not copied again.
     row = MappingProxyType(_latency_row(latencies, where))
     context = _require_text(entry, "description", where, default="")
-    if not _node_in_range(node_id, compute, row.values()):
-        CoreNode(node_id, tier, compute, row, context)  # names the culprit
+    _check_node(node_id, compute, row, min(row.values(), default=1.0))
     return _built(CoreNode, id=node_id, tier=tier, compute_load_percent=compute,
                   latency_to_sector=row, context=context)
 
@@ -637,19 +650,7 @@ def load_state(document: str) -> NetworkState:
         raise StateValidationError("'provisioned_slices' must be a list")
     slices = tuple(config_from_dict(entry, f"provisioned_slices[{i}]")
                    for i, entry in enumerate(slices_entry))
-    # Views of the loader's own dicts: `__post_init__` does not copy them.
-    state = NetworkState(sectors=MappingProxyType(sectors), nodes=MappingProxyType(nodes),
-                         provisioned_slices=slices)
-    seen_slice_ids: set[str] = set()
-    for config in slices:
-        validate_config(state, config)
-        if config.slice_id is not None:
-            if config.slice_id in seen_slice_ids:
-                raise StateValidationError(
-                    f"duplicate id or key {config.slice_id!r} in provisioned_slices"
-                )
-            seen_slice_ids.add(config.slice_id)
-    return state
+    return NetworkState(sectors=sectors, nodes=nodes, provisioned_slices=slices)
 
 
 def config_to_dict(config: SliceConfiguration) -> dict:
@@ -674,8 +675,7 @@ def config_from_dict(entry: object, where: str) -> SliceConfiguration:
     the constructor, which has nothing to check."""
     if not isinstance(entry, dict):
         raise StateValidationError(f"{where}: entry must be an object")
-    if entry.keys() != _SLICE_FIELDS[0] and entry.keys() != _LABELLED_SLICE_FIELDS:
-        _check_keys(entry, _SLICE_FIELDS, where)  # names the culprit
+    _check_keys(entry, _SLICE_FIELDS, where)
     value = entry["band"]
     band = _BANDS_BY_VALUE.get(value) if isinstance(value, str) else None
     if band is None:
@@ -761,12 +761,9 @@ def apply_provisioning(state: NetworkState, config: SliceConfiguration) -> Netwo
     provisioning decision, not load feedback.
 
     The new state shares `state`'s sector and node maps, which were checked
-    when `state` was built, and does not check them again, so the cost does
-    not grow with the topology: it is `validate_config` plus one lookup of
-    the slice id in the ledger's id set, which `state` builds on its first
-    such call and keeps. That is about 1 us of CPU at every size of
-    `test_apply_provisioning` (`benchmarks/BENCH_state.json`, up to
-    2000 sectors x 50 nodes, empty ledger).
+    when `state` was built, and does not check them again: the cost is
+    `validate_config` plus one lookup of the slice id in the ledger's id
+    set, which `state` builds on its first such call and keeps.
     """
     try:
         validate_config(state, config)

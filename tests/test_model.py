@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from sliceweaver import data as bundled
 from sliceweaver import model
 from sliceweaver.gateway import ScriptedExchange, SuiteFixture
-from sliceweaver.harness import ColumnStats, HarnessConfig
+from sliceweaver.harness import ColumnStats, HarnessConfig, HarnessError, load_scenarios
 from sliceweaver.model import (
     Band,
     CoreNode,
@@ -402,22 +403,27 @@ def test_loaded_state_is_read_only(state):
 
 
 def test_state_does_not_share_the_callers_dicts(state):
-    sectors = dict(state.sectors)
-    latencies = dict(state.node("metro_agg_hub").latency_to_sector)
-    node = dataclasses.replace(state.node("metro_agg_hub"), latency_to_sector=latencies)
-    ledger = [GOLDEN_INDUSTRIAL]
-    built = NetworkState(
-        sectors=sectors, nodes={**state.nodes, "metro_agg_hub": node}, provisioned_slices=ledger
-    )
-    text = serialize_state(built)
-    sectors.pop("city_plaza")
-    latencies["city_plaza"] = 99.0
-    ledger.clear()
-    assert "city_plaza" in built.sectors
-    assert built.node("metro_agg_hub").latency_to_sector["city_plaza"] == 5
-    assert built.provisioned_slices == (GOLDEN_INDUSTRIAL,)
     provisioned = apply_provisioning(state, GOLDEN_INDUSTRIAL)
-    assert serialize_state(built) == text == serialize_state(provisioned)
+    # The caller's dicts as they are, or read-only views of them, through
+    # which the caller can still change them.
+    for view in (lambda mapping: mapping, MappingProxyType):
+        sectors = dict(state.sectors)
+        latencies = dict(state.node("metro_agg_hub").latency_to_sector)
+        node = dataclasses.replace(state.node("metro_agg_hub"), latency_to_sector=view(latencies))
+        nodes = {**state.nodes, "metro_agg_hub": node}
+        ledger = [GOLDEN_INDUSTRIAL]
+        built = NetworkState(sectors=view(sectors), nodes=view(nodes), provisioned_slices=ledger)
+        text = serialize_state(built)
+        sectors.pop("city_plaza")
+        nodes.pop("mec_stadium_1")
+        latencies["city_plaza"] = -5.0
+        ledger.clear()
+        assert "city_plaza" in built.sectors
+        assert "mec_stadium_1" in built.nodes
+        assert built.node("metro_agg_hub").latency_to_sector["city_plaza"] == 5
+        assert built.provisioned_slices == (GOLDEN_INDUSTRIAL,)
+        assert serialize_state(built) == text == serialize_state(provisioned)
+        assert load_state(text) == built
 
 
 def test_loading_duplicate_slice_ids_rejected(state):
@@ -501,6 +507,96 @@ def provisioning_chains(draw, max_size=4):
 def test_round_trip_identity_property(chain):
     for random_state in chain:
         assert load_state(serialize_state(random_state)) == random_state
+
+
+def _rekeyed(draw, ids: list[str]) -> list[str]:
+    """`ids` as map keys; now and then one of them is another text."""
+    keys = list(ids)
+    if draw(st.integers(0, 3)) == 0:
+        keys[draw(st.integers(0, len(keys) - 1))] = draw(
+            st.text(alphabet="ahnu_", min_size=1, max_size=3))
+    return keys
+
+
+@st.composite
+def state_parts(draw):
+    """The sector map, node map and ledger of a state built directly: each
+    record valid, but a map key, a latency row or a ledger entry may break a
+    rule that spans records."""
+    sector_ids = draw(_sector_ids)
+    sector_keys = _rekeyed(draw, sector_ids)
+    numbers = st.integers(min_value=0, max_value=1000) | st.floats(min_value=0, max_value=100)
+    percents = st.integers(min_value=0, max_value=100) | st.floats(min_value=0, max_value=100)
+    sectors = {
+        key: RanSector(id=sid, active_users=draw(st.integers(min_value=0, max_value=10**6)),
+                       load_percent=draw(percents),
+                       spectrum=SpectrumBands(draw(numbers), draw(numbers), draw(numbers)),
+                       context=draw(st.text(max_size=6)))
+        for key, sid in zip(sector_keys, sector_ids)
+    }
+    node_ids = draw(_node_ids)
+    nodes = {}
+    for key, nid in zip(_rekeyed(draw, node_ids), node_ids):
+        row = {sid: draw(st.floats(min_value=0.5, max_value=200)) for sid in sectors}
+        if draw(st.integers(0, 5)) == 0:
+            row.pop(draw(st.sampled_from(sorted(row))))
+        if draw(st.integers(0, 5)) == 0:
+            row["elsewhere"] = 1.0
+        nodes[key] = CoreNode(id=nid, tier=draw(st.sampled_from(list(NodeTier))),
+                              compute_load_percent=draw(percents),
+                              latency_to_sector=row)
+    ledger = draw(st.lists(st.builds(
+        SliceConfiguration,
+        sector_id=st.sampled_from(sorted({*sectors, *sector_ids, "elsewhere"})),
+        band=st.sampled_from(list(Band)),
+        node_id=st.sampled_from(sorted({*nodes, *node_ids, "elsewhere"})),
+        slice_id=st.none() | st.sampled_from(["s1", "s2"]),
+    ), max_size=3))
+    return sectors, nodes, ledger
+
+
+def _parts(sector_key: str = "city_plaza", ledger=()):
+    sector = RanSector("city_plaza", 10, 50.0, SpectrumBands(0.0, 20.0, 10.0))
+    node = CoreNode("upf_1", NodeTier.EDGE, 10.0, {sector_key: 3.0})
+    return {sector_key: sector}, {"upf_1": node}, list(ledger)
+
+
+# States whose records are valid but whose parts break a rule that spans
+# records, with the error each raises: their canonical text would not load.
+_STATES_THAT_WOULD_NOT_LOAD = {
+    "sector-under-another-key": (
+        _parts(sector_key="plaza_typo"),
+        StateValidationError, "sector 'city_plaza' is stored under the key 'plaza_typo'"),
+    "ledger-names-an-unknown-sector": (
+        _parts(ledger=[SliceConfiguration("plaza", Band.MID_BAND, "upf_1")]),
+        UnknownIdError, "unknown sector 'plaza'"),
+    "repeated-slice-id": (
+        _parts(ledger=[SliceConfiguration("city_plaza", Band.MID_BAND, "upf_1", "s1")] * 2),
+        StateValidationError, "duplicate id or key 's1' in provisioned_slices"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_parts())
+@example(_STATES_THAT_WOULD_NOT_LOAD["sector-under-another-key"][0])
+@example(_STATES_THAT_WOULD_NOT_LOAD["ledger-names-an-unknown-sector"][0])
+@example(_STATES_THAT_WOULD_NOT_LOAD["repeated-slice-id"][0])
+@example(_parts(ledger=[SliceConfiguration("city_plaza", Band.LOW_BAND, "upf_1", "s1")]))
+def test_every_state_that_builds_loads_from_its_own_text(parts):
+    try:
+        built = NetworkState(*parts)
+    except StateError:
+        return
+    assert load_state(serialize_state(built)) == built
+
+
+@pytest.mark.parametrize("case", list(_STATES_THAT_WOULD_NOT_LOAD))
+def test_a_state_that_would_not_load_does_not_build(case):
+    parts, error, message = _STATES_THAT_WOULD_NOT_LOAD[case]
+    with pytest.raises(error) as excinfo:
+        NetworkState(*parts)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 @settings(max_examples=50, deadline=None)
@@ -653,6 +749,75 @@ def test_a_text_field_that_is_not_a_string_is_rejected(path, where, value):
     with pytest.raises(StateValidationError) as excinfo:
         load_state(json.dumps(doc))
     assert str(excinfo.value) == f"{where}: {key} must be a string, got {value!r}"
+
+
+# Each caller of `_check_keys`: where its entry sits in its document (the
+# bundled state with one ledger entry, or the bundled suite), its required
+# keys, and the `where` of its messages.
+_KEY_CHECKS = {
+    "state document": ((), {"sectors", "nodes"}, "state document"),
+    "sector": (("sectors", "city_plaza"),
+               {"active_users", "load_percentage", "spectrum_available_mhz"},
+               "sector 'city_plaza'"),
+    "node": (("nodes", "metro_agg_hub"), {"type", "latency_to_ran_ms", "compute_load_percent"},
+             "node 'metro_agg_hub'"),
+    "ledger entry": (("provisioned_slices", 0), {"sector", "band", "node"},
+                     "provisioned_slices[0]"),
+    "scenario entry": ((0,), {"id", "category", "intent_text", "golden", "declared_beta"},
+                       "{suite}: scenario entry 0: entry"),
+}
+
+
+def _document(caller: str):
+    if caller == "scenario entry":
+        return json.loads(bundled.default_scenarios_path().read_text(encoding="utf-8"))
+    doc = bundled_doc()
+    doc["provisioned_slices"] = [ledger_entry(slice_id="s_001")]
+    return doc
+
+
+def _load_with_entry(caller: str, entry: dict, suite) -> None:
+    """Load `caller`'s document with `entry` in place of its own."""
+    path = _KEY_CHECKS[caller][0]
+    doc = entry
+    if path:
+        doc = _document(caller)
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = entry
+    if caller == "scenario entry":
+        suite.write_text(json.dumps(doc), encoding="utf-8")
+        load_scenarios(suite, bundled.default_state())
+    else:
+        load_state(json.dumps(doc))
+
+
+@pytest.mark.parametrize("caller", list(_KEY_CHECKS))
+def test_every_key_check_takes_both_common_shapes_and_names_the_missing_key_first(
+        caller, tmp_path):
+    path, required, where = _KEY_CHECKS[caller]
+    suite = tmp_path / "suite.json"
+    where = where.format(suite=suite)
+    full = _document(caller)
+    for key in path:
+        full = full[key]
+    assert set(full) > required  # every bundled entry holds an optional key
+    _load_with_entry(caller, dict(full), suite)
+    _load_with_entry(caller, {key: full[key] for key in required}, suite)
+    if caller == "scenario entry":  # of its two optional keys, one alone
+        _load_with_entry(caller, {key: full[key] for key in {*required, "notes"}}, suite)
+    first = sorted(required)[0]
+    missing = {key: value for key, value in full.items() if key != first}
+    error = HarnessError if caller == "scenario entry" else StateValidationError
+    for entry, message in (
+        (missing, f"{where}: missing field(s) [{first!r}]"),
+        ({**full, "surprise": 1}, f"{where}: unknown field(s) ['surprise']"),
+        ({**missing, "surprise": 1}, f"{where}: missing field(s) [{first!r}]"),
+    ):
+        with pytest.raises(error) as excinfo:
+            _load_with_entry(caller, entry, suite)
+        assert str(excinfo.value) == message
 
 
 def test_a_null_slice_id_is_a_slice_without_an_id():

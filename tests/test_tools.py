@@ -95,6 +95,38 @@ def test_benchmark_records_hold_exactly_the_collected_cases():
     assert recorded == collected
 
 
+PLANTED_TESTS = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_planted_failure(number):
+    assert number < 5
+
+
+def test_after_the_failure():
+    pass
+"""
+
+
+def test_a_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):
+    # Under the repo's `filterwarnings = ["error"]`, a warning raised while
+    # Hypothesis reports a failure must not end the session before the
+    # falsifying example is printed and the later tests run.
+    (tmp_path / "test_planted.py").write_text(PLANTED_TESTS, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-v", "test_planted.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "Falsifying example: test_planted_failure(" in output
+    assert "    number=5,\n" in output
+    assert "test_planted.py::test_after_the_failure PASSED" in output
+
+
 def load_tool(name: str):
     spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
