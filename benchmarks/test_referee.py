@@ -63,7 +63,8 @@ def candidate_count(state):
 @pytest.mark.parametrize("n_sectors", [400, 2000])
 def test_solve_head(benchmark, topology, n_sectors):
     # What the harness, the rule-based baseline and the referee workloads
-    # read: the head of the ranking, on a state that has been solved before.
+    # read: the head of the ranking, on a state that has been solved before,
+    # so its per-sector index and this profile's sector order are kept.
     # `solve` finds the head itself, so this is `solve` alone; the other rows
     # are built and sorted only when read. Topology size is the scale axis.
     state = topology(n_sectors, 12)
@@ -72,11 +73,35 @@ def test_solve_head(benchmark, topology, n_sectors):
     assert len(solve(state, UNTARGETED)) == candidate_count(state)
 
 
+# Untargeted profiles of every (class, bandwidth) pair, each at three
+# latency bounds from a strict 3 ms to a lenient 200 ms.
+UNTARGETED_MIX = [
+    IntentProfile(raw_text="untargeted", traffic_class=traffic_class,
+                  bandwidth_category=bandwidth, tau_req_ms=tau_req_ms)
+    for traffic_class in TrafficClass
+    for bandwidth in BandwidthCategory
+    for tau_req_ms in (3.0, 20.0, 200.0)
+]
+
+
+def test_solve_head_mix(benchmark, topology):
+    # The heads the referee_exhaustive workload reads: untargeted intents of
+    # every class and bandwidth and several latency bounds, on one state that
+    # has been solved before. One round takes the head of each of the 27
+    # profiles, so a round reads each (class, bandwidth) order three times.
+    state = topology(400, 12)
+    for profile in UNTARGETED_MIX:
+        solve(state, profile)[0]
+    heads = benchmark(lambda: [solve(state, profile)[0] for profile in UNTARGETED_MIX])
+    assert [head.rank for head in heads] == [1] * len(UNTARGETED_MIX)
+
+
 @pytest.mark.parametrize("n_sectors, n_nodes", [(400, 12), (2000, 50)])
 def test_solve_head_cold(benchmark, topology, n_sectors, n_nodes):
     # The first head on a state, which also scans the latency matrix once
-    # for each sector's nearest nodes and keeps them on the state. Each
-    # round solves a state freshly loaded outside the timed call.
+    # for each sector's nearest nodes, sorts the sectors into the profile's
+    # order and keeps both on the state. Each round solves a state freshly
+    # loaded outside the timed call.
     text = serialize_state(topology(n_sectors, n_nodes))
     head = benchmark.pedantic(
         lambda state: solve(state, UNTARGETED)[0],

@@ -742,7 +742,11 @@ def serialize_state(state: NetworkState) -> str:
 def validate_config(state: NetworkState, config: SliceConfiguration) -> None:
     """The one check that `config` can exist in `state`: an unknown sector or
     node raises UnknownIdError; a band that is not a `Band`, or has no
-    spectrum at the sector, raises ProvisioningError."""
+    spectrum at the sector, and an empty slice id raise ProvisioningError.
+    The wire form omits an empty id, so a ledger holding one would reload
+    unequal; both ledger paths, `apply_provisioning` and the `NetworkState`
+    constructor, run this check (`config_from_dict` refuses a loaded empty
+    id first, naming its entry)."""
     sector = state.sector(config.sector_id)
     state.node(config.node_id)
     if not isinstance(config.band, Band):
@@ -752,6 +756,8 @@ def validate_config(state: NetworkState, config: SliceConfiguration) -> None:
             f"band {config.band.value!r} has no available spectrum at sector "
             f"{config.sector_id!r}"
         )
+    if config.slice_id == "":
+        raise ProvisioningError("slice_id must be non-empty")
 
 
 def apply_provisioning(state: NetworkState, config: SliceConfiguration) -> NetworkState:

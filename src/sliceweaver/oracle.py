@@ -11,16 +11,22 @@ then lower sector load, then lexicographic (sector, band, node) with bands
 ordered mmwave < mid_band < low_band. The comparator is total, so rankings
 are deterministic and independent of enumeration order.
 
-`solve` finds the head without a row per candidate: it takes each sector's
-best candidate (its nearest feasible node, or its nearest node when none is
-feasible, on that node's best band) and returns the least of them. Each
-sector's nearest node, its nearest node within `kappa_max` and its
-congestion score depend on the state alone: the first `solve` for a
-`kappa_max` finds them in one scan of the latency matrix and keeps them on
-the (immutable) state, so each later head takes one plain pass over the
-sectors. Nothing that depends on the profile is kept. The head is scored
-by the reference functions, `compute_utility` and `check_constraints`, so a
-ranking's head carries exactly what they report for its configuration.
+`solve` finds the head without a row per candidate: the head is the least
+of each sector's best candidate (its nearest feasible node, or its nearest
+node when none is feasible, on that node's best band). Each sector's
+nearest node, its nearest node within `kappa_max` and its congestion score
+depend on the state alone: the first `solve` for a `kappa_max` finds them
+in one scan of the latency matrix and keeps them on the (immutable) state.
+A targeted head takes its one sector's best row. Without a target, the
+order of the sectors' best rows depends on the state, `kappa_max` and the
+key (l_max, traffic class, bandwidth category) alone: the first untargeted
+`solve` for a key sorts the sectors that can be feasible and keeps that
+order on the same per-state index, so each later head for the key is the
+first sector in it that `tau_req_ms` leaves feasible, or, when there is
+none, the least infeasible row, found once per key and kept. The head is
+scored by the reference functions, `compute_utility` and
+`check_constraints`, so a ranking's head carries exactly what they report
+for its configuration.
 `solve` returns a read-only `Ranking` that holds that head and builds the
 other rows only when a read needs them, by one factored scan over the same
 per-state index: utility and feasibility split into parts that depend on
@@ -200,10 +206,21 @@ def solve(
     otherwise. Both nearest nodes and the sector's S_congestion depend on
     the state alone: the first call for a `kappa_max` finds the nodes with
     one latency lookup per (sector, node), scores each sector's congestion
-    once and keeps them on the state, and every call takes one pass over the
-    sectors, with one S_latency per sector and its best band kept by a
-    strict `<` over the band ranks in ascending order. The head is then
-    scored by `compute_utility` and `check_constraints`.
+    once and keeps them on the state. A sector's best row (`_sector_row`)
+    takes one S_latency and keeps its best band by a strict `<` over the
+    band ranks in ascending order.
+
+    A targeted head is its sector's best row. An untargeted head reads the
+    order kept on that index for (l_max, traffic class, bandwidth category):
+    the sectors that can be feasible (load within `l_max`, a node within
+    `kappa_max`), sorted by the row each would have if feasible, built by
+    the first call for the key. `tau_req_ms` only decides which of them are
+    feasible, and a feasible row ranks first, so the head is the first
+    sector in the order whose nearest node within `kappa_max` is within
+    `tau_req_ms`. When there is none, the head is the least row over all
+    sectors on their nearest nodes, which depends on neither `l_max` nor
+    `tau_req_ms`: it is found on first need and kept with the order. The
+    head is then scored by `compute_utility` and `check_constraints`.
     """
     if profile.target_sector is not None:
         state.sector(profile.target_sector)  # UnknownIdError for an unknown id
@@ -212,6 +229,10 @@ def solve(
     if nearest is None:
         # Threads that race here each build an equal index; one is kept.
         nearest = state._nearest_nodes[kappa_max] = _nearest_nodes(state, kappa_max)
+    weights = weights_for(profile.traffic_class)
+    s_resource = [score_resource(band, profile.bandwidth_category) for band in RANKED_BANDS]
+    l_max = thresholds.l_max
+    tau_req = profile.tau_req_ms
     if profile.target_sector is not None:
         sector = nearest.sectors.get(profile.target_sector)
         if sector is None:
@@ -221,32 +242,29 @@ def solve(
             )
         sectors = (sector,)
         count = len(state.nodes) * len(sector[2])
+        feasible = _can_be_feasible(sector, l_max) and sector[5] <= tau_req
+        *_, sector_id, band_rank, node_id = _sector_row(sector, feasible, weights, s_resource)
     else:
         sectors = nearest.sectors.values()
         if not sectors:
             raise OracleError("empty candidate set: no sector has an available band")
         count = nearest.candidates
-    weights = weights_for(profile.traffic_class)
-    s_resource = [score_resource(band, profile.bandwidth_category) for band in RANKED_BANDS]
-    l_max = thresholds.l_max
-    tau_req = profile.tau_req_ms
-    head = None
-    for sector_id, load, band_ranks, near_tau, near_id, ok_tau, ok_id, s_con in sectors:
-        if load <= l_max and ok_id is not None and ok_tau <= tau_req:
-            infeasible, tau, node_id = 0, ok_tau, ok_id
+        key = (l_max, profile.traffic_class, profile.bandwidth_category)
+        order = nearest.orders.get(key)
+        if order is None:
+            # Threads that race here each build an equal order; one is kept.
+            order = nearest.orders[key] = _sector_order(sectors, l_max, weights, s_resource)
+        for (sector_id, _, _, _, _, ok_tau, node_id, _), band_rank in zip(order.sectors,
+                                                                         order.band_ranks):
+            if ok_tau <= tau_req:
+                break
         else:
-            infeasible, tau, node_id = 1, near_tau, near_id
-        s_lat = score_latency(tau)
-        # band_ranks ascend, so a strict `<` keeps the lower band rank on a tie.
-        neg_utility = math.inf
-        for rank in band_ranks:
-            value = -weighted_utility(weights, s_lat, s_resource[rank], s_con)
-            if value < neg_utility:
-                neg_utility, band_rank = value, rank
-        row = (infeasible, neg_utility, tau, load, sector_id, band_rank, node_id)
-        if head is None or row < head:
-            head = row
-    *_, sector_id, band_rank, node_id = head
+            least = order.least_infeasible
+            if least is None:
+                # Threads that race here each find an equal row; one is kept.
+                least = order.least_infeasible = min(
+                    _sector_row(sector, False, weights, s_resource) for sector in sectors)
+            *_, sector_id, band_rank, node_id = least
     config = SliceConfiguration(sector_id, RANKED_BANDS[band_rank], node_id)
     breakdown = compute_utility(config, profile, state)
     report = check_constraints(config, profile, state, thresholds)
@@ -257,7 +275,8 @@ def solve(
 
 class _NearestNodes(NamedTuple):
     """The part of `solve`'s search that depends on the state and `kappa_max`
-    alone, kept on the state by `kappa_max`."""
+    alone, kept on the state by `kappa_max`, and the sector orders that
+    untargeted heads under this `kappa_max` have asked for."""
 
     # Sector id -> (sector id, load, band ranks, nearest node's latency and
     # id, nearest compute-ok node's latency and id or (inf, None), the
@@ -268,6 +287,22 @@ class _NearestNodes(NamedTuple):
     candidates: int  # the untargeted candidate count
     # (node id, node, compute load <= kappa_max) for every node, by id.
     nodes: list[tuple[str, CoreNode, bool]]
+    # (l_max, traffic class, bandwidth category) -> the order `_sector_order`
+    # built for it, on the first untargeted `solve` that needed it.
+    orders: dict[tuple, _SectorOrder]
+
+
+class _SectorOrder:
+    """One key's sector order (see `solve`): the index's own sector rows that
+    can be feasible, best first, each one's best band rank as a byte, and
+    the least infeasible row once a head has needed it."""
+
+    __slots__ = ("sectors", "band_ranks", "least_infeasible")
+
+    def __init__(self, sectors: list[tuple], band_ranks: bytes) -> None:
+        self.sectors = sectors
+        self.band_ranks = band_ranks
+        self.least_infeasible: tuple | None = None
 
 
 def _nearest_nodes(state: NetworkState, kappa_max: float) -> _NearestNodes:
@@ -305,7 +340,53 @@ def _nearest_nodes(state: NetworkState, kappa_max: float) -> _NearestNodes:
             score_congestion(load),
         )
         candidates += len(nodes) * len(band_ranks)
-    return _NearestNodes(sectors, candidates, nodes)
+    return _NearestNodes(sectors, candidates, nodes, {})
+
+
+def _can_be_feasible(sector: tuple, l_max: float) -> bool:
+    """Whether some `tau_req_ms` makes the sector row's best candidate
+    feasible: its load is within `l_max` and a node within `kappa_max`."""
+    return sector[1] <= l_max and sector[6] is not None
+
+
+def _sector_row(
+    sector: tuple,
+    feasible: bool,
+    weights: tuple[float, float, float],
+    s_resource: Sequence[float],
+) -> tuple:
+    """The ranking key row of the sector row's best candidate, on its
+    nearest node within `kappa_max` when `feasible` and on its nearest node
+    otherwise, at the band of highest utility for that node's S_latency."""
+    sector_id, load, band_ranks, near_tau, near_id, ok_tau, ok_id, s_con = sector
+    if feasible:
+        infeasible, tau, node_id = 0, ok_tau, ok_id
+    else:
+        infeasible, tau, node_id = 1, near_tau, near_id
+    s_lat = score_latency(tau)
+    # band_ranks ascend, so a strict `<` keeps the lower band rank on a tie.
+    neg_utility = math.inf
+    for rank in band_ranks:
+        value = -weighted_utility(weights, s_lat, s_resource[rank], s_con)
+        if value < neg_utility:
+            neg_utility, band_rank = value, rank
+    return (infeasible, neg_utility, tau, load, sector_id, band_rank, node_id)
+
+
+def _sector_order(
+    sectors: Iterable[tuple],
+    l_max: float,
+    weights: tuple[float, float, float],
+    s_resource: Sequence[float],
+) -> _SectorOrder:
+    """The sector rows that can be feasible under `l_max`, sorted by the row
+    each would have if feasible; it keeps those rows, not the key rows."""
+    keyed = sorted(
+        (_sector_row(sector, True, weights, s_resource), sector)
+        for sector in sectors
+        if _can_be_feasible(sector, l_max)
+    )  # the key rows differ in sector id, so the sector rows are never compared
+    return _SectorOrder([sector for _, sector in keyed], bytes(row[5] for row, _ in keyed))
 
 
 def _candidate_rows(

@@ -389,6 +389,18 @@ def test_loading_an_empty_slice_id_rejected(state):
     assert "slice_id" in str(excinfo.value)
 
 
+def test_an_empty_slice_id_is_refused_by_both_ledger_entry_points(state):
+    # The wire form omits an empty slice_id, so a state holding one would
+    # reload with slice_id=None.
+    empty = dataclasses.replace(GOLDEN_INDUSTRIAL, slice_id="")
+    with pytest.raises(ProvisioningError) as excinfo:
+        apply_provisioning(state, empty)
+    assert str(excinfo.value) == "slice_id must be non-empty"
+    with pytest.raises(ProvisioningError) as excinfo:
+        NetworkState(sectors=state.sectors, nodes=state.nodes, provisioned_slices=(empty,))
+    assert str(excinfo.value) == "slice_id must be non-empty"
+
+
 def test_loaded_state_is_read_only(state):
     node = state.node("metro_agg_hub")
     for mapping, key, value in (
@@ -507,6 +519,44 @@ def provisioning_chains(draw, max_size=4):
 def test_round_trip_identity_property(chain):
     for random_state in chain:
         assert load_state(serialize_state(random_state)) == random_state
+
+
+@settings(max_examples=100, deadline=None)
+@given(network_states(), st.data())
+def test_a_provisioned_state_with_drawn_ids_reloads_equal(base, data):
+    # Drawn slice ids, the empty one among them: a ledger built through
+    # `apply_provisioning` or the constructor reloads equal, and a ledger
+    # with an empty id is refused by both.
+    ids = data.draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
+    ledger = []
+    for slice_id in ids:
+        sector = base.sector(data.draw(st.sampled_from(sorted(base.sectors))))
+        bands = [band for band in Band if sector.spectrum.available(band)]
+        if bands:
+            ledger.append(SliceConfiguration(
+                sector.id, data.draw(st.sampled_from(bands)),
+                data.draw(st.sampled_from(sorted(base.nodes))),
+                data.draw(st.none() | st.just(slice_id))))
+    empty = any(config.slice_id == "" for config in ledger)
+
+    def provisioned():
+        state = base
+        for config in ledger:
+            state = apply_provisioning(state, config)
+        return state
+
+    def built():
+        return NetworkState(sectors=base.sectors, nodes=base.nodes,
+                            provisioned_slices=tuple(ledger))
+
+    for build in (provisioned, built):
+        if empty:
+            with pytest.raises(ProvisioningError, match="^slice_id must be non-empty$"):
+                build()
+            continue
+        state = build()
+        assert state.provisioned_slices == tuple(ledger)
+        assert load_state(serialize_state(state)) == state
 
 
 def _rekeyed(draw, ids: list[str]) -> list[str]:

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -404,6 +405,21 @@ def build_state(loads, nodes, spectrum=SpectrumBands(100.0, 100.0, 100.0)):
     )
 
 
+def random_state_400x12(seed):
+    """400 sectors (`sector_000`...) and 12 nodes, every band at every
+    sector, loads and latencies drawn from `seed`."""
+    rng = random.Random(seed)
+    sector_ids = [f"sector_{i:03d}" for i in range(400)]
+    return build_state(
+        {sid: round(rng.uniform(5, 95), 1) for sid in sector_ids},
+        {
+            f"upf_{j:02d}": (round(rng.uniform(20, 95), 1),
+                             {sid: round(rng.uniform(2, 45), 1) for sid in sector_ids})
+            for j in range(12)
+        },
+    )
+
+
 def profile_for(traffic_class, tau_req_ms, target_sector=None,
                 bandwidth=BandwidthCategory.MEDIUM):
     return IntentProfile(
@@ -595,6 +611,120 @@ def test_congestion_is_scored_once_per_state_and_kappa_max(state, lexicon, monke
     assert calls == []
 
 
+# Each untargeted key's sector order is kept on the index for its kappa_max.
+
+@st.composite
+def untargeted_calls(draw):
+    """An untargeted (profile, thresholds) pair: limits on both sides of the
+    drawn loads, and every tau_req of `topologies_and_profiles`."""
+    profile = IntentProfile(
+        raw_text="generated",
+        traffic_class=draw(st.sampled_from(TrafficClass)),
+        bandwidth_category=draw(st.sampled_from(BandwidthCategory)),
+        tau_req_ms=draw(st.sampled_from(TAUS_REQ)),
+    )
+    return profile, Thresholds(l_max=draw(LOADS), kappa_max=draw(LOADS))
+
+
+def order_key(profile, thresholds):
+    return thresholds.l_max, profile.traffic_class, profile.bandwidth_category
+
+
+@settings(max_examples=150, deadline=None)
+@given(topologies_and_profiles(), st.lists(untargeted_calls(), min_size=1, max_size=10))
+def test_untargeted_heads_on_one_state_are_the_reference_heads(case, calls):
+    # One state serves every call, so the orders kept by earlier calls serve
+    # later ones. Each drawn call is followed by the same key with a lenient
+    # and then a strict tau_req (below every drawn latency), so the fallback
+    # is reached with the key's order already kept.
+    state, _, _ = case
+    for profile, thresholds in calls:
+        for tau_req in (profile.tau_req_ms, 1000.0, 0.25):
+            call = dataclasses.replace(profile, tau_req_ms=tau_req)
+            expected = reference_ranking(state, call, thresholds)
+            if not expected:
+                with pytest.raises(OracleError):
+                    solve(state, call, thresholds)
+                continue
+            assert head_of(solve(state, call, thresholds)) == expected[0]
+            orders = state._nearest_nodes[thresholds.kappa_max].orders
+            assert order_key(call, thresholds) in orders
+        if expected:
+            assert not expected[0][2].feasible
+            assert orders[order_key(call, thresholds)].least_infeasible is not None
+
+
+def test_each_sector_order_is_built_once_per_state_and_thresholds(state, lexicon, monkeypatch):
+    built = []
+    sector_order = oracle._sector_order
+
+    def counting(sectors, l_max, weights, s_resource):
+        built.append((l_max, weights, tuple(s_resource)))
+        return sector_order(sectors, l_max, weights, s_resource)
+
+    monkeypatch.setattr(oracle, "_sector_order", counting)
+    fresh = load_state(serialize_state(state))
+    profiles = [
+        profile_for(traffic_class, tau_req, bandwidth=bandwidth)
+        for traffic_class in TrafficClass
+        for bandwidth in BandwidthCategory
+        for tau_req in (50.0, 1.0, 20.0)  # 1 ms is below every latency
+    ]
+    targeted = [profile_for(TrafficClass.URLLC, 50.0, target_sector=sid) for sid in fresh.sectors]
+    thresholds = [Thresholds(l_max=l_max, kappa_max=kappa_max)
+                  for kappa_max in (85.0, 50.0) for l_max in (100.0, 60.0)]
+    for round_ in range(2):
+        for limits in thresholds:
+            before = len(built)
+            for profile in targeted:
+                solve(fresh, profile, limits)
+            assert len(built) == before  # a targeted head needs no order
+            for profile in profiles:
+                solve(fresh, profile, limits)
+            assert len(built) - before == (9 if round_ == 0 else 0)
+    for kappa_max in (85.0, 50.0):
+        orders = fresh._nearest_nodes[kappa_max].orders
+        assert set(orders) == {(l_max, traffic_class, bandwidth)
+                               for l_max in (100.0, 60.0)
+                               for traffic_class in TrafficClass
+                               for bandwidth in BandwidthCategory}
+    # A copy and a provisioned state each start without the orders.
+    head = solve(fresh, profiles[0])[0]
+    built.clear()
+    for copy in (dataclasses.replace(fresh), apply_provisioning(fresh, head.config)):
+        assert solve(copy, profiles[0])[0] == head
+        assert set(copy._nearest_nodes[85.0].orders) == {order_key(profiles[0], Thresholds())}
+    assert len(built) == 2
+
+
+def test_the_sector_orders_of_every_key_take_at_most_64_kb():
+    # The orders keep the index's own sector rows and a byte per band rank,
+    # not a new tuple per sector: all 9 keys (every traffic class and
+    # bandwidth category), each with its fallback, at 400 sectors x 12 nodes.
+    state = random_state_400x12("sector-order-memory")
+    solve(state, profile_for(TrafficClass.EMBB, 50.0, target_sector="sector_000"))
+    # Building an order sorts one short-lived key row per sector, and CPython
+    # keeps freed tuples on its free lists rather than freeing them. One
+    # order built on a copy (which starts without the index) fills those
+    # lists first, so the count holds what the 9 orders keep.
+    solve(dataclasses.replace(state), profile_for(TrafficClass.EMBB, 50.0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for traffic_class in TrafficClass:
+            for bandwidth in BandwidthCategory:
+                for tau_req in (50.0, 1.0):  # 1 ms is below every latency
+                    solve(state, profile_for(traffic_class, tau_req, bandwidth=bandwidth))[0]
+        added = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    orders = state._nearest_nodes[85.0].orders
+    assert len(orders) == 9
+    assert all(order.least_infeasible is not None for order in orders.values())
+    assert sum(len(order.sectors) for order in orders.values()) > 9 * 300
+    assert added <= 64 * 1024
+
+
 def test_copies_of_a_solved_state_start_without_nearest_nodes(state, lexicon):
     fresh = load_state(serialize_state(state))
     assert fresh._nearest_nodes == {}
@@ -623,6 +753,14 @@ def test_threads_taking_the_first_solve_get_the_serial_heads(state, lexicon, sce
     text = serialize_state(state)
     profiles = [classify_intent(s.intent_text, state, lexicon) for s in scenarios]
     profiles.append(classify_intent("plain connectivity request", state, lexicon))
+    # Untargeted profiles of every key, feasible and (at 1 ms) not: the
+    # workers also race to build each key's order and to find its fallback.
+    profiles += [
+        profile_for(traffic_class, tau_req, bandwidth=bandwidth)
+        for tau_req in (50.0, 1.0, 20.0)
+        for traffic_class in TrafficClass
+        for bandwidth in BandwidthCategory
+    ]
     serial_state = load_state(text)
     serial = [solve(serial_state, profile)[0] for profile in profiles]
     switch_interval = sys.getswitchinterval()
@@ -640,6 +778,9 @@ def test_threads_taking_the_first_solve_get_the_serial_heads(state, lexicon, sce
                 results = [pool.submit(heads) for _ in range(3)]
                 assert [result.result(timeout=10) for result in results] == [serial] * 3
             assert set(fresh._nearest_nodes) == {85.0}
+            assert set(fresh._nearest_nodes[85.0].orders) == {
+                (100.0, traffic_class, bandwidth)
+                for traffic_class in TrafficClass for bandwidth in BandwidthCategory}
     finally:
         sys.setswitchinterval(switch_interval)
 
@@ -677,16 +818,7 @@ def test_a_full_ranking_shares_one_object_per_distinct_score_and_check():
     # the head (scored by the reference functions), rows with equal
     # sub-scores share one ScoreBreakdown and rows with equal checks one
     # ConstraintReport, so at most 8 reports stand behind 14k rows.
-    rng = random.Random("full-ranking-sharing")
-    sector_ids = [f"sector_{i:03d}" for i in range(400)]
-    state = build_state(
-        {sid: round(rng.uniform(5, 95), 1) for sid in sector_ids},
-        {
-            f"upf_{j:02d}": (round(rng.uniform(20, 95), 1),
-                             {sid: round(rng.uniform(2, 45), 1) for sid in sector_ids})
-            for j in range(12)
-        },
-    )
+    state = random_state_400x12("full-ranking-sharing")
     profile = profile_for(TrafficClass.EMBB, 20.0)
     rows = list(solve(state, profile, Thresholds(l_max=60.0, kappa_max=50.0)))[1:]
     assert len(rows) == 400 * 3 * 12 - 1

@@ -175,6 +175,13 @@ def test_ab_summariser_reports_spread_wins_and_verdicts():
     assert text.startswith("10 pairs, 3 left out")
     assert "won 9/10  gain" in text and "won 0/10  worse" in text
     assert "parent 40.00 spread" in text and "change 44.00 spread" in text
+    # Each metric's signed median move beside its bound: 4 ops/s more is
+    # 10 % better, and 10 % more memory uses twice the 5 % bound.
+    assert ops["worse_by"] == pytest.approx(-0.1) and ops["bound"] == 0.25
+    lines = {line.split()[0]: line for line in text.splitlines()[1:]}
+    assert "worse -10.0 % of 25 %  won 9/10  gain" in lines["ops_per_ref_s"]
+    assert "worse +10.0 % of 5 %  won 0/10  worse" in lines["peak_rss_mb"]
+    assert "worse +0.0 % of 25 %  won 0/10  -" in lines["setup_s"]
     # Four significant digits at every scale, rounding included.
     assert [ab.significant(value) for value in (0.005684, 0.00568, 1205.6, 0.99996)] == [
         "0.005684", "0.005680", "1206", "1.000"]

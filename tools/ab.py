@@ -11,8 +11,10 @@ of the machine does not always land on one side. Every run is printed as a
 JSON line as it arrives. Then, for each end-to-end metric of
 `BENCHMARK.json`, it prints each side's median (to four significant
 digits) and quartile spread (as
-`spread.py` computes them) and how many pairs the change won (ties count for
-neither). A pair in which either side exited non-zero or failed its
+`spread.py` computes them), how much worse the change's median is than the
+parent's beside the metric's bound (`peak_rss_mb ... worse +3.0 % of 5 %`;
+a negative share is a move the better way) and how many pairs the change
+won (ties count for neither). A pair in which either side exited non-zero or failed its
 reference check is left out of these figures, and the count left out is
 printed.
 
@@ -59,8 +61,9 @@ def failed(run: dict) -> bool:
 def summarise(pairs: list[tuple[dict, dict]]) -> dict:
     """The figures of the (parent, change) runs of each pair: how many pairs
     were left out because a side failed, and one row per gated metric with
-    each side's median and spread, the pairs the change won and the `gain`
-    and `worse` verdicts. With fewer than two pairs left there are no rows;
+    each side's median and spread, how much worse the change's median is
+    (`worse_by`, a share; negative is better) and the metric's `bound`, the
+    pairs the change won and the `gain` and `worse` verdicts. With fewer than two pairs left there are no rows;
     with fewer than `MIN_GAIN_PAIRS` no row is a `gain`."""
     kept = [(p["result"], c["result"]) for p, c in pairs if not (failed(p) or failed(c))]
     summary = {"pairs": len(kept), "left_out": len(pairs) - len(kept), "rows": []}
@@ -79,7 +82,9 @@ def summarise(pairs: list[tuple[dict, dict]]) -> dict:
             spread.worse_by(name, parent, change) < 0
             for parent, change in zip(values["parent"], values["change"])
         )
-        worse = spread.worse_by(name, row["parent"]["median"], row["change"]["median"])
+        worse = row["worse_by"] = spread.worse_by(
+            name, row["parent"]["median"], row["change"]["median"])
+        row["bound"] = gate["bound"]
         row["gain"] = (len(kept) >= MIN_GAIN_PAIRS and row["won"] >= 0.9 * len(kept)
                        and -worse > row["parent"]["spread"])
         row["worse"] = worse > gate["bound"]
@@ -105,6 +110,7 @@ def format_summary(summary: dict) -> str:
         )
         verdict = "gain" if row["gain"] else "worse" if row["worse"] else "-"
         lines.append(f"{row['metric']:<16} {row['unit']:<4} {sides}  "
+                     f"worse {100 * row['worse_by']:+.1f} % of {100 * row['bound']:g} %  "
                      f"won {row['won']}/{summary['pairs']}  {verdict}")
     return "\n".join(lines)
 
