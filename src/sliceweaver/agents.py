@@ -47,6 +47,7 @@ from .model import (
     NetworkState,
     ProvisioningError,
     SliceConfiguration,
+    _built,
     apply_provisioning,
     serialize_state,
 )
@@ -162,6 +163,7 @@ _REMAINDER_KEYS = ("request", "summary")
 _ACTION_KEYS = tuple(
     f.name for f in fields(AgentAction) if f.name != "kind" and f.name not in _REMAINDER_KEYS
 ) + _REMAINDER_KEYS
+_ACTION_KEY_SET = frozenset(_ACTION_KEYS)
 _ACTION_PREFIX = "ACTION:"
 _ACTION_KINDS = {kind.value: kind for kind in ActionKind}
 
@@ -197,19 +199,20 @@ def _parse_action_line(line: str) -> AgentAction:
         if key in values:
             raise ActionParseError(f"duplicate key {key!r}", line)
         values[key] = value.strip()
-    unknown = values.keys() - _ACTION_KEYS
-    if unknown:
-        raise ActionParseError(f"unknown key(s) {sorted(unknown)}", line)
-    action = AgentAction(kind=kind, **values)
-    if kind is ActionKind.CALL_AGENT and (not action.agent_name or not action.request):
+    if not values.keys() <= _ACTION_KEY_SET:
+        raise ActionParseError(f"unknown key(s) {sorted(values.keys() - _ACTION_KEY_SET)}", line)
+    get = values.get
+    if kind is ActionKind.CALL_AGENT and not (get("agent_name") and get("request")):
         raise ActionParseError("CALL_AGENT needs agent_name and request", line)
     if kind is ActionKind.PROVISION_SLICE and not (
-        action.slice_id and action.ran_config and action.core_config
+        get("slice_id") and get("ran_config") and get("core_config")
     ):
         raise ActionParseError(
             "PROVISION_SLICE needs slice_id, ran_config and core_config", line
         )
-    return action
+    return _built(AgentAction, kind=kind, agent_name=get("agent_name"), request=get("request"),
+                  slice_id=get("slice_id"), ran_config=get("ran_config"),
+                  core_config=get("core_config"), summary=get("summary"))
 
 
 def parse_action(text: str) -> list[AgentAction]:
@@ -392,7 +395,8 @@ def run_react(
 
     def finish(outcome: Outcome, final, error: str | None = None) -> AgentTranscript:
         calls = session.calls[first:]
-        return AgentTranscript(
+        return _built(
+            AgentTranscript,
             intent_text=intent_text,
             entries=tuple(entries),
             outcome=outcome,
@@ -442,7 +446,8 @@ def run_react(
                     except GatewayError as exc:
                         error = str(exc)
                         break
-                    exchanges.append(SpecialistExchange(
+                    exchanges.append(_built(
+                        SpecialistExchange,
                         agent_name=action.agent_name,
                         request=action.request or "",
                         response=reply,
@@ -471,8 +476,8 @@ def run_react(
                         "PROVISION_SLICE first"
                     )
         observation_text = "\n".join(observations) or None
-        entries.append(TranscriptEntry(
-            iteration=iteration, response_text=result.text,
+        entries.append(_built(
+            TranscriptEntry, iteration=iteration, response_text=result.text,
             actions=tuple(actions), specialist_exchanges=tuple(exchanges),
             observation=observation_text,
         ))

@@ -139,12 +139,8 @@ class ScriptedBackend:
             if exchange.completion_tokens is not None
             else _estimate_tokens(len(exchange.response))
         )
-        return CompletionResult(
-            text=exchange.response,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            latency_s=0.0,
-        )
+        return _built(CompletionResult, text=exchange.response, prompt_tokens=prompt_tokens,
+                      completion_tokens=completion_tokens, latency_s=0.0)
 
     def _check_prompt(self, exchange: ScriptedExchange, rendered: str) -> None:
         if exchange.expect_contains is not None and exchange.expect_contains not in rendered:

@@ -27,12 +27,14 @@ the rule-based row classifies with the bundled strict lexicon and the
 process (`data`). Each scenario is classified once per `HarnessConfig`, on
 first use, and every row run with that config is scored against the same
 profile, so `compare` and `ablate` classify the suite once for all their
-systems. Each run is scored once, into its `EvaluationRecord`. A
-deterministic run (a referee system, or any scripted backend) runs once per
-scenario: its scored record is run 1, and each later repeat is built by the
-`EvaluationRecord` constructor from that record's fields with only
-`run_index` changed. A live LLM run is repeated. Failures of a run are
-recorded as zero-accuracy rows rather than aborting the harness.
+systems. Each run is scored once, into its `EvaluationRecord`, which is
+built in one step (`model._built`): the record's constructor checks nothing.
+A deterministic run (a referee system, or any scripted backend) runs once
+per scenario: its scored record is run 1, and each later repeat is built
+the same way from run 1's field objects with only `run_index` changed, so
+`json_text` writes each repeat from run 1's text. A live LLM run is
+repeated. Failures of a run are recorded as zero-accuracy rows rather than
+aborting the harness.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .model import (
     NetworkState,
     SliceConfiguration,
     StateError,
+    _built,
     _check_keys,
     config_from_dict,
     read_json,
@@ -331,7 +334,8 @@ def _run_once(
             error = "iteration limit exceeded"
     accuracy = semantic_accuracy(produced, scenario.golden)
     utility = 0.0 if produced is None else compute_utility(produced, profile, config.state).utility
-    return EvaluationRecord(
+    return _built(
+        EvaluationRecord,
         scenario_id=scenario.id,
         category=scenario.category.value,
         system=row.records_as,
@@ -354,9 +358,12 @@ def run_scenario(
     """Evaluate one scenario `config.repeats` times.
 
     A deterministic run (a referee system, or any scripted backend) runs and
-    is scored once: its record is run 1, and each later run is that record
-    with its `run_index` changed. A live LLM system runs and is scored once
-    per repeat, each in its own session.
+    is scored once: its record is run 1, and each later run is built in one
+    step (`model._built`) from run 1's field objects, the same objects, with
+    only `run_index` changed. `json_text` takes a record that shares every
+    field object but `run_index` with the record before it from that
+    record's text. A live LLM system runs and is scored once per repeat,
+    each in its own session.
     """
     row = SYSTEM_TABLE.get(system)
     if row is None:
@@ -366,7 +373,8 @@ def run_scenario(
         record = _run_once(scenario, row, provider, config, profile, run_index=1)
         scored = vars(record)
         return [record] + [
-            EvaluationRecord(**{**scored, "run_index": i}) for i in range(2, config.repeats + 1)
+            _built(EvaluationRecord, **{**scored, "run_index": i})
+            for i in range(2, config.repeats + 1)
         ]
     return [
         _run_once(scenario, row, provider, config, profile, i)

@@ -20,7 +20,11 @@ call, and keep it.
 
 Each rule is stated once, in the record it constrains. One checker per
 record (`_check_bands`, `_check_sector`, `_check_node`) raises for the
-record's first fault; its constructor and `load_state` both call it.
+record's first fault; its constructor and `load_state` both call it. A
+constructor then checks the types that `load_state` checks as it reads:
+each number finite and not a bool, `active_users` an integer, a
+description a string. So a record holds nothing that its written form
+would not load back as.
 `NetworkState.__post_init__` holds every rule that spans records: each map
 key is its record's id, the latency matrix covers exactly the sectors, and
 the ledger names known sectors, nodes and bands, with unique slice ids. So
@@ -35,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from collections.abc import Callable, Mapping
 from contextlib import suppress
 from dataclasses import dataclass, fields
@@ -89,10 +94,17 @@ _new_object, _set_attribute = object.__new__, object.__setattr__
 
 
 def _built(cls: type, **fields):
-    """An instance of the frozen dataclass `cls` with these fields, made
-    without `__init__` and so without `__post_init__`'s checks. Use it only
-    for fields that are already checked, or for a class whose constructor
-    checks nothing (no `__post_init__`). Pass every field, in declaration
+    """An instance of the frozen dataclass `cls` with these fields, made in
+    one assignment, without `__init__` and so without `__post_init__`'s
+    checks. Two kinds of use are allowed. A class whose constructor checks
+    nothing (no `__post_init__`) may be built this way anywhere: the
+    records of a run (`EvaluationRecord`, `AgentAction`, `TranscriptEntry`,
+    `SpecialistExchange`, `AgentTranscript`, `CompletionResult`,
+    `ScriptedExchange`) and `SliceConfiguration`. A class with a
+    `__post_init__` may be built this way only from fields its own checker
+    has just passed (the loader's sectors, nodes and spectra) or that a
+    checked state already holds (`_with_ledger`); any other caller, such as
+    `ChatMessage`'s, uses the constructor. Pass every field, in declaration
     order, so the instance's `vars()` reads as a constructed one's."""
     value = _new_object(cls)
     _set_attribute(value, "__dict__", fields)
@@ -121,6 +133,24 @@ _BAND_FIELDS: dict[Band, str] = {
 }
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite_number(value: object) -> bool:
+    """Whether a constructor's number passes `_require_number`: a finite
+    float, or an int within the float range. A constructor calls
+    `_require_number`, which names the fault, only for a value that fails."""
+    kind = type(value)
+    return (kind is float or kind is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _require_description(context: object, where: str) -> None:
+    """A built record's `context`, written as its `description`, must be a
+    string (the loader checks a loaded one as it reads it)."""
+    if not isinstance(context, str):
+        raise StateValidationError(f"{where}: description must be a string, got {context!r}")
+
+
 def _check_bands(mmwave_mhz: float, mid_band_mhz: float, low_band_mhz: float) -> None:
     """The range rule of `SpectrumBands`: every band is >= 0 (NaN fails)."""
     if not mmwave_mhz >= 0:
@@ -141,6 +171,9 @@ class SpectrumBands:
 
     def __post_init__(self) -> None:
         _check_bands(self.mmwave_mhz, self.mid_band_mhz, self.low_band_mhz)
+        for name in _BAND_FIELDS.values():
+            if not _finite_number(value := getattr(self, name)):
+                _require_number(value, f"spectrum {name}")
 
     def for_band(self, band: Band) -> float:
         return getattr(self, _BAND_FIELDS[band])
@@ -175,6 +208,12 @@ class RanSector:
 
     def __post_init__(self) -> None:
         _check_sector(self.id, self.active_users, self.load_percent)
+        where = f"sector {self.id!r}"
+        if isinstance(self.active_users, bool) or not isinstance(self.active_users, int):
+            raise StateValidationError(f"{where}: active_users must be an integer")
+        if not _finite_number(self.load_percent):
+            _require_number(self.load_percent, f"{where} load_percentage")
+        _require_description(self.context, where)
 
 
 def _check_node(node_id: str, compute_load_percent: float, row: Mapping[str, float],
@@ -217,6 +256,13 @@ class CoreNode:
             if (total := sum(row.values())) == total:
                 lowest = min(row.values(), default=1.0)
         _check_node(self.id, self.compute_load_percent, row, lowest)
+        where = f"node {self.id!r}"
+        if not _finite_number(self.compute_load_percent):
+            _require_number(self.compute_load_percent, f"{where} compute_load_percent")
+        for sector_id, value in row.items():
+            if not _finite_number(value):
+                _require_number(value, f"{where} latency to {sector_id!r}")
+        _require_description(self.context, where)
 
 
 @dataclass(frozen=True)
@@ -540,7 +586,9 @@ def _value_texts(values, depth: int, memo: dict) -> list[str]:
     """The JSON text of each value at `depth`, dispatched on its exact type.
     `memo` holds the text of each dataclass value met so far in this call,
     by `(id(value), depth)`: the document holds every such value for the
-    whole call, so no id is reused while the memo lives."""
+    whole call, so no id is reused while the memo lives. Under the key
+    `depth` alone it holds the last `EvaluationRecord` written at that depth
+    (`_dataclass_text`)."""
     texts: list[str] = []
     append = texts.append
     for value in values:
@@ -585,19 +633,33 @@ def _value_texts(values, depth: int, memo: dict) -> list[str]:
     return texts
 
 
-# A record's field names, sorted once, and the getter of its values in that order.
+# A record's field names, sorted once; the getter of its values in that
+# order; and the getter of every value but `run_index`, the one field in
+# which a deterministic run's repeats differ.
 _RECORD_KEYS = tuple(sorted(f.name for f in fields(EvaluationRecord)))
 _record_values = operator.attrgetter(*_RECORD_KEYS)
+_RUN_INDEX = _RECORD_KEYS.index("run_index")
+_record_shared = operator.attrgetter(*(key for key in _RECORD_KEYS if key != "run_index"))
 
 
 def _dataclass_text(value, depth: int, memo: dict) -> str:
     """The JSON text at `depth` of an `EvaluationRecord` (an object of its
     fields) or a `SliceConfiguration` (its `config_to_dict` wire form); any
-    other type, subclasses included, raises TypeError."""
+    other type, subclasses included, raises TypeError. A record whose
+    fields other than `run_index` are the very objects of the record
+    written last at this depth takes that record's field texts with its own
+    `run_index` text."""
     kind = type(value)
     if kind is EvaluationRecord:
-        return (_object_template(_RECORD_KEYS, depth)
-                % tuple(_value_texts(_record_values(value), depth + 1, memo)))
+        shared = _record_shared(value)
+        last = memo.get(depth)
+        if last is not None and all(map(operator.is_, shared, last[0])):
+            texts = last[1].copy()
+            texts[_RUN_INDEX] = _value_texts((value.run_index,), depth + 1, memo)[0]
+        else:
+            texts = _value_texts(_record_values(value), depth + 1, memo)
+        memo[depth] = (shared, texts)
+        return _object_template(_RECORD_KEYS, depth) % tuple(texts)
     if kind is SliceConfiguration:
         return _value_texts((config_to_dict(value),), depth, memo)[0]
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -617,8 +679,13 @@ def json_text(doc) -> str:
     Each object is one `%` template, built once per sorted key set and
     depth, filled by the C leaf encoders json itself uses; each array is
     one join. A dataclass value met again at the same depth within one call
-    reuses its text, so the repeats of a deterministic run, which share
-    run 1's `produced` configuration, encode it once.
+    reuses its text. An `EvaluationRecord` whose fields other than
+    `run_index` are the same objects as those of the record written just
+    before it at the same depth, as a deterministic run's repeats are, is
+    written from that record's field texts with its own `run_index`. "The
+    same" is identity (`is`), never equality: `0.0 == -0.0` and
+    `1 == 1.0 == True`, yet each of these is written differently. What a
+    call keeps lives only for that call.
     """
     return _value_texts((doc,), 0, {})[0]
 
@@ -742,11 +809,12 @@ def serialize_state(state: NetworkState) -> str:
 def validate_config(state: NetworkState, config: SliceConfiguration) -> None:
     """The one check that `config` can exist in `state`: an unknown sector or
     node raises UnknownIdError; a band that is not a `Band`, or has no
-    spectrum at the sector, and an empty slice id raise ProvisioningError.
-    The wire form omits an empty id, so a ledger holding one would reload
-    unequal; both ledger paths, `apply_provisioning` and the `NetworkState`
-    constructor, run this check (`config_from_dict` refuses a loaded empty
-    id first, naming its entry)."""
+    spectrum at the sector, and a slice id that is not a non-empty string
+    raise ProvisioningError. The wire form omits an empty id and the loader
+    refuses one that is not a string, so a ledger holding either would not
+    reload as it was; both ledger paths, `apply_provisioning` and the
+    `NetworkState` constructor, run this check (`config_from_dict` refuses
+    such a loaded id first, naming its entry)."""
     sector = state.sector(config.sector_id)
     state.node(config.node_id)
     if not isinstance(config.band, Band):
@@ -756,8 +824,11 @@ def validate_config(state: NetworkState, config: SliceConfiguration) -> None:
             f"band {config.band.value!r} has no available spectrum at sector "
             f"{config.sector_id!r}"
         )
-    if config.slice_id == "":
-        raise ProvisioningError("slice_id must be non-empty")
+    if config.slice_id is not None:
+        if not isinstance(config.slice_id, str):
+            raise ProvisioningError(f"slice_id must be a string, got {config.slice_id!r}")
+        if not config.slice_id:
+            raise ProvisioningError("slice_id must be non-empty")
 
 
 def apply_provisioning(state: NetworkState, config: SliceConfiguration) -> NetworkState:

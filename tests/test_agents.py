@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 
@@ -485,6 +486,24 @@ def test_react_replays_bundled_trace(state, prompts, factory_intent):
         for exchange in entry.specialist_exchanges
     ]
     assert agents_called == ["ran_specialist", "core_specialist"]
+
+
+def test_a_replayed_transcript_reads_as_constructed_records(state, prompts, factory_intent):
+    # The transcript, its entries, actions and specialist exchanges, and the
+    # session's completions are built in one step: each must hold every field
+    # in declaration order and equal the record its constructor builds.
+    script = load_script(bundled.industrial_trace_fixture_path())
+    session = ChatSession(ScriptedBackend(script))
+    transcript = run_react(factory_intent, state, session, prompts)
+    built = [transcript, *transcript.entries, *session.calls]
+    for entry in transcript.entries:
+        built += [*entry.actions, *entry.specialist_exchanges]
+    assert {type(record).__name__ for record in built} == {
+        "AgentTranscript", "TranscriptEntry", "AgentAction", "SpecialistExchange",
+        "CompletionResult"}
+    for record in built:
+        assert list(vars(record)) == [f.name for f in dataclasses.fields(record)]
+        assert record == type(record)(**vars(record))
 
 
 def test_react_transcript_replay_is_identical(state, prompts, factory_intent):

@@ -306,6 +306,12 @@ def test_a_deterministic_row_repeats_its_scored_record(
         assert len(records) == harness_config.repeats == 3
         for run_index, record in enumerate(records, 1):
             assert record == dataclasses.replace(records[0], run_index=run_index)
+            # Built in one step, each record reads as a constructed one, and
+            # a repeat holds run 1's very field objects.
+            assert list(vars(record)) == [f.name for f in dataclasses.fields(record)]
+            assert record == EvaluationRecord(**vars(record))
+            assert all(getattr(record, f.name) is getattr(records[0], f.name)
+                       for f in dataclasses.fields(record) if f.name != "run_index")
 
 
 def test_oracle_row_classifies_once_per_scenario(monkeypatch, scenarios, harness_config):

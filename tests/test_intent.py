@@ -129,6 +129,81 @@ def test_a_tie_goes_to_the_sector_that_comes_first_in_state_order(order):
     assert extract_target_sector("serve a_b now", state) == order[0]
 
 
+def reference_target_sector(text: str, sector_ids: list[str]) -> str | None:
+    """The sector `extract_target_sector` must name, by one regular
+    expression per sector id: the id's words, lowered, parted by runs of
+    whitespace, "_" or "-", with an optional plural "s", and neither
+    preceded nor followed by a letter or digit; case is ignored. The
+    earliest match wins, and a tie goes to the id that comes first."""
+    earliest = None
+    for sector_id in sector_ids:
+        words = re.split(r"[ _-]+", sector_id.lower().strip())
+        pattern = r"(?<![a-z0-9])" + r"[\s_-]+".join(map(re.escape, words)) + r"s?(?![a-z0-9])"
+        match = re.search(pattern, text, re.IGNORECASE)
+        if match and (earliest is None or match.start() < earliest[0]):
+            earliest = (match.start(), sector_id)
+    return earliest[1] if earliest else None
+
+
+# Words that share first letters, plural forms and whole first words, so
+# drawn ids overlap as real sector names do.
+_ID_WORDS = ("park", "parks", "par", "a", "ab", "b", "zone", "zone2", "2", "s")
+
+
+@st.composite
+def _sector_ids(draw) -> list[str]:
+    """Ids of one to three words from `_ID_WORDS`, some with capitals, some
+    differing from another only by a separator."""
+    ids: list[str] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        words = draw(st.lists(st.sampled_from(_ID_WORDS), min_size=1, max_size=3))
+        separator = draw(st.sampled_from(["_", "-", " ", "__"]))
+        sector_id = separator.join(words)
+        if draw(st.booleans()):
+            sector_id = sector_id.capitalize()
+        ids.append(sector_id)
+        if len(words) > 1 and draw(st.booleans()):
+            ids.append("-".join(words) if separator != "-" else "_".join(words))
+    return list(dict.fromkeys(ids))
+
+
+@st.composite
+def _texts_naming(draw, sector_ids: list[str]) -> str:
+    """Text of filler words and renderings of some ids: words in any case,
+    parted by any separator run, with or without a plural "s"."""
+    parts: list[str] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if draw(st.booleans()):
+            words = re.split(r"[ _-]+", draw(st.sampled_from(sector_ids)).strip())
+            if draw(st.booleans()):
+                words = words[:draw(st.integers(min_value=1, max_value=len(words)))]
+            words = [draw(st.sampled_from([w, w.upper(), w.capitalize()])) for w in words]
+            separators = [draw(st.sampled_from([" ", "_", "-", "  ", "\t", "-_"]))
+                          for _ in words[1:]]
+            rendered = words[0] + "".join(s + w for s, w in zip(separators, words[1:]))
+            parts.append(rendered + draw(st.sampled_from(["", "s", "S", "es"])))
+        else:
+            parts.append(draw(st.sampled_from(["serve", "the", "x1", "at", ",", ".", "s"])))
+    joiners = [draw(st.sampled_from([" ", ", ", "-", "_", ""])) for _ in parts]
+    return "".join(j + p for j, p in zip(joiners, parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_extract_target_sector_equals_the_regex_reference(data):
+    sector_ids = data.draw(_sector_ids())
+    text = data.draw(_texts_naming(sector_ids))
+    sectors = {
+        sid: RanSector(id=sid, active_users=1, load_percent=10.0,
+                       spectrum=SpectrumBands(0.0, 50.0, 0.0))
+        for sid in sector_ids
+    }
+    node = CoreNode(id="upf", tier=NodeTier.EDGE, compute_load_percent=10.0,
+                    latency_to_sector=dict.fromkeys(sector_ids, 5.0))
+    state = NetworkState(sectors=sectors, nodes={"upf": node})
+    assert extract_target_sector(text, state) == reference_target_sector(text, sector_ids)
+
+
 def test_extract_target_sector_tolerates_spacing_and_case(state):
     assert extract_target_sector("cover Industrial Park A tomorrow", state) == "industrial_park_a"
     assert extract_target_sector("RURAL_HIGHWAY units", state) == "rural_highway"

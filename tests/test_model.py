@@ -738,17 +738,126 @@ def _built_state(sector_id, node_id, context, users, load, spectrum, compute, ta
     return NetworkState(sectors={sector_id: sector, "cell_2": other}, nodes={node_id: node})
 
 
-# States built directly, not loaded: their values keep the type the caller
-# passed, so ints, bools and infinities reach the encoder as they are.
-@pytest.mark.parametrize("state", [
-    _built_state("zone_ü", "upf_北", "café ☕ \"quoted\" 100%", 3, 50, (0, 80, 10), 20, 4),
-    _built_state("区域1", "nœud", "\U0001f600\n%s", True, True, (True, False, 1.5), False, True),
-    _built_state("cell_1", "upf_1", "", 0, 12.5, (math.inf, 0.0, 5), 85, math.inf),
+def _built_state_doc(sector_id, node_id, context, users, load, spectrum, compute, tau) -> dict:
+    """The document `state_to_dict` gives for `_built_state` of these values."""
+    described = {"description": context} if context else {}
+    return {
+        "sectors": {
+            sector_id: {"active_users": users, "load_percentage": load,
+                        "spectrum_available_mhz": dict(zip(("mmWave", "mid_band", "low_band"),
+                                                           spectrum)),
+                        **described},
+            "cell_2": {"active_users": 0, "load_percentage": 0,
+                       "spectrum_available_mhz": {"mmWave": 0, "mid_band": 20, "low_band": 0}},
+        },
+        "nodes": {
+            node_id: {"type": "metro", "latency_to_ran_ms": {sector_id: tau, "cell_2": 7},
+                      "compute_load_percent": compute, **described},
+        },
+    }
+
+
+# Values as the caller passed them, so ints, bools and infinities reach the
+# encoder as they are. Only the ints build a state: the constructors refuse
+# a bool or an infinity, which `load_state` would not read back, so the
+# other two documents are written directly.
+@pytest.mark.parametrize("values, builds", [
+    (("zone_ü", "upf_北", "café ☕ \"quoted\" 100%", 3, 50, (0, 80, 10), 20, 4), True),
+    (("区域1", "nœud", "\U0001f600\n%s", True, True, (True, False, 1.5), False, True), False),
+    (("cell_1", "upf_1", "", 0, 12.5, (math.inf, 0.0, 5), 85, math.inf), False),
 ], ids=["ints", "bools", "inf"])
-def test_a_built_state_serializes_as_json_dumps(state):
-    assert serialize_state(state) == (
-        json.dumps(state_to_dict(state), indent=2, sort_keys=True) + "\n"
-    )
+def test_a_built_state_serializes_as_json_dumps(values, builds):
+    doc = _built_state_doc(*values)
+    expected = json.dumps(doc, indent=2, sort_keys=True)
+    assert model.json_text(doc) == expected
+    if builds:
+        state = _built_state(*values)
+        assert state_to_dict(state) == doc
+        assert serialize_state(state) == expected + "\n"
+    else:
+        with pytest.raises(StateValidationError):
+            _built_state(*values)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: RanSector("c", True, 50, SpectrumBands(0, 20, 0)), StateValidationError,
+     "sector 'c': active_users must be an integer"),
+    (lambda: RanSector("c", 3.0, 50, SpectrumBands(0, 20, 0)), StateValidationError,
+     "sector 'c': active_users must be an integer"),
+    (lambda: RanSector("c", 3, 50, SpectrumBands(0, 20, 0), context=7), StateValidationError,
+     "sector 'c': description must be a string, got 7"),
+    (lambda: SpectrumBands(0, math.inf, 0), StateValidationError,
+     "spectrum mid_band_mhz must be a finite number, got inf"),
+    (lambda: CoreNode("n", NodeTier.EDGE, 10, {"c": math.inf}), StateValidationError,
+     "node 'n' latency to 'c' must be a finite number, got inf"),
+    (lambda: CoreNode("n", NodeTier.EDGE, 10, {"c": 4}, context=None), StateValidationError,
+     "node 'n': description must be a string, got None"),
+    (lambda: apply_provisioning(load_state(bundled.default_state_path().read_text()),
+                                SliceConfiguration("city_plaza", Band.MID_BAND, "metro_agg_hub",
+                                                   slice_id=7)),
+     ProvisioningError, "slice_id must be a string, got 7"),
+], ids=["users_bool", "users_float", "sector_description", "band_inf", "latency_inf",
+        "node_description", "slice_id"])
+def test_the_constructors_refuse_what_the_loader_would_not_read_back(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+# What a caller might pass for a number: mostly values in range, and values
+# of every other kind: bools, infinities, NaN, negatives, extreme floats and
+# an int past the float range. An int that no float equals, such as
+# 2**53 + 1, is left out: the loader reads numbers as floats, so it would
+# reload as a nearby float.
+_ctor_numbers = (
+    st.floats(min_value=0, max_value=100)
+    | st.integers(min_value=0, max_value=100)
+    | st.sampled_from([True, False, math.inf, -math.inf, math.nan, -0.0, -1, 10**400,
+                       2**53, 1e308, 5e-324])
+)
+_ctor_texts = st.text(max_size=6) | st.sampled_from([None, 0, 7, 1.5, True, ["x"]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_state_the_constructors_accept_reloads_equal(data):
+    # Numbers of any type, descriptions and slice ids that are not strings,
+    # and ids without a letter or digit: whatever the constructors accept
+    # reloads from its canonical text as an equal state.
+    draw = data.draw
+    sector_ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3,
+                               unique=True))
+    node_ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=2,
+                             unique=True))
+    try:
+        sectors = {
+            sector_id: RanSector(
+                sector_id,
+                draw(st.integers(min_value=0) | st.sampled_from([True, False, 3.0, -1])),
+                draw(_ctor_numbers),
+                SpectrumBands(draw(_ctor_numbers), draw(_ctor_numbers), draw(_ctor_numbers)),
+                draw(_ctor_texts),
+            )
+            for sector_id in sector_ids
+        }
+        nodes = {
+            node_id: CoreNode(
+                node_id, draw(st.sampled_from(list(NodeTier))), draw(_ctor_numbers),
+                {sector_id: draw(_ctor_numbers) for sector_id in sector_ids},
+                draw(_ctor_texts),
+            )
+            for node_id in node_ids
+        }
+        ledger = [
+            SliceConfiguration(draw(st.sampled_from(sector_ids)), draw(st.sampled_from(list(Band))),
+                               draw(st.sampled_from(node_ids)),
+                               draw(st.none() | _ctor_texts | st.just("")))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        state = NetworkState(sectors, nodes, tuple(ledger))
+    except StateError:
+        return
+    assert load_state(serialize_state(state)) == state
 
 
 @pytest.mark.parametrize("band, field", [
@@ -979,7 +1088,23 @@ def test_a_latency_row_passes_iff_every_value_is_positive(values):
                         latency_to_sector=row)
 
     if all(value > 0 for value in values):
-        assert node().latency_to_sector == row
+        # Past the range rule, a value the loader would refuse is named as
+        # the loader names it.
+        def finite(value):
+            try:
+                return math.isfinite(float(value))
+            except OverflowError:  # an int past the float range
+                return False
+
+        infinite = next((sector_id for sector_id, value in row.items() if not finite(value)),
+                        None)
+        if infinite is None:
+            assert node().latency_to_sector == row
+            return
+        with pytest.raises(StateValidationError) as excinfo:
+            node()
+        assert str(excinfo.value) == (f"node 'n1' latency to {infinite!r} must be a finite "
+                                      f"number, got {row[infinite]!r}")
         return
     with pytest.raises(StateValidationError) as excinfo:
         node()
@@ -1552,6 +1677,35 @@ def test_repeats_sharing_one_configuration_are_written_like_distinct_ones():
     copies = [dataclasses.replace(r, produced=dataclasses.replace(shared)) for r in repeats]
     assert model.json_text({"records": repeats}) == model.json_text({"records": copies})
     assert model.json_text({"records": repeats}) == dumped({"records": repeats})
+
+
+# Values of a record field that are equal under `==` but that `json.dumps`
+# writes differently.
+_LOOKALIKES = {
+    "utility": (0.0, -0.0),
+    "wall_seconds": (-0.0, 0.0),
+    "semantic_accuracy": (1.0, 1, True),
+    "hybrid_success": (True, 1, 1.0),
+    "prompt_tokens": (1, 1.0, True),
+    "iterations": (0, False, 0.0, -0.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_records, st.lists(st.sampled_from(sorted(_LOOKALIKES)), max_size=6), st.data())
+def test_repeats_and_lookalike_records_are_written_as_json_dumps(first, names, data):
+    # After each record comes a repeat of it, which shares every field object
+    # but `run_index`, then records that are equal to the one before them by
+    # value but hold another object in one field. A writer that took a
+    # record's text from the one before it on `==` would write the
+    # lookalikes as that record.
+    records = [first]
+    for name in names:
+        records.append(dataclasses.replace(records[-1], run_index=data.draw(st.integers())))
+        for value in _LOOKALIKES[name]:
+            records.append(dataclasses.replace(records[-1], **{name: value}))
+    for doc in (records, {"records": records}, [{"r": records}, records[::-1]]):
+        assert model.json_text(doc) == dumped(doc)
 
 
 class _RecordSubclass(EvaluationRecord):
