@@ -131,7 +131,9 @@ def _read_state(state_path: Path) -> NetworkState:
     except FileNotFoundError:
         raise CliError(f"state file not found: {state_path}") from None
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
-        raise CliError(f"cannot read state file {state_path}: {exc}") from None
+        raise CliError(
+            f"cannot read state file {state_path}: {getattr(exc, 'strerror', exc)}"
+        ) from None
     return load_state(text)
 
 

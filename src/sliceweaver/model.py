@@ -18,18 +18,19 @@ This makes them safe to share across concurrent evaluation workers, and it
 lets a state encode its canonical text once, on the first `serialize_state`
 call, and keep it.
 
-Each rule is stated once, in the record it constrains. One checker per
-record (`_check_bands`, `_check_sector`, `_check_node`) raises for the
-record's first fault; its constructor and `load_state` both call it. A
-constructor then checks the types that `load_state` checks as it reads:
-each number finite and not a bool, `active_users` an integer, a
-description a string. So a record holds nothing that its written form
-would not load back as.
+Each record's rules are stated once, in the loader's checker of its entry
+(`_sector_from_entry`, `_node_from_entry`, which end with the range rules
+`_check_bands`, `_check_sector`, `_check_node`); it raises for the entry's
+first fault. A constructor passes its record's own entry (`_sector_doc`,
+`_node_doc`, as `state_to_dict` writes it) to that checker and keeps its
+values as given, so it fails as `load_state` would and holds nothing that
+would not load back. It checks only its typed fields itself: a `NodeTier`
+tier, a `SpectrumBands` spectrum, which checks its own numbers.
 `NetworkState.__post_init__` holds every rule that spans records: each map
-key is its record's id, the latency matrix covers exactly the sectors, and
-the ledger names known sectors, nodes and bands, with unique slice ids. So
-a state that builds from the values a loaded state holds also loads from
-its own canonical text.
+holds records under their own ids, the latency matrix covers exactly the
+sectors, and the ledger names known sectors, nodes and bands, with unique
+slice ids. So a state that builds from the values a loaded state holds
+also loads from its own canonical text.
 `load_state` checks each field of an entry once and builds the checked
 record without running its constructor again.
 """
@@ -39,9 +40,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from collections.abc import Callable, Mapping
-from contextlib import suppress
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -133,24 +132,6 @@ _BAND_FIELDS: dict[Band, str] = {
 }
 
 
-_FLOAT_MAX = sys.float_info.max
-
-
-def _finite_number(value: object) -> bool:
-    """Whether a constructor's number passes `_require_number`: a finite
-    float, or an int within the float range. A constructor calls
-    `_require_number`, which names the fault, only for a value that fails."""
-    kind = type(value)
-    return (kind is float or kind is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
-
-
-def _require_description(context: object, where: str) -> None:
-    """A built record's `context`, written as its `description`, must be a
-    string (the loader checks a loaded one as it reads it)."""
-    if not isinstance(context, str):
-        raise StateValidationError(f"{where}: description must be a string, got {context!r}")
-
-
 def _check_bands(mmwave_mhz: float, mid_band_mhz: float, low_band_mhz: float) -> None:
     """The range rule of `SpectrumBands`: every band is >= 0 (NaN fails)."""
     if not mmwave_mhz >= 0:
@@ -170,10 +151,9 @@ class SpectrumBands:
     low_band_mhz: float
 
     def __post_init__(self) -> None:
-        _check_bands(self.mmwave_mhz, self.mid_band_mhz, self.low_band_mhz)
         for name in _BAND_FIELDS.values():
-            if not _finite_number(value := getattr(self, name)):
-                _require_number(value, f"spectrum {name}")
+            _require_number(getattr(self, name), f"spectrum {name}")
+        _check_bands(self.mmwave_mhz, self.mid_band_mhz, self.low_band_mhz)
 
     def for_band(self, band: Band) -> float:
         return getattr(self, _BAND_FIELDS[band])
@@ -183,10 +163,12 @@ class SpectrumBands:
 
 
 def _check_sector(sector_id: str, active_users: int, load_percent: float) -> None:
-    """The range rule of `RanSector`: an id with a letter or digit, since an
-    intent names a sector by its words (`classify_intent`) and an id of
-    punctuation would be "named" by punctuation; `active_users` >= 0; load
-    within [0, 100] (NaN fails)."""
+    """The range rule of `RanSector`: an id that is a `str` with a letter or
+    digit, since an intent names a sector by its words (`classify_intent`)
+    and an id of punctuation would be "named" by punctuation;
+    `active_users` >= 0; load within [0, 100] (NaN fails)."""
+    if type(sector_id) is not str:
+        raise StateValidationError(f"sector id {sector_id!r} must be a string")
     if not any(map(str.isalnum, sector_id)):
         raise StateValidationError(f"sector id {sector_id!r} has no letter or digit")
     if active_users < 0:
@@ -207,27 +189,24 @@ class RanSector:
     context: str = ""
 
     def __post_init__(self) -> None:
-        _check_sector(self.id, self.active_users, self.load_percent)
-        where = f"sector {self.id!r}"
-        if isinstance(self.active_users, bool) or not isinstance(self.active_users, int):
-            raise StateValidationError(f"{where}: active_users must be an integer")
-        if not _finite_number(self.load_percent):
-            _require_number(self.load_percent, f"{where} load_percentage")
-        _require_description(self.context, where)
+        if type(self.spectrum) is not SpectrumBands:
+            raise StateValidationError(
+                f"sector {self.id!r}: spectrum must be a SpectrumBands, got {self.spectrum!r}")
+        _sector_from_entry(self.id, _sector_doc(self))
 
 
-def _check_node(node_id: str, compute_load_percent: float, row: Mapping[str, float],
-                lowest: float) -> None:
-    """The range rule of `CoreNode`: a non-empty id; compute load within
-    [0, 100] (NaN fails); every latency in `row` > 0. `lowest` is the row's
-    least value, or NaN where the row may hold a NaN, which `min` can pass
-    over; the row is scanned for the culprit only when `lowest` is not > 0."""
+def _check_node(node_id: str, compute_load_percent: float, row: Mapping[str, float]) -> None:
+    """The range rule of `CoreNode`: a non-empty `str` id; compute load
+    within [0, 100] (NaN fails); every latency in `row`, a row of finite
+    floats, > 0. The row is scanned only to name the culprit."""
+    if type(node_id) is not str:
+        raise StateValidationError(f"node id {node_id!r} must be a string")
     if not node_id:
         raise StateValidationError("node id must be non-empty")
     if not 0 <= compute_load_percent <= 100:
         raise StateValidationError(
             f"node {node_id!r}: compute_load_percent {compute_load_percent} outside [0, 100]")
-    if lowest > 0:
+    if min(row.values(), default=1.0) > 0:
         return
     for sector_id, value in row.items():
         if not value > 0:
@@ -246,23 +225,11 @@ class CoreNode:
     context: str = ""
 
     def __post_init__(self) -> None:
-        row = _read_only(self.latency_to_sector)
-        object.__setattr__(self, "latency_to_sector", row)
-        # Without a NaN, which makes the sum NaN, `min` settles `> 0`. With
-        # one, or where an integer past the float range overflows the sum,
-        # `_check_node` scans the row.
-        lowest = math.nan
-        with suppress(OverflowError):
-            if (total := sum(row.values())) == total:
-                lowest = min(row.values(), default=1.0)
-        _check_node(self.id, self.compute_load_percent, row, lowest)
-        where = f"node {self.id!r}"
-        if not _finite_number(self.compute_load_percent):
-            _require_number(self.compute_load_percent, f"{where} compute_load_percent")
-        for sector_id, value in row.items():
-            if not _finite_number(value):
-                _require_number(value, f"{where} latency to {sector_id!r}")
-        _require_description(self.context, where)
+        if type(self.tier) is not NodeTier:
+            raise StateValidationError(
+                f"node {self.id!r}: tier must be a NodeTier, got {self.tier!r}")
+        object.__setattr__(self, "latency_to_sector", _read_only(self.latency_to_sector))
+        _node_from_entry(self.id, _node_doc(self))
 
 
 @dataclass(frozen=True)
@@ -313,9 +280,10 @@ class NetworkState:
     provisioned_slices: tuple[SliceConfiguration, ...] = ()
 
     def __post_init__(self) -> None:
-        """The rules that span records: each map key is its record's id, each
-        latency row covers exactly the sectors, and the ledger passes
-        `validate_config` with unique slice ids (`_with_ledger` skips them)."""
+        """The rules that span records: each map holds records of its type,
+        each under its own id, each latency row covers exactly the sectors,
+        and the ledger passes `validate_config` with unique slice ids
+        (`_with_ledger` skips them)."""
         object.__setattr__(self, "sectors", _read_only(self.sectors))
         object.__setattr__(self, "nodes", _read_only(self.nodes))
         object.__setattr__(self, "provisioned_slices", tuple(self.provisioned_slices))
@@ -323,8 +291,15 @@ class NetworkState:
             raise StateValidationError("state must contain at least one sector")
         if not self.nodes:
             raise StateValidationError("state must contain at least one node")
-        for kind, records in (("sector", self.sectors), ("node", self.nodes)):
-            # One list comparison; the scan below only names the culprit.
+        for kind, records, cls in (("sector", self.sectors, RanSector),
+                                   ("node", self.nodes, CoreNode)):
+            # One set and one list comparison; the scans below only name the
+            # culprit.
+            if set(map(type, records.values())) != {cls}:
+                key, record = next((key, record) for key, record in records.items()
+                                   if type(record) is not cls)
+                raise StateValidationError(
+                    f"{kind} {key!r} must be a {cls.__name__}, got {record!r}")
             if list(map(_record_id, records.values())) != list(records):
                 key, record = next((key, record) for key, record in records.items()
                                    if key != record.id)
@@ -416,9 +391,11 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _require_number(value: object, where: str) -> float:
-    """A finite JSON number as a float; NaN, Infinity and integers past the
-    float range raise StateValidationError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite JSON number as a float. It must be a `float` or an `int`
+    itself, as `json_text` writes no subclass (a bool, an `IntEnum`); NaN,
+    Infinity and integers past the float range raise StateValidationError."""
+    kind = type(value)
+    if kind is not float and kind is not int:
         raise StateValidationError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
@@ -459,12 +436,23 @@ def _check_keys(entry: dict, fields: tuple[frozenset, frozenset], where: str) ->
         raise StateValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _require_text(entry: dict, key: str, where: str, default: str | None = None) -> str:
-    """`entry[key]`, which must be a string; `default` where the key is absent."""
-    value = entry.get(key, default)
+def _require_text(entry: dict, key: str, where: str) -> str:
+    """`entry[key]`, which must be a string."""
+    value = entry[key]
     if not isinstance(value, str):
         raise StateValidationError(f"{where}: {key} must be a string, got {value!r}")
     return value
+
+
+def _description(entry: dict, kind: str, record_id: str) -> str:
+    """The `description` of the entry of `kind` (sector or node) `record_id`,
+    "" where it has none. It must be a `str` itself, as `json_text` writes no
+    subclass (a `str` enum)."""
+    context = entry.get("description", "")
+    if type(context) is not str:
+        raise StateValidationError(
+            f"{kind} {record_id!r}: description must be a string, got {context!r}")
+    return context
 
 
 def _latency_row(latencies: dict, where: str) -> dict[str, float]:
@@ -501,7 +489,7 @@ def _sector_from_entry(sector_id: str, entry: dict) -> RanSector:
         raise StateValidationError(f"sector {sector_id!r}: entry must be an object")
     _check_keys(entry, _SECTOR_FIELDS, f"sector {sector_id!r}")
     users = entry["active_users"]
-    if isinstance(users, bool) or not isinstance(users, int):
+    if type(users) is not int:
         raise StateValidationError(f"sector {sector_id!r}: active_users must be an integer")
     spectrum_entry = entry["spectrum_available_mhz"]
     if not isinstance(spectrum_entry, dict):
@@ -515,10 +503,7 @@ def _sector_from_entry(sector_id: str, entry: dict) -> RanSector:
     low_band = _finite(spectrum_entry["low_band"], sector_id, "low_band")
     _check_bands(mmwave, mid_band, low_band)
     load = _finite(entry["load_percentage"], sector_id, "load_percentage")
-    context = entry.get("description", "")
-    if not isinstance(context, str):
-        raise StateValidationError(
-            f"sector {sector_id!r}: description must be a string, got {context!r}")
+    context = _description(entry, "sector", sector_id)
     _check_sector(sector_id, users, load)
     spectrum = _built(SpectrumBands, mmwave_mhz=mmwave, mid_band_mhz=mid_band,
                       low_band_mhz=low_band)
@@ -541,11 +526,11 @@ def _node_from_entry(node_id: str, entry: dict) -> CoreNode:
         raise StateValidationError(f"{where}: latency_to_ran_ms must be an object")
     tier = _TIER_ALIASES[tier_raw]
     compute = _require_number(entry["compute_load_percent"], f"{where} compute_load_percent")
-    # The row is the loader's own dict of finite floats, so `min` settles
-    # `> 0`, and a view of it is not copied again.
+    # The row is the loader's own dict of finite floats, so a view of it is
+    # not copied again.
     row = MappingProxyType(_latency_row(latencies, where))
-    context = _require_text(entry, "description", where, default="")
-    _check_node(node_id, compute, row, min(row.values(), default=1.0))
+    context = _description(entry, "node", node_id)
+    _check_node(node_id, compute, row)
     return _built(CoreNode, id=node_id, tier=tier, compute_load_percent=compute,
                   latency_to_sector=row, context=context)
 
@@ -584,11 +569,8 @@ def _object_template(keys: tuple[str, ...], depth: int) -> str:
 
 def _value_texts(values, depth: int, memo: dict) -> list[str]:
     """The JSON text of each value at `depth`, dispatched on its exact type.
-    `memo` holds the text of each dataclass value met so far in this call,
-    by `(id(value), depth)`: the document holds every such value for the
-    whole call, so no id is reused while the memo lives. Under the key
-    `depth` alone it holds the last `EvaluationRecord` written at that depth
-    (`_dataclass_text`)."""
+    `memo` holds, by depth, the last `EvaluationRecord` written at that
+    depth in this call (`_dataclass_text`)."""
     texts: list[str] = []
     append = texts.append
     for value in values:
@@ -625,11 +607,7 @@ def _value_texts(values, depth: int, memo: dict) -> list[str]:
         elif value is False:
             append("false")
         else:
-            key = (id(value), depth)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = _dataclass_text(value, depth, memo)
-            append(text)
+            append(_dataclass_text(value, depth, memo))
     return texts
 
 
@@ -678,8 +656,7 @@ def json_text(doc) -> str:
 
     Each object is one `%` template, built once per sorted key set and
     depth, filled by the C leaf encoders json itself uses; each array is
-    one join. A dataclass value met again at the same depth within one call
-    reuses its text. An `EvaluationRecord` whose fields other than
+    one join. An `EvaluationRecord` whose fields other than
     `run_index` are the same objects as those of the record written just
     before it at the same depth, as a deterministic run's repeats are, is
     written from that record's field texts with its own `run_index`. "The
@@ -757,32 +734,43 @@ def config_from_dict(entry: object, where: str) -> SliceConfiguration:
                   band=band, node_id=_require_text(entry, "node", where), slice_id=slice_id)
 
 
+def _sector_doc(sector: RanSector) -> dict:
+    """The sector's entry in the state document; a context other than ""
+    is written as its `description`."""
+    spectrum = sector.spectrum
+    doc = {
+        "active_users": sector.active_users,
+        "load_percentage": sector.load_percent,
+        "spectrum_available_mhz": {
+            "mmWave": spectrum.mmwave_mhz,
+            "mid_band": spectrum.mid_band_mhz,
+            "low_band": spectrum.low_band_mhz,
+        },
+    }
+    if sector.context != "":
+        doc["description"] = sector.context
+    return doc
+
+
+def _node_doc(node: CoreNode) -> dict:
+    """The node's entry in the state document; a context other than "" is
+    written as its `description`."""
+    doc = {
+        "type": node.tier.value,
+        "latency_to_ran_ms": dict(node.latency_to_sector),
+        "compute_load_percent": node.compute_load_percent,
+    }
+    if node.context != "":
+        doc["description"] = node.context
+    return doc
+
+
 def state_to_dict(state: NetworkState) -> dict:
     """The state document as plain dicts, in the state's own key order;
     `serialize_state` sorts the keys as it encodes."""
     doc: dict = {
-        "sectors": {
-            sector.id: {
-                "active_users": sector.active_users,
-                "load_percentage": sector.load_percent,
-                "spectrum_available_mhz": {
-                    "mmWave": sector.spectrum.mmwave_mhz,
-                    "mid_band": sector.spectrum.mid_band_mhz,
-                    "low_band": sector.spectrum.low_band_mhz,
-                },
-                **({"description": sector.context} if sector.context else {}),
-            }
-            for sector in state.sectors.values()
-        },
-        "nodes": {
-            node.id: {
-                "type": node.tier.value,
-                "latency_to_ran_ms": dict(node.latency_to_sector),
-                "compute_load_percent": node.compute_load_percent,
-                **({"description": node.context} if node.context else {}),
-            }
-            for node in state.nodes.values()
-        },
+        "sectors": {sector.id: _sector_doc(sector) for sector in state.sectors.values()},
+        "nodes": {node.id: _node_doc(node) for node in state.nodes.values()},
     }
     if state.provisioned_slices:
         doc["provisioned_slices"] = [
@@ -808,13 +796,18 @@ def serialize_state(state: NetworkState) -> str:
 
 def validate_config(state: NetworkState, config: SliceConfiguration) -> None:
     """The one check that `config` can exist in `state`: an unknown sector or
-    node raises UnknownIdError; a band that is not a `Band`, or has no
-    spectrum at the sector, and a slice id that is not a non-empty string
-    raise ProvisioningError. The wire form omits an empty id and the loader
-    refuses one that is not a string, so a ledger holding either would not
-    reload as it was; both ledger paths, `apply_provisioning` and the
-    `NetworkState` constructor, run this check (`config_from_dict` refuses
-    such a loaded id first, naming its entry)."""
+    node raises UnknownIdError; a value that is not a `SliceConfiguration`,
+    ids and a slice id that are not exactly `str` (`json_text` writes no
+    subclass), an empty slice id (the wire form omits it), and a band that is
+    not a `Band` or has no spectrum at the sector raise ProvisioningError.
+    Both ledger paths, `apply_provisioning` and the `NetworkState`
+    constructor, run this check (`config_from_dict` refuses a loaded slice
+    id that is not a non-empty string first, naming its entry)."""
+    if type(config) is not SliceConfiguration:
+        raise ProvisioningError(f"configuration must be a SliceConfiguration, got {config!r}")
+    for key in ("sector_id", "node_id"):
+        if type(value := getattr(config, key)) is not str:
+            raise ProvisioningError(f"{key} must be a string, got {value!r}")
     sector = state.sector(config.sector_id)
     state.node(config.node_id)
     if not isinstance(config.band, Band):
@@ -825,7 +818,7 @@ def validate_config(state: NetworkState, config: SliceConfiguration) -> None:
             f"{config.sector_id!r}"
         )
     if config.slice_id is not None:
-        if not isinstance(config.slice_id, str):
+        if type(config.slice_id) is not str:
             raise ProvisioningError(f"slice_id must be a string, got {config.slice_id!r}")
         if not config.slice_id:
             raise ProvisioningError("slice_id must be non-empty")

@@ -531,6 +531,32 @@ def test_an_unwritable_out_fails_before_anything_is_printed(capsys, tmp_path, ar
     assert err == f"error: cannot write --out {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    pytest.param(["validate-state", "--state"], "state file", id="validate-state"),
+    pytest.param(["benchmark", "--system", "oracle", "--state"], "state file", id="state"),
+    pytest.param(["benchmark", "--system", "oracle", "--scenarios"], "scenario suite",
+                 id="scenarios"),
+])
+def test_an_unreadable_input_is_named_with_the_reason_alone(capsys, tmp_path, argv, what):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {what} {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["run-intent", "x", "--backend", suite_backend()],
+                 "run-intent expects a flat script fixture, not a suite fixture", id="run-intent"),
+    pytest.param(["benchmark", "--backend", trace_backend()],
+                 "benchmark expects a suite fixture, not a flat script", id="benchmark"),
+])
+def test_a_fixture_of_the_other_shape_is_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bundled_experiment_inputs_load_once_per_process(capsys, monkeypatch):
     for cached in (bundled.default_lexicon, bundled.strict_lexicon, bundled.generic_prompts):
         cached.cache_clear()

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+from enum import IntEnum
 from types import MappingProxyType
 
 import pytest
@@ -37,6 +38,17 @@ from sliceweaver.model import (
 )
 
 from json_edits import edited_text
+
+
+class _Text(str):
+    """A `str` subclass, which a caller other than the JSON reader can pass."""
+
+
+class _Count(IntEnum):
+    """An `int` subclass, which `json_text` does not write."""
+
+    THREE = 3
+
 
 # Full latency matrix of the bundled topology, sector -> node -> ms.
 EXPECTED_LATENCY = {
@@ -72,6 +84,16 @@ def minimal_doc():
             }
         },
     }
+
+
+def load_message(sectors: dict, nodes: dict) -> str | None:
+    """What `load_state` raises for the state document of these entries, or
+    None where it loads."""
+    try:
+        load_state(json.dumps({"sectors": sectors, "nodes": nodes}))
+    except StateValidationError as exc:
+        return str(exc)
+    return None
 
 
 def test_bundled_topology_shape(state):
@@ -796,68 +818,187 @@ def test_a_built_state_serializes_as_json_dumps(values, builds):
                                 SliceConfiguration("city_plaza", Band.MID_BAND, "metro_agg_hub",
                                                    slice_id=7)),
      ProvisioningError, "slice_id must be a string, got 7"),
+    # A value of the wrong type is named by its type rule, before any range
+    # rule can compare it.
+    (lambda: SpectrumBands("1", 0.0, 0.0), StateValidationError,
+     "spectrum mmwave_mhz must be a number, got '1'"),
+    (lambda: RanSector("c", "5", 50, SpectrumBands(0, 20, 0)), StateValidationError,
+     "sector 'c': active_users must be an integer"),
+    (lambda: RanSector("c", 3, "1", SpectrumBands(0, 20, 0)), StateValidationError,
+     "sector 'c' load_percentage must be a number, got '1'"),
+    (lambda: CoreNode("n", NodeTier.EDGE, "5", {"c": 4}), StateValidationError,
+     "node 'n' compute_load_percent must be a number, got '5'"),
+    (lambda: CoreNode("n", NodeTier.EDGE, 10, {"c": "1"}), StateValidationError,
+     "node 'n' latency to 'c' must be a number, got '1'"),
+    (lambda: RanSector(5, 3, 50, SpectrumBands(0, 20, 0)), StateValidationError,
+     "sector id 5 must be a string"),
+    (lambda: CoreNode(5, NodeTier.EDGE, 10, {"c": 4}), StateValidationError,
+     "node id 5 must be a string"),
+    # Values that build at their type's check but that `json_text` cannot
+    # write, or that would load back as another type.
+    (lambda: CoreNode("n", "edge", 10, {"c": 4}), StateValidationError,
+     "node 'n': tier must be a NodeTier, got 'edge'"),
+    (lambda: RanSector("c", 3, 50, None), StateValidationError,
+     "sector 'c': spectrum must be a SpectrumBands, got None"),
+    (lambda: RanSector("c", _Count.THREE, 50, SpectrumBands(0, 20, 0)), StateValidationError,
+     "sector 'c': active_users must be an integer"),
+    (lambda: RanSector("c", 3, 50, SpectrumBands(0, 20, 0), context=Band.MMWAVE),
+     StateValidationError, "sector 'c': description must be a string, got <Band.MMWAVE: 'mmwave'>"),
+    (lambda: CoreNode("n", NodeTier.EDGE, 10, {"c": 4}, context=_Text("x")), StateValidationError,
+     "node 'n': description must be a string, got 'x'"),
+    (lambda: apply_provisioning(bundled.default_state(), SliceConfiguration(
+        "city_plaza", Band.MID_BAND, "metro_agg_hub", slice_id=_Text("s"))),
+     ProvisioningError, "slice_id must be a string, got 's'"),
+    (lambda: apply_provisioning(bundled.default_state(), SliceConfiguration(
+        _Text("city_plaza"), Band.MID_BAND, "metro_agg_hub")),
+     ProvisioningError, "sector_id must be a string, got 'city_plaza'"),
+    (lambda: NetworkState({**bundled.default_state().sectors, "a": 5},
+                          bundled.default_state().nodes),
+     StateValidationError, "sector 'a' must be a RanSector, got 5"),
+    (lambda: NetworkState(bundled.default_state().sectors, bundled.default_state().nodes,
+                          (("city_plaza", Band.MID_BAND, "metro_agg_hub"),)),
+     ProvisioningError, "configuration must be a SliceConfiguration, got "
+                        "('city_plaza', <Band.MID_BAND: 'mid_band'>, 'metro_agg_hub')"),
 ], ids=["users_bool", "users_float", "sector_description", "band_inf", "latency_inf",
-        "node_description", "slice_id"])
+        "node_description", "slice_id", "band_string", "users_string", "load_string",
+        "compute_string", "latency_string", "sector_id_int", "node_id_int", "tier_string",
+        "spectrum_none", "users_int_enum", "description_str_enum", "description_str_subclass",
+        "slice_id_str_subclass", "sector_id_str_subclass", "map_value", "ledger_tuple"])
 def test_the_constructors_refuse_what_the_loader_would_not_read_back(build, error, message):
     with pytest.raises(error) as excinfo:
         build()
     assert str(excinfo.value) == message
 
 
+_ODDS = 20
+
+
+def _rarely(odd, usual):
+    """`usual`, or one time in `_ODDS` `odd`: a drawn state has a few dozen
+    fields, and a good share of drawn states should still build."""
+    return st.integers(1, _ODDS).flatmap(lambda roll: odd if roll == _ODDS else usual)
+
+
 # What a caller might pass for a number: mostly values in range, and values
-# of every other kind: bools, infinities, NaN, negatives, extreme floats and
-# an int past the float range. An int that no float equals, such as
-# 2**53 + 1, is left out: the loader reads numbers as floats, so it would
-# reload as a nearby float.
-_ctor_numbers = (
-    st.floats(min_value=0, max_value=100)
-    | st.integers(min_value=0, max_value=100)
-    | st.sampled_from([True, False, math.inf, -math.inf, math.nan, -0.0, -1, 10**400,
-                       2**53, 1e308, 5e-324])
+# of every other kind: bools, an IntEnum, strings, None, infinities, NaN,
+# negatives, extreme floats and an int past the float range. An int that no
+# float equals, such as 2**53 + 1, is left out: the loader reads numbers as
+# floats, so it would reload as a nearby float.
+_odd_numbers = st.sampled_from([True, False, _Count.THREE, "1", None, math.inf, -math.inf,
+                                math.nan, -1, 10**400, 2**53, 1e308])
+_ctor_numbers = _rarely(_odd_numbers, st.floats(min_value=0, max_value=100)
+                        | st.integers(min_value=0, max_value=100) | st.sampled_from([-0.0, 5e-324]))
+# Latencies, which must be > 0: rarely a zero.
+_ctor_latencies = _rarely(_odd_numbers | st.sampled_from([0, 0.0, -0.0]),
+                          st.floats(min_value=5e-324, max_value=100)
+                          | st.integers(min_value=1, max_value=100))
+_ctor_users = _rarely(st.sampled_from([True, False, 3.0, -1, "5", None, _Count.THREE]),
+                      st.integers(min_value=0))
+# Texts of other types, a `str` subclass and `str` enums among them.
+_ctor_texts = _rarely(
+    st.text(max_size=2).map(_Text)
+    | st.sampled_from([None, 0, 7, 1.5, True, ["x"], Band.MMWAVE, NodeTier.EDGE]),
+    st.text(max_size=6),
 )
-_ctor_texts = st.text(max_size=6) | st.sampled_from([None, 0, 7, 1.5, True, ["x"]])
+# Ids: mostly with a letter or digit first; rarely of punctuation alone, a
+# `str` subclass or not a `str`.
+_ctor_ids = _rarely(
+    st.text("-_ ", min_size=1, max_size=2) | st.sampled_from(["a", "b"]).map(_Text)
+    | st.sampled_from([5, 7, Band.MMWAVE]),
+    st.from_regex(r"[^\W_][\w .-]{0,3}", fullmatch=True),
+)
+_ctor_tiers = _rarely(st.sampled_from(["edge", None]), st.sampled_from(list(NodeTier)))
+_ctor_spectra = _rarely(st.none(), st.builds(SpectrumBands, _ctor_numbers, _ctor_numbers,
+                                             _ctor_numbers))
+# What a caller might put where a record or a configuration belongs.
+_not_records = st.sampled_from([5, None, "cell", ("a", Band.MMWAVE, "n")])
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_every_state_the_constructors_accept_reloads_equal(data):
-    # Numbers of any type, descriptions and slice ids that are not strings,
-    # and ids without a letter or digit: whatever the constructors accept
+    # Values of any type where a number, a text, an id or a typed field
+    # belongs, ids without a letter or digit, and values that are not
+    # records in the maps and the ledger: whatever the constructors accept
     # reloads from its canonical text as an equal state.
     draw = data.draw
-    sector_ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3,
-                               unique=True))
-    node_ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=2,
-                             unique=True))
+    sector_ids = draw(st.lists(_ctor_ids, min_size=1, max_size=3, unique=True))
+    node_ids = draw(st.lists(_ctor_ids, min_size=1, max_size=2, unique=True))
     try:
         sectors = {
-            sector_id: RanSector(
-                sector_id,
-                draw(st.integers(min_value=0) | st.sampled_from([True, False, 3.0, -1])),
-                draw(_ctor_numbers),
-                SpectrumBands(draw(_ctor_numbers), draw(_ctor_numbers), draw(_ctor_numbers)),
-                draw(_ctor_texts),
-            )
+            sector_id: RanSector(sector_id, draw(_ctor_users), draw(_ctor_numbers),
+                                 draw(_ctor_spectra), draw(_ctor_texts))
             for sector_id in sector_ids
         }
         nodes = {
-            node_id: CoreNode(
-                node_id, draw(st.sampled_from(list(NodeTier))), draw(_ctor_numbers),
-                {sector_id: draw(_ctor_numbers) for sector_id in sector_ids},
-                draw(_ctor_texts),
-            )
+            node_id: CoreNode(node_id, draw(_ctor_tiers), draw(_ctor_numbers),
+                              {sector_id: draw(_ctor_latencies) for sector_id in sector_ids},
+                              draw(_ctor_texts))
             for node_id in node_ids
         }
+        for records in (sectors, nodes):
+            if draw(st.integers(1, _ODDS)) == _ODDS:
+                records[draw(st.sampled_from(sorted(records)))] = draw(_not_records)
         ledger = [
-            SliceConfiguration(draw(st.sampled_from(sector_ids)), draw(st.sampled_from(list(Band))),
-                               draw(st.sampled_from(node_ids)),
-                               draw(st.none() | _ctor_texts | st.just("")))
+            draw(_rarely(_not_records, st.builds(
+                SliceConfiguration,
+                _rarely(st.sampled_from(sector_ids).map(_Text), st.sampled_from(sector_ids)),
+                st.sampled_from(list(Band)), st.sampled_from(node_ids),
+                _rarely(st.just(""), st.none() | _ctor_texts))))
             for _ in range(draw(st.integers(0, 3)))
         ]
         state = NetworkState(sectors, nodes, tuple(ledger))
     except StateError:
         return
     assert load_state(serialize_state(state)) == state
+
+
+# Values of the types `json.loads` gives, so a constructor and `load_state`
+# see the same value in a field.
+_json_numbers = (
+    st.floats(min_value=-1, max_value=101)
+    | st.integers(min_value=-2, max_value=10**4)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 10**400, 1e308, True, "5", None,
+                       [1]])
+)
+_json_texts = st.text(max_size=6) | st.sampled_from(["", None, 7, 1.5, True, ["x"]])
+_json_ids = st.text(max_size=4) | st.sampled_from(["cell_7", "-", "", "Ω"])
+
+
+def constructor_message(build) -> str | None:
+    """What `build()` raises, or None where it builds."""
+    try:
+        build()
+    except StateValidationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_constructor_refuses_a_record_as_load_state_refuses_its_entry(data):
+    draw = data.draw
+    bands = [draw(st.floats(min_value=0, max_value=1e6) | st.integers(0, 100)) for _ in Band]
+    sector_id, users, load, context = (
+        draw(_json_ids), draw(st.integers(-2, 10**6) | _json_numbers), draw(_json_numbers),
+        draw(_json_texts))
+    sector_entry = {"active_users": users, "load_percentage": load, "description": context,
+                    "spectrum_available_mhz": dict(zip(("mmWave", "mid_band", "low_band"), bands))}
+    assert constructor_message(
+        lambda: RanSector(sector_id, users, load, SpectrumBands(*bands), context)
+    ) == load_message(
+        {sector_id: sector_entry},
+        {"n1": {"type": "edge", "latency_to_ran_ms": {sector_id: 1.0}, "compute_load_percent": 1.0}})
+
+    node_id, tier, compute, context = (
+        draw(_json_ids), draw(st.sampled_from(list(NodeTier))), draw(_json_numbers),
+        draw(_json_texts))
+    row = {f"s{i}": draw(_json_numbers) for i in range(draw(st.integers(1, 3)))}
+    node_entry = {"type": tier.value, "latency_to_ran_ms": row, "compute_load_percent": compute,
+                  "description": context}
+    assert constructor_message(
+        lambda: CoreNode(node_id, tier, compute, row, context)
+    ) == load_message({sector_id: _good_entry() for sector_id in row}, {node_id: node_entry})
 
 
 @pytest.mark.parametrize("band, field", [
@@ -1087,30 +1228,22 @@ def test_a_latency_row_passes_iff_every_value_is_positive(values):
         return CoreNode(id="n1", tier=NodeTier.EDGE, compute_load_percent=1.0,
                         latency_to_sector=row)
 
-    if all(value > 0 for value in values):
-        # Past the range rule, a value the loader would refuse is named as
-        # the loader names it.
-        def finite(value):
-            try:
-                return math.isfinite(float(value))
-            except OverflowError:  # an int past the float range
-                return False
+    def finite(value):
+        try:
+            return math.isfinite(float(value))
+        except OverflowError:  # an int past the float range
+            return False
 
-        infinite = next((sector_id for sector_id, value in row.items() if not finite(value)),
-                        None)
-        if infinite is None:
-            assert node().latency_to_sector == row
-            return
-        with pytest.raises(StateValidationError) as excinfo:
-            node()
-        assert str(excinfo.value) == (f"node 'n1' latency to {infinite!r} must be a finite "
-                                      f"number, got {row[infinite]!r}")
+    if all(value > 0 and finite(value) for value in values):
+        assert node().latency_to_sector == row
         return
     with pytest.raises(StateValidationError) as excinfo:
         node()
-    sector_id, value = next((sector_id, value) for sector_id, value in row.items()
-                            if not value > 0)
-    assert str(excinfo.value) == f"node 'n1': latency to {sector_id!r} must be > 0, got {value}"
+    # Named as `load_state` names the same row: the first value that is not
+    # a finite number, else the first that is not > 0.
+    assert str(excinfo.value) == load_message(
+        {sector_id: _good_entry() for sector_id in row},
+        {"n1": {"type": "edge", "latency_to_ran_ms": row, "compute_load_percent": 1.0}})
 
 
 _SECTOR_NUMBERS = {
@@ -1381,10 +1514,6 @@ def reference_config(entry: object, where: str) -> SliceConfiguration:
         if not isinstance(entry[key], str):
             raise StateValidationError(f"{where}: {key} must be a string, got {entry[key]!r}")
     return SliceConfiguration(entry["sector"], band, entry["node"], slice_id)
-
-
-class _Text(str):
-    """A `str` subclass, which a caller other than the JSON reader can pass."""
 
 
 _ledger_texts = (

@@ -54,6 +54,41 @@ def test_span_tracer_names_exist_where_it_wraps_them():
     assert missing == []
 
 
+PLANTED = """\
+def reached(flag):
+    if flag:
+        return 1
+    return 2
+
+
+def never():
+    return 3
+"""
+
+
+def test_linecov_lists_the_lines_no_test_reaches(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("linecov", ROOT / "tools" / "linecov.py")
+    linecov = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(linecov)
+    package = tmp_path / "planted_pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "planted.py").write_text(PLANTED)
+    (tmp_path / "pytest.ini").write_text("[pytest]\n")
+    (tmp_path / "test_planted.py").write_text(
+        "from planted_pkg.planted import reached\n\n\n"
+        "def test_reached():\n    assert reached(True) == 1\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    tracer = sys.gettrace()
+    code = linecov.run(package, ["-q", "-p", "no:cacheprovider", str(tmp_path)])
+    for name in ("planted_pkg", "planted_pkg.planted", "test_planted"):
+        sys.modules.pop(name, None)
+    assert sys.gettrace() is tracer
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"{package / 'planted.py'}: 4, 8", "pytest exit code: 0"]
+
+
 def run_with_src(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
